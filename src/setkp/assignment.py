@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autograd import Tensor, no_grad
-from .model import Model
+from .model import DecodeCache, Model
 
 
 def k_step_predict(
@@ -23,19 +23,17 @@ def k_step_predict(
 ) -> np.ndarray:
     """Greedy free-running distributions, shape (k, N, vocab).
 
-    Runs outside any tape: assignment is a discrete decision, not a
-    differentiated computation.
+    Runs outside any tape, one cached decode step per call: assignment is a
+    discrete decision, not a differentiated computation.
     """
     N = model.cfg.n_slots
     out = np.empty((k, N, model.cfg.vocab_size))
     prev = np.full((N, 1), bos_id, dtype=np.intp)
     with no_grad():
-        for t in range(1, k + 1):
-            probs = model.decode_probs(prev, control, enc_states).data.reshape(N, t, -1)
-            step = probs[:, t - 1, :]
-            out[t - 1] = step
-            nxt = step.argmax(axis=1).astype(np.intp)
-            prev = np.hstack([prev, nxt[:, None]])
+        cache = DecodeCache()
+        for t in range(k):
+            out[t] = model.decode_probs(prev, control, enc_states, cache=cache).data
+            prev = out[t].argmax(axis=1).astype(np.intp)[:, None]
     return out
 
 

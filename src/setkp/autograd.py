@@ -114,6 +114,11 @@ class Tape:
                 p.grad += g
 
 
+def recording() -> bool:
+    """True while a tape is recording on the current thread."""
+    return _active_tape() is not None
+
+
 @contextlib.contextmanager
 def no_grad():
     """Suspend recording on the current thread's active tape, if any."""
@@ -183,12 +188,15 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (n,k) @ b (k,m) -> (n,m). 2-D only."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
+    """a (..., k) @ b (k, m) -> (..., m): leading axes of a are batch axes."""
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ValueError("matmul expects a (..., k) @ (k, m) pair")
     ad, bd = a.data, b.data
     out = Tensor(ad @ bd)
-    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    k, m = bd.shape
+    return _record(
+        out, (a, b), lambda g: (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, m))
+    )
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -275,10 +283,12 @@ def log(a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of x (…, d) to zero mean / unit variance, then affine."""
     gd = gain.data
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.data.shape[-1]
+    # the sums np.mean / np.var compute, without their per-call overhead
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = Tensor(xhat * gd + bias.data)
 
     def back(g):
@@ -294,6 +304,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), back)
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, d) -> (..., H, T, d/H)."""
+    *lead, T, d = x.shape
+    return x.reshape(*lead, T, n_heads, d // n_heads).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., H, T, dh) -> (..., T, H*dh)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(*x.shape[:-2], -1)
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -304,39 +326,36 @@ def multi_head_attention(
     mask: np.ndarray | None = None,
     weights_out: list | None = None,
 ) -> Tensor:
-    """Fused multi-head attention.
+    """Fused multi-head attention with leading batch axes.
 
-    q (Tq,d), k/v (Tk,d); head h uses columns [h*dh:(h+1)*dh]. Per head:
-    logits = (q_h k_h^T + bias_h) * inv_scale + mask, rows softmaxed, output
-    rows concatenated back to (Tq,d). `biases` is one (Tq,Tk) tensor per head
-    (learned relative-position term) or None. `mask` is an additive constant
-    (0 / -inf). Fusing keeps the tape short; the backward below is the
-    textbook attention gradient done per head.
+    q (..., Tq, d), k/v (..., Tk, d); the leading axes broadcast, so keys
+    shared by every batch entry can stay (Tk, d). Head h uses columns
+    [h*dh:(h+1)*dh], and all heads are computed at once as (..., H, Tq, Tk)
+    logits = (q_h k_h^T + bias_h) * inv_scale + mask, softmaxed over keys,
+    with the head outputs concatenated back to (..., Tq, d). `biases` is
+    one tensor per head broadcastable to (..., Tq, Tk) (learned
+    relative-position term) or None. `mask` is an additive (Tq, Tk)
+    constant (0 / -inf) shared by every batch entry and head. `weights_out`
+    receives each head's (..., Tq, Tk) weights. Fusing keeps the tape short;
+    the backward below is the textbook attention gradient, batched over
+    heads, with broadcast operands' gradients summed back to their shapes.
     """
     qd, kd, vd = q.data, k.data, v.data
-    Tq, d = qd.shape
-    dh = d // n_heads
-    if d % n_heads:
+    if qd.shape[-1] % n_heads:
         raise ValueError("width not divisible by head count")
+    qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
 
-    As = []
-    outd = np.empty((Tq, d))
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = qd[:, sl] @ kd[:, sl].T
-        if biases is not None:
-            logits = logits + biases[h].data
-        logits = logits * inv_scale
-        if mask is not None:
-            logits = logits + mask
-        mx = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - mx)
-        A = e / e.sum(axis=1, keepdims=True)
-        As.append(A)
-        outd[:, sl] = A @ vd[:, sl]
+    logits = qh @ kh.swapaxes(-1, -2)
+    if biases is not None:
+        logits = logits + np.stack([b.data for b in biases], axis=-3)
+    logits *= inv_scale
+    if mask is not None:
+        logits += mask
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    A = e / e.sum(axis=-1, keepdims=True)
     if weights_out is not None:
-        weights_out.extend(As)
-    out = Tensor(outd)
+        weights_out.extend(A[..., h, :, :] for h in range(n_heads))
+    out = Tensor(_merge_heads(A @ vh))
 
     parents: tuple[Tensor, ...]
     if biases is not None:
@@ -345,24 +364,17 @@ def multi_head_attention(
         parents = (q, k, v)
 
     def back(g):
-        gq = np.zeros_like(qd)
-        gk = np.zeros_like(kd)
-        gv = np.zeros_like(vd)
-        gbs = []
-        for h in range(n_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            A = As[h]
-            gout = g[:, sl]
-            gA = gout @ vd[:, sl].T
-            gv[:, sl] = A.T @ gout
-            glog = A * (gA - (gA * A).sum(axis=1, keepdims=True))
-            gbs.append(glog * inv_scale)
-            gs = glog * inv_scale
-            gq[:, sl] = gs @ kd[:, sl]
-            gk[:, sl] = gs.T @ qd[:, sl]
+        gh = _split_heads(g, n_heads)
+        gA = gh @ vh.swapaxes(-1, -2)
+        gs = A * (gA - (gA * A).sum(axis=-1, keepdims=True)) * inv_scale
+        grads = [
+            _unbroadcast(_merge_heads(gs @ kh), qd.shape),
+            _unbroadcast(_merge_heads(gs.swapaxes(-1, -2) @ qh), kd.shape),
+            _unbroadcast(_merge_heads(A.swapaxes(-1, -2) @ gh), vd.shape),
+        ]
         if biases is not None:
-            return (gq, gk, gv, *gbs)
-        return (gq, gk, gv)
+            grads += [_unbroadcast(gs[..., h, :, :], b.data.shape) for h, b in enumerate(biases)]
+        return tuple(grads)
 
     return _record(out, parents, back)
 

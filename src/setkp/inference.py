@@ -16,7 +16,7 @@ from .corpus import (
     tokenize,
 )
 from .metrics import stem_tokens
-from .model import Model
+from .model import DecodeCache, Model
 from .training import control_ids_for
 
 PROMPT_PREFIX = "keyphrases from higher-level: "
@@ -45,7 +45,8 @@ def generate_slots(
     control: Tensor,
     max_len: int | None = None,
 ) -> list[SlotPrediction]:
-    """Decode every slot greedily from BOS until EOS or ``max_len`` steps.
+    """Decode every slot greedily from BOS until EOS or ``max_len`` steps,
+    one cached decode step per call of ``Model.decode_probs``.
 
     A slot is null iff its first emitted token is the null marker; confidence
     is the mean probability of its emitted tokens. Returns slot order.
@@ -56,13 +57,13 @@ def generate_slots(
     half = n // 2
 
     with no_grad():
+        cache = DecodeCache()
         prev = np.full((n, 1), vocab.bos_id, dtype=np.intp)
         done = np.zeros(n, dtype=bool)
         emitted: list[list[int]] = [[] for _ in range(n)]
         probs: list[list[float]] = [[] for _ in range(n)]
-        for t in range(m):
-            p = model.decode_probs(prev, control, enc_states).data
-            step = p.reshape(n, t + 1, -1)[:, t, :]
+        for _ in range(m):
+            step = model.decode_probs(prev, control, enc_states, cache=cache).data
             choice = step.argmax(axis=1)
             for i in range(n):
                 if done[i]:
@@ -76,7 +77,7 @@ def generate_slots(
                     probs[i].append(float(step[i, tok]))
             if done.all():
                 break
-            prev = np.concatenate([prev, choice[:, None].astype(np.intp)], axis=1)
+            prev = choice[:, None].astype(np.intp)
 
     out = []
     for i in range(n):
@@ -130,15 +131,20 @@ def padding_keyword_spans(doc: MultiLevelDocument) -> list[list[str]]:
     return [sp.tokens for sp in spans if tuple(sp.tokens) not in exact]
 
 
+def _encode_and_tag(model: Model, vocab: Vocabulary, tokens: list[str],
+                    limit: int | None = None) -> tuple[Tensor, list[KeywordSpan]]:
+    """Encoder states of the (truncated) tokens and the spans tagged on them."""
+    n = model.cfg.max_encode_len
+    with no_grad():
+        states = model.encode(vocab.encode(tokens)[:n])
+        tag_probs = model.kwe_probs(states).data
+    return states, model.predict_keywords(tag_probs, tokens[:n], limit)
+
+
 def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str],
                      limit: int | None = None) -> list[KeywordSpan]:
     """Run the tag head over raw tokens and decode spans (confidence order)."""
-    ids = vocab.encode(tokens)[: model.cfg.max_encode_len]
-    toks = tokens[: model.cfg.max_encode_len]
-    with no_grad():
-        states = model.encode(ids)
-        tag_probs = model.kwe_probs(states).data
-    return model.predict_keywords(tag_probs, toks, limit)
+    return _encode_and_tag(model, vocab, tokens, limit)[1]
 
 
 def generate_for_tokens(
@@ -147,17 +153,19 @@ def generate_for_tokens(
     tokens: list[str],
     keyword_spans: list[KeywordSpan] | None = None,
 ) -> tuple[list[SlotPrediction], list[KeywordSpan]]:
-    """Single-input path: extract keywords, condition the slots, decode.
+    """Single-input path: encode once, extract keywords from those states,
+    condition the slots, decode.
 
     ``keyword_spans`` overrides extraction (used when the conditioning
     keywords come from a different token stream than the encoder input).
     Returns (raw slot outputs, keyword spans); filtering is the caller's job.
     """
     cfg = model.cfg
-    ids = vocab.encode(tokens)[: cfg.max_encode_len]
-    spans = keyword_spans if keyword_spans is not None else extract_keywords(model, vocab, tokens)
     with no_grad():
-        enc = model.encode(ids)
+        if keyword_spans is None:
+            enc, spans = _encode_and_tag(model, vocab, tokens)
+        else:
+            enc, spans = model.encode(vocab.encode(tokens)[: cfg.max_encode_len]), keyword_spans
         control = model.control_rows(control_ids_for(spans, cfg, vocab))
         slots = generate_slots(model, vocab, enc, control)
     return slots, spans

@@ -9,6 +9,7 @@ prediction list to exactly five with sentinel entries that can never match;
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,14 +185,16 @@ class _Porter:
         return self.b[: self.k + 1]
 
 
-_stemmer = _Porter()
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
-    """Stem one lowercase word; anything non-alphabetic passes through."""
+    """Stem one lowercase word; anything non-alphabetic passes through.
+
+    Each call stems on its own ``_Porter`` state, so concurrent calls from
+    several threads never interfere.
+    """
     if not word.isascii() or not word.isalpha():
         return word
-    return _stemmer.stem(word)
+    return _Porter().stem(word)
 
 
 def stem_tokens(tokens: list[str]) -> tuple[str, ...]:

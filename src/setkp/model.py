@@ -1,20 +1,22 @@
 """Slot-parallel encoder-decoder over the autograd substrate.
 
 The encoder is a pre-layer-norm transformer with learned bucketed relative
-position biases (no absolute positions). The decoder runs N parallel slots:
-all slots share weights, attend causally within their own prefix only
-(block-diagonal self-attention over the flattened slot-by-step layout),
-and attend freely over the encoder states. Slot inputs add a slot-periodic
-sinusoidal step embedding and a per-slot control row; a control row is the
-slot's learned code plus the summed token embeddings of its guidance
-keyword, which is what lets two slots with the same code specialize.
+position biases (no absolute positions). The decoder runs N parallel slots
+as a leading batch axis: all slots share weights, each attends causally
+over its own prefix only ((N, T, T) self-attention under one (T, T) causal
+mask and bucket table), and every slot attends freely over the encoder
+states. Slot inputs add a sinusoidal step embedding and a per-slot control
+row; a control row is the slot's learned code plus the summed token
+embeddings of its guidance keyword, which is what lets two slots with the
+same code specialize. Greedy decoding runs incrementally on a DecodeCache
+of per-layer keys and values, one new step per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -120,28 +122,36 @@ def _encoder_buckets(S: int, n_buckets: int, max_distance: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _decoder_buckets(n_slots: int, T: int, n_buckets: int, max_distance: int) -> np.ndarray:
-    """Flattened (N*T, N*T) bucket ids; cross-slot cells are masked anyway."""
-    per_step = np.empty((T, T), dtype=np.intp)
+def _decoder_buckets(T: int, n_buckets: int, max_distance: int) -> np.ndarray:
+    """(T, T) bucket ids of step u seen from step t, shared by every slot."""
+    out = np.empty((T, T), dtype=np.intp)
     for t in range(T):
         for u in range(T):
-            per_step[t, u] = dope_rpe_bucket(t, u, n_buckets, max_distance, bidirectional=False)
-    out = np.zeros((n_slots * T, n_slots * T), dtype=np.intp)
-    for n in range(n_slots):
-        sl = slice(n * T, (n + 1) * T)
-        out[sl, sl] = per_step
+            out[t, u] = dope_rpe_bucket(t, u, n_buckets, max_distance, bidirectional=False)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_causal_mask(n_slots: int, T: int) -> np.ndarray:
-    """0 within a slot's causal prefix, -inf everywhere else."""
-    mask = np.full((n_slots * T, n_slots * T), -np.inf)
-    tri = np.triu(np.full((T, T), -np.inf), k=1)
-    for n in range(n_slots):
-        sl = slice(n * T, (n + 1) * T)
-        mask[sl, sl] = tri
-    return mask
+def _causal_mask(T: int) -> np.ndarray:
+    """(T, T): 0 on and below the diagonal, -inf above it."""
+    return np.triu(np.full((T, T), -np.inf), k=1)
+
+
+@dataclass(slots=True)
+class DecodeCache:
+    """Incremental decode state for one greedy decode of one encoder input.
+
+    ``steps`` counts the positions decoded so far. ``self_kv[i]`` holds
+    decoder layer i's self-attention keys and values, each (N, steps, d);
+    ``cross_kv[i]`` holds the layer's projected encoder keys and values,
+    computed on the first call. A cache belongs to one decode loop: create
+    it there and drop it afterwards, never share it between threads.
+    """
+
+    steps: int = 0
+    enc_states: Tensor | None = None
+    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    cross_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------- the model
@@ -282,55 +292,86 @@ class Model:
             parts.append(vec)
         return ag.stack_rows(parts)
 
+    def _cross_kv(self, enc_states: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention keys and values, (S, d) each."""
+        return [
+            (ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
+             ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
+            for i in range(self.cfg.n_dec_layers)
+        ]
+
     def decode_probs(
         self,
         prev_ids: np.ndarray,
         control: Tensor,
         enc_states: Tensor,
+        cache: DecodeCache | None = None,
         attn_sink: list | None = None,
     ) -> Tensor:
-        """Teacher-input decode: prev_ids (N, T) holds w^{t-1} per slot/step.
+        """Decode: prev_ids (N, T) holds w^{t-1} per slot and step.
 
-        Returns (N*T, vocab) next-token distributions; row n*T + t is slot
-        n's distribution for step t+1.
+        Without a cache this is the teacher-forced pass over steps 1..T; it
+        returns (N*T, vocab) next-token distributions, row n*T + t being
+        slot n's distribution for step t+1. With a cache, prev_ids holds only
+        the T steps after the cache's ``steps`` earlier ones: their keys and
+        values are appended to the cache, and the (N*T, vocab) rows returned
+        cover the new steps only, equal to the matching rows of the full pass
+        up to float round-off. A cache is tape-free: passing one while a Tape
+        records raises RuntimeError.
         """
         cfg = self.cfg
         N, T = prev_ids.shape
         assert N == cfg.n_slots
-        flat_prev = prev_ids.reshape(-1).astype(np.intp)
-        slot_of_row = np.repeat(np.arange(N, dtype=np.intp), T)
-        ape = Tensor(np.tile(_ape_rows(T, cfg.d), (N, 1)))
+        if cache is None:
+            t0, cross_kv = 0, self._cross_kv(enc_states)
+        else:
+            if ag.recording():
+                raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
+            if not cache.cross_kv:
+                cache.enc_states = enc_states
+                cache.cross_kv = self._cross_kv(enc_states)
+            elif cache.enc_states is not enc_states:
+                raise ValueError("a DecodeCache serves the encoder states it was filled from")
+            t0, cross_kv = cache.steps, cache.cross_kv
+        L = t0 + T
 
         x = ag.add(
-            ag.add(ag.gather(self.store["dec.emb"], flat_prev), ape),
-            ag.gather(control, slot_of_row),
+            ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(L, cfg.d)[t0:])),
+            ag.gather(control, np.arange(N)[:, None]),
         )
 
-        mask = _slot_causal_mask(N, T)
-        buckets = _decoder_buckets(N, T, cfg.rpe_buckets, cfg.rpe_max_distance)
+        mask = _causal_mask(L)[t0:]
+        buckets = _decoder_buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance)[t0:]
         biases = [ag.gather(self.store[f"dec.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
         inv_scale = 1.0 / math.sqrt(cfg.d)
 
         for i in range(cfg.n_dec_layers):
             p = f"dec.L{i}."
             h = self._ln(x, p + "ln1")
+            k = ag.matmul(h, self.store[p + "wk"])
+            v = ag.matmul(h, self.store[p + "wv"])
+            if cache is not None:
+                if t0:
+                    pk, pv = cache.self_kv[i]
+                    k = Tensor(np.concatenate([pk.data, k.data], axis=1))
+                    v = Tensor(np.concatenate([pv.data, v.data], axis=1))
+                    cache.self_kv[i] = (k, v)
+                else:
+                    cache.self_kv.append((k, v))
             att = ag.multi_head_attention(
-                ag.matmul(h, self.store[p + "wq"]),
-                ag.matmul(h, self.store[p + "wk"]),
-                ag.matmul(h, self.store[p + "wv"]),
+                ag.matmul(h, self.store[p + "wq"]), k, v,
                 biases, cfg.n_heads, inv_scale, mask=mask,
                 weights_out=attn_sink,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             h = self._ln(x, p + "ln2")
             catt = ag.multi_head_attention(
-                ag.matmul(h, self.store[p + "cq"]),
-                ag.matmul(enc_states, self.store[p + "ck"]),
-                ag.matmul(enc_states, self.store[p + "cv"]),
-                None, cfg.n_heads, inv_scale,
+                ag.matmul(h, self.store[p + "cq"]), *cross_kv[i], None, cfg.n_heads, inv_scale,
             )
             x = ag.add(x, ag.matmul(catt, self.store[p + "co"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
-        x = self._ln(x, "dec.final")
+        if cache is not None:
+            cache.steps = L
+        x = ag.reshape(self._ln(x, "dec.final"), (N * T, cfg.d))
         logits = ag.add(ag.matmul(x, self.store["kg.w"]), self.store["kg.b"])
         return ag.softmax(logits, axis=-1)

@@ -154,3 +154,18 @@ def test_k_step_predict_is_deterministic():
     a = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     b = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     assert np.array_equal(a, b)
+
+
+def test_k_step_predict_matches_full_recompute():
+    # the cached steps equal a loop that re-decodes the whole prefix
+    model, vocab, docs = _small_model()
+    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    control = model.control_rows([None, [5], None, None])
+    k = 4
+    dists = k_step_predict(model, enc, control, k=k, bos_id=vocab.bos_id)
+    prev = np.full((4, 1), vocab.bos_id, dtype=np.intp)
+    for t in range(k):
+        step = model.decode_probs(prev, control, enc).data.reshape(4, t + 1, -1)[:, t]
+        np.testing.assert_allclose(dists[t], step, rtol=0, atol=1e-12)
+        assert np.array_equal(dists[t].argmax(axis=1), step.argmax(axis=1))
+        prev = np.concatenate([prev, step.argmax(axis=1)[:, None]], axis=1)

@@ -154,6 +154,64 @@ def test_attention_grad_with_bias_and_mask():
     assert grad_check(f, params, n_coords=60) < 1e-5
 
 
+def test_batched_attention_grad_with_bias_and_causal_mask():
+    # (B, T, d) queries/keys/values, per-head (T, T) biases and a (T, T)
+    # causal mask broadcast over the batch axis
+    rng = np.random.default_rng(11)
+    q = _param(rng, (3, 4, 6))
+    k = _param(rng, (3, 4, 6))
+    v = _param(rng, (3, 4, 6))
+    biases = [_param(rng, (4, 4)) for _ in range(2)]
+    mask = np.triu(np.full((4, 4), -np.inf), k=1)
+    w = Tensor(rng.standard_normal((3, 4, 6)))
+
+    def f():
+        out = ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask)
+        return ag.sum_all(ag.mul(out, w))
+
+    params = {"q": q, "k": k, "v": v, "b0": biases[0], "b1": biases[1]}
+    assert grad_check(f, params, n_coords=80) < 1e-5
+
+
+def test_batched_attention_grad_with_shared_keys():
+    # (B, Tq, d) queries over (Tk, d) keys/values shared by every batch entry
+    rng = np.random.default_rng(12)
+    q = _param(rng, (3, 2, 4))
+    k = _param(rng, (5, 4))
+    v = _param(rng, (5, 4))
+    w = Tensor(rng.standard_normal((3, 2, 4)))
+
+    def f():
+        out = ag.multi_head_attention(q, k, v, None, n_heads=2, inv_scale=0.5)
+        return ag.sum_all(ag.mul(out, w))
+
+    assert grad_check(f, {"q": q, "k": k, "v": v}, n_coords=60) < 1e-5
+
+
+def test_batched_attention_matches_per_entry_loop():
+    rng = np.random.default_rng(13)
+    q = Tensor(rng.standard_normal((3, 4, 6)))
+    k = Tensor(rng.standard_normal((3, 4, 6)))
+    v = Tensor(rng.standard_normal((3, 4, 6)))
+    biases = [Tensor(rng.standard_normal((4, 4))) for _ in range(2)]
+    mask = np.triu(np.full((4, 4), -np.inf), k=1)
+    out = ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask)
+    for b in range(3):
+        one = ag.multi_head_attention(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b]),
+                                      biases, n_heads=2, inv_scale=0.5, mask=mask)
+        np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
+
+
+def test_matmul_batched_grad():
+    rng = np.random.default_rng(14)
+    a = _param(rng, (2, 3, 4))
+    b = _param(rng, (4, 5))
+    w = Tensor(rng.standard_normal((2, 3, 5)))
+    err = grad_check(lambda: ag.sum_all(ag.mul(ag.matmul(a, b), w)), {"a": a, "b": b},
+                     n_coords=30)
+    assert err < 1e-5
+
+
 def test_attention_rows_stochastic_and_mask_zeroes():
     rng = np.random.default_rng(9)
     q = Tensor(rng.standard_normal((3, 4)))

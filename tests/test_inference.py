@@ -25,7 +25,7 @@ from setkp.inference import (
     save_portraits,
     save_predictions,
 )
-from setkp.model import Model, ModelConfig
+from setkp.model import DecodeCache, Model, ModelConfig
 from setkp.synth import synth_corpus
 from setkp.training import control_ids_for
 
@@ -109,6 +109,54 @@ def test_generate_slots_deterministic():
     assert [(s.tokens, s.is_null, s.confidence) for s in a] == [
         (s.tokens, s.is_null, s.confidence) for s in b
     ]
+
+
+def _greedy_full_recompute(model, vocab, enc, control, m):
+    """Reference greedy decode: re-decodes every slot's whole prefix at each
+    step, without a cache. Each step's distributions are also checked
+    against a cache stepped along the same path."""
+    n = model.cfg.n_slots
+    prev = np.full((n, 1), vocab.bos_id, dtype=np.intp)
+    cache = DecodeCache()
+    done = np.zeros(n, dtype=bool)
+    emitted = [[] for _ in range(n)]
+    probs = [[] for _ in range(n)]
+    for t in range(m):
+        step = model.decode_probs(prev, control, enc).data.reshape(n, t + 1, -1)[:, t]
+        cached = model.decode_probs(prev[:, -1:], control, enc, cache=cache).data
+        np.testing.assert_allclose(cached, step, rtol=0, atol=1e-12)
+        choice = step.argmax(axis=1)
+        for i in range(n):
+            if done[i]:
+                choice[i] = vocab.eos_id
+            elif choice[i] == vocab.eos_id:
+                done[i] = True
+            else:
+                emitted[i].append(int(choice[i]))
+                probs[i].append(float(step[i, choice[i]]))
+        if done.all():
+            break
+        prev = np.concatenate([prev, choice[:, None]], axis=1)
+    return emitted, probs
+
+
+@pytest.mark.parametrize("bias_out,max_len", [(True, None), (True, 3), (False, None)])
+def test_generate_slots_matches_full_recompute(bias_out, max_len):
+    model, vocab, docs = setup_model()
+    if bias_out:  # no slot may stop early: every step of the horizon runs
+        model.store["kg.b"].data[[vocab.eos_id, vocab.null_id]] = -100.0
+    m = max_len if max_len is not None else model.cfg.max_kp_len
+    for seg in docs[0].segments[:3]:
+        enc = model.encode(vocab.encode(seg.tokens))
+        control = model.control_rows([None, [5], None, [7]])
+        slots = generate_slots(model, vocab, enc, control, max_len=max_len)
+        emitted, probs = _greedy_full_recompute(model, vocab, enc, control, m)
+        for s, ids, ps in zip(slots, emitted, probs):
+            assert s.tokens == [vocab.tokens[t] for t in ids if t != vocab.null_id]
+            assert s.confidence == pytest.approx(float(np.mean(ps)) if ps else 0.0,
+                                                 rel=0, abs=1e-12)
+            if bias_out:
+                assert len(ids) == m
 
 
 def test_generate_for_tokens_returns_spans():

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +141,39 @@ def test_porter_never_grows_or_crashes(word):
     out = porter_stem(word)
     assert len(out) <= len(word)
     assert out == out.lower()
+
+
+def test_porter_stem_thread_safe():
+    # 4 threads stem the same words through the uncached function with a
+    # tight switch interval; every result must equal the serial stems
+    rng = random.Random(0)
+    suffixes = ["", "s", "ing", "ed", "ational", "ness", "ement", "izer", "ies", "ly"]
+    words = ["".join(rng.choice("abcdefghiklmnoprstuvyz") for _ in range(rng.randint(2, 9)))
+             + rng.choice(suffixes) for _ in range(2000)]
+    stem = porter_stem.__wrapped__
+    expect = [stem(w) for w in words]
+    results: dict[int, list[str]] = {}
+    errors: list[BaseException] = []
+
+    def work(i):
+        try:
+            results[i] = [stem(w) for w in words]
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(results[i] == expect for i in range(4))
 
 
 def test_dedup_by_stem_keeps_first():

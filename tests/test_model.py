@@ -7,6 +7,7 @@ from setkp import autograd as ag
 from setkp.autograd import Tape
 from setkp.corpus import KeywordSpan
 from setkp.model import (
+    DecodeCache,
     Model,
     ModelConfig,
     _ape_rows,
@@ -308,22 +309,59 @@ def test_decode_causal_within_slot():
 
 
 def test_decoder_self_attention_is_slot_blocked():
+    # one causal (T, T) weight block per slot and head; no cross-slot cells exist
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
     sink: list = []
     model.decode_probs(prev, control, enc, attn_sink=sink)
     T = prev.shape[1]
-    NT = cfg.n_slots * T
     assert len(sink) == cfg.n_dec_layers * cfg.n_heads
     for A in sink:
-        assert A.shape == (NT, NT)
+        assert A.shape == (cfg.n_slots, T, T)
         for n in range(cfg.n_slots):
-            for m in range(cfg.n_slots):
-                block = A[n * T : (n + 1) * T, m * T : (m + 1) * T]
-                if n == m:
-                    assert np.allclose(np.triu(block, k=1), 0.0)  # causal
-                else:
-                    assert np.allclose(block, 0.0)  # cross-slot masked
+            assert np.allclose(np.triu(A[n], k=1), 0.0)  # causal
+            assert np.allclose(A[n].sum(axis=1), 1.0)
+            assert (A[n][np.tril_indices(T)] > 0).all()
+
+
+def test_cached_decode_matches_full_recompute():
+    # feeding the steps one (or two) at a time through a cache gives the rows
+    # of the teacher-forced pass over the whole prefix
+    cfg = tiny_cfg()
+    model, _, control, enc = _decode_setup(cfg)
+    prev = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(cfg.n_slots, 5))
+    full = model.decode_probs(prev, control, enc).data.reshape(cfg.n_slots, 5, -1)
+    for chunks in ([1, 1, 1, 1, 1], [2, 1, 2]):
+        cache = DecodeCache()
+        t0 = 0
+        for c in chunks:
+            rows = model.decode_probs(prev[:, t0:t0 + c], control, enc, cache=cache).data
+            assert rows.shape == (cfg.n_slots * c, cfg.vocab_size)
+            np.testing.assert_allclose(
+                rows.reshape(cfg.n_slots, c, -1), full[:, t0:t0 + c], rtol=0, atol=1e-12
+            )
+            t0 += c
+        assert cache.steps == 5
+        assert all(k.data.shape == (cfg.n_slots, 5, cfg.d) for kv in cache.self_kv for k in kv)
+
+
+def test_decode_cache_rejected_while_recording():
+    cfg = tiny_cfg()
+    model, prev, control, enc = _decode_setup(cfg)
+    with Tape():
+        with pytest.raises(RuntimeError):
+            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache())
+        with ag.no_grad():
+            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache())
+
+
+def test_decode_cache_bound_to_its_encoder_states():
+    cfg = tiny_cfg()
+    model, prev, control, enc = _decode_setup(cfg)
+    cache = DecodeCache()
+    model.decode_probs(prev[:, :1], control, enc, cache=cache)
+    with pytest.raises(ValueError):
+        model.decode_probs(prev[:, 1:2], control, model.encode([1, 2, 3]), cache=cache)
 
 
 def test_decode_grads_flow_to_decoder_params():
