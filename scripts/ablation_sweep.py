@@ -8,9 +8,7 @@ duplication ratios on the other half.
 import argparse
 import time
 
-import numpy as np
-
-from setkp import inference, metrics
+from setkp import inference
 from setkp.corpus import Vocabulary
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
@@ -18,14 +16,7 @@ from setkp.training import TsmtConfig, tsmt_train
 
 
 def held_ratios(model, vocab, docs):
-    nulls, dups = [], []
-    for d in docs:
-        for seg in d.segments:
-            slots, _ = inference.generate_for_tokens(model, vocab, seg.tokens)
-            outs = [(s.tokens, s.is_null) for s in slots]
-            nulls.append(metrics.null_ratio(outs))
-            dups.append(metrics.duplication_ratio(outs))
-    return float(np.mean(nulls)), float(np.mean(dups))
+    return inference.slot_ratios(model, vocab, [seg.tokens for d in docs for seg in d.segments])
 
 
 def main():

@@ -7,37 +7,19 @@ The final block dumps one document's raw slot outputs per level for eyeballing.
 import argparse
 import time
 
-import numpy as np
-
 from setkp import inference, metrics
+from setkp.cli import _eval_record, _generate_doc
 from setkp.corpus import Vocabulary
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
 from setkp.training import TsmtConfig, tsmt_train
 
 
-def corpus_f1(model, vocab, docs):
-    """Mean per-document (present F1@M, absent F1@M, null ratio, duplication)."""
-    pres, abse, nulls, dups = [], [], [], []
-    for d in docs:
-        merged = {}
-        outs = []
-        for seg in d.segments:
-            slots, _ = inference.generate_for_tokens(model, vocab, seg.tokens)
-            outs.extend((s.tokens, s.is_null) for s in slots)
-            for s in inference.filter_predictions(slots):
-                key = metrics.stem_tokens(s.tokens)
-                if key not in merged or s.confidence > merged[key][0]:
-                    merged[key] = (s.confidence, s.tokens)
-        ranked = [t for _, t in sorted(merged.values(), key=lambda cv: -cv[0])]
-        preds = metrics.drop_exact(ranked, inference.padding_keyword_spans(d))
-        present, absent = d.keyphrase_tokens()
-        pp, pa = metrics.split_by_source(preds, d.all_tokens())
-        pres.append(metrics.f1_at_m(pp, present)[2])
-        abse.append(metrics.f1_at_m(pa, absent)[2])
-        nulls.append(metrics.null_ratio(outs))
-        dups.append(metrics.duplication_ratio(outs))
-    return tuple(float(np.mean(v)) for v in (pres, abse, nulls, dups))
+def scores(model, vocab, docs) -> str:
+    """Training-set macro F1@M and slot ratios, scored as `setkp eval` scores."""
+    _, m = metrics.evaluate([_eval_record(d, _generate_doc(model, vocab, d)) for d in docs])
+    return (f"presentF1={m['present_f1@M']:.3f} absentF1={m['absent_f1@M']:.3f}  "
+            f"null={m['null_ratio']:.2f} dup={m['duplication']:.2f}")
 
 
 def main():
@@ -62,16 +44,13 @@ def main():
         state["epoch"] += 1
         ep = state["epoch"]
         if ep % args.every == 0 or ep == args.epochs:
-            p, a, nl, dp = corpus_f1(m, vocab, docs)
-            print(f"epoch {ep:3d}  t={time.time() - t0:6.1f}s  presentF1={p:.3f} "
-                  f"absentF1={a:.3f}  null={nl:.2f} dup={dp:.2f}", flush=True)
+            print(f"epoch {ep:3d}  t={time.time() - t0:6.1f}s  {scores(m, vocab, docs)}",
+                  flush=True)
         return 0.0, 0.0
 
     tcfg = TsmtConfig(epochs=args.epochs, e1=args.e1, probe_docs=0)
     tsmt_train(model, docs, tcfg, vocab, probe_fn=probe)
-    p, a, nl, dp = corpus_f1(model, vocab, docs)
-    print(f"final presentF1={p:.3f} absentF1={a:.3f} null={nl:.2f} dup={dp:.2f} "
-          f"({time.time() - t0:.0f}s)")
+    print(f"final {scores(model, vocab, docs)} ({time.time() - t0:.0f}s)")
 
     d = docs[0]
     present, absent = d.keyphrase_tokens()

@@ -4,11 +4,11 @@ evaluation, and portrait-based classification reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, inference, metrics
-from .config import RunConfig, load_run_config
+from .config import KEY_TYPES, RunConfig, load_run_config
 from .corpus import Vocabulary, load_jsonl, save_jsonl
 from .model import Model, ModelConfig
 from .params import load_checkpoint
@@ -16,24 +16,24 @@ from .synth import distinct_word_count, synth_corpus
 from .training import tsmt_train
 
 
-def _common(p: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, help: str, seed: bool = False) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--threads", type=int, help="document fan-out width (default 1)")
+    if seed:
+        p.add_argument("--seed", type=int, help="run seed")
+    return p
 
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setkp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-corpus", help="emit a synthetic corpus JSONL")
-    _common(p)
+    p = _command(sub, "gen-corpus", "emit a synthetic corpus JSONL", seed=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-docs", type=int, help="documents to synthesize")
     p.add_argument("--vocab-profile", choices=["default", "small"])
 
-    p = sub.add_parser("train", help="run the staged training schedule")
-    _common(p)
+    p = _command(sub, "train", "run the staged training schedule", seed=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-ckpt", required=True)
     p.add_argument("--loss-csv", help="per-epoch loss report")
@@ -42,27 +42,23 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--e2", type=int)
     p.add_argument("--batch-size", type=int)
 
-    p = sub.add_parser("generate", help="per-segment slot generation")
-    _common(p)
+    p = _command(sub, "generate", "per-segment slot generation")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("portrait", help="multi-level document portraits")
-    _common(p)
+    p = _command(sub, "portrait", "multi-level document portraits")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-levels", type=int)
 
-    p = sub.add_parser("eval", help="score generation output against a corpus")
-    _common(p)
+    p = _command(sub, "eval", "score generation output against a corpus")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="per-document + macro CSV")
 
-    p = sub.add_parser("analyze", help="portrait-based classification report")
-    _common(p)
+    p = _command(sub, "analyze", "portrait-based classification report", seed=True)
     p.add_argument("--portraits", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
@@ -72,11 +68,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    flags = {"seed": getattr(args, "seed", None), "threads": getattr(args, "threads", None)}
-    for key in ("n_docs", "vocab_profile", "epochs", "e1", "e2", "batch_size"):
-        if hasattr(args, key):
-            flags[key] = getattr(args, key)
-    return load_run_config(args.config, flags)
+    """A flag named after a config key overrides that key."""
+    return load_run_config(args.config, {k: v for k, v in vars(args).items() if k in KEY_TYPES})
 
 
 def _load_model(ckpt_path: str) -> tuple[Model, Vocabulary, dict]:
@@ -95,13 +88,6 @@ def _parse_levels(raw: str | None) -> set[int] | None:
         raise ValueError(f"bad --levels value {raw!r}; expected e.g. 1,2")
 
 
-def _fan_out(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_gen_corpus(args) -> int:
     rc = _run_config(args)
     docs = synth_corpus(rc.seed, rc.n_docs, rc.vocab_profile)
@@ -115,22 +101,13 @@ def cmd_train(args) -> int:
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
     vocab = Vocabulary.build(docs, rc.min_freq)
     model = Model.fresh(rc.model_config(len(vocab)), rc.seed)
-    tcfg = rc.train_config()
 
     probe_fn = None
     if rc.probe_docs > 0:
         probe_segs = [d.segments[0].tokens for d in docs[: rc.probe_docs]]
+        probe_fn = functools.partial(inference.slot_ratios, vocab=vocab, segments=probe_segs)
 
-        def probe_fn(m):
-            outs = []
-            for toks in probe_segs:
-                slots, _ = inference.generate_for_tokens(m, vocab, toks)
-                outs.append([(s.tokens, s.is_null) for s in slots])
-            nulls = [metrics.null_ratio(o) for o in outs]
-            dups = [metrics.duplication_ratio(o) for o in outs]
-            return float(sum(nulls) / len(nulls)), float(sum(dups) / len(dups))
-
-    report = tsmt_train(model, docs, tcfg, vocab, checkpoint_path=args.out_ckpt,
+    report = tsmt_train(model, docs, rc.train_config(), vocab, checkpoint_path=args.out_ckpt,
                         probe_fn=probe_fn)
     if args.loss_csv:
         report.write_csv(args.loss_csv)
@@ -164,7 +141,7 @@ def cmd_generate(args) -> int:
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
-    rows = _fan_out(lambda d: _generate_doc(model, vocab, d), docs, rc.threads)
+    rows = [_generate_doc(model, vocab, d) for d in docs]
     inference.save_predictions(args.out, rows)
     print(f"generated for {len(rows)} documents -> {args.out}")
     return 0
@@ -173,14 +150,11 @@ def cmd_generate(args) -> int:
 def cmd_portrait(args) -> int:
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
-    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
-
-    def one(d):
-        pads = inference.padding_keyword_spans(d) or None
-        return inference.document_portrait(model, vocab, d, max_levels=args.max_levels,
-                                           padding_keywords=pads)
-
-    portraits = _fan_out(one, docs, rc.threads)
+    portraits = [
+        inference.document_portrait(model, vocab, d, max_levels=args.max_levels,
+                                    padding_keywords=inference.padding_keyword_spans(d) or None)
+        for d in load_jsonl(args.corpus, rc.max_segment_tokens)
+    ]
     inference.save_portraits(args.out, portraits)
     n = sum(len(p.entries) for p in portraits)
     print(f"built {len(portraits)} portraits ({n} keyphrases) -> {args.out}")

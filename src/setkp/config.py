@@ -1,107 +1,64 @@
-"""Flat run configuration: defaults < config file < environment < flags."""
+"""Flat run configuration: defaults < config file < environment < flags.
+
+The model and training keys, with their types and defaults, are the fields of
+ModelConfig (all but vocab_size, which the corpus decides) and TsmtConfig;
+building a RunConfig runs those classes' checks.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .model import ModelConfig
 from .training import TsmtConfig
 
 ENV_PREFIX = "SETKP_"
+_MODEL_KEYS = [f.name for f in fields(ModelConfig) if f.name != "vocab_size"]
+_TRAIN_KEYS = [f.name for f in fields(TsmtConfig)]
+_ModelAndTrainKeys = make_dataclass("_ModelAndTrainKeys", [
+    (f.name, f.type, field(default=f.default))
+    for f in (*fields(ModelConfig), *fields(TsmtConfig)) if f.name != "vocab_size"
+])
 
 
 @dataclass
-class RunConfig:
-    # model
-    d: int = 64
-    n_heads: int = 4
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    n_slots: int = 8
-    assign_steps: int = 2
-    n_control_keywords: int = 3
-    max_kp_len: int = 8
-    rpe_buckets: int = 32
-    rpe_max_distance: int = 128
-    ffn_width: int = 256
-    max_encode_len: int = 256
-    use_keyword_control: bool = True
-    # training
-    epochs: int = 30
-    e1: int = 10
-    e2: int = 2
-    lambda_null: float = 0.2
-    lambda_kw: float = 0.7
-    lambda_g: float = 1.0
-    lr: float = 3e-4
-    batch_size: int = 8
-    weight_decay: float = 0.01
-    use_keyword_padding: bool = True
-    probe_docs: int = 4
-    # pipeline
-    seed: int = 0
-    threads: int = 1
+class RunConfig(_ModelAndTrainKeys):
     n_docs: int = 64
     vocab_profile: str = "default"
     max_segment_tokens: int = 32  # one synthetic claim sentence per segment
     min_freq: int = 1
 
+    def __post_init__(self):
+        self.model_config(0)
+        self.train_config()
+
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            d=self.d,
-            n_heads=self.n_heads,
-            n_enc_layers=self.n_enc_layers,
-            n_dec_layers=self.n_dec_layers,
-            n_slots=self.n_slots,
-            assign_steps=self.assign_steps,
-            n_control_keywords=self.n_control_keywords,
-            max_kp_len=self.max_kp_len,
-            rpe_buckets=self.rpe_buckets,
-            rpe_max_distance=self.rpe_max_distance,
-            ffn_width=self.ffn_width,
-            max_encode_len=self.max_encode_len,
-            use_keyword_control=self.use_keyword_control,
-        )
+        return ModelConfig(vocab_size=vocab_size, **{k: getattr(self, k) for k in _MODEL_KEYS})
 
     def train_config(self) -> TsmtConfig:
-        return TsmtConfig(
-            epochs=self.epochs,
-            e1=self.e1,
-            e2=self.e2,
-            lambda_null=self.lambda_null,
-            lambda_kw=self.lambda_kw,
-            lambda_g=self.lambda_g,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-            use_keyword_padding=self.use_keyword_padding,
-            probe_docs=self.probe_docs,
-        )
+        return TsmtConfig(**{k: getattr(self, k) for k in _TRAIN_KEYS})
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_PARSERS = {
+    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+    "int": (int, "an int"),
+    "float": (float, "a float"),
+    "str": (str, "a string"),
+}
 
 
 def _coerce(key: str, raw: str):
-    t = _FIELD_TYPES[key]
-    if t in ("bool", bool):
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"{key}: {raw!r} is not a boolean")
-    if t in ("int", int):
-        return int(raw)
-    if t in ("float", float):
-        return float(raw)
-    return raw.strip()
+    parse, what = _PARSERS[KEY_TYPES[key]]
+    raw = raw.strip()
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key}: {raw!r} is not {what}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -114,19 +71,25 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected key = value")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in KEY_TYPES:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
     return out
 
 
 def env_overrides(environ=None) -> dict:
     env = os.environ if environ is None else environ
     out = {}
-    for key in _FIELD_TYPES:
-        raw = env.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            out[key] = _coerce(key, raw)
+    for key in KEY_TYPES:
+        var = ENV_PREFIX + key.upper()
+        if var in env:
+            try:
+                out[key] = _coerce(key, env[var])
+            except ValueError as e:
+                raise ValueError(f"{var}: {e}") from None
     return out
 
 

@@ -15,7 +15,7 @@ from .corpus import (
     derive_keywords,
     tokenize,
 )
-from .metrics import stem_tokens
+from .metrics import duplication_ratio, null_ratio, stem_tokens
 from .model import DecodeCache, Model
 from .training import control_ids_for
 
@@ -169,6 +169,18 @@ def generate_for_tokens(
         control = model.control_rows(control_ids_for(spans, cfg, vocab))
         slots = generate_slots(model, vocab, enc, control)
     return slots, spans
+
+
+def slot_ratios(model: Model, vocab: Vocabulary,
+                segments: list[list[str]]) -> tuple[float, float]:
+    """Mean per-segment (null ratio, duplication ratio) of the raw slot outputs."""
+    nulls, dups = [], []
+    for tokens in segments:
+        slots, _ = generate_for_tokens(model, vocab, tokens)
+        outs = [(s.tokens, s.is_null) for s in slots]
+        nulls.append(null_ratio(outs))
+        dups.append(duplication_ratio(outs))
+    return sum(nulls) / len(nulls), sum(dups) / len(dups)
 
 
 # ---------------------------------------------------------------------------

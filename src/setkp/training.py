@@ -192,12 +192,17 @@ def loss_kg(probs: Tensor, tgt: np.ndarray, w: np.ndarray) -> Tensor:
     return ag.weighted_nll(probs, tgt.reshape(-1), w.reshape(-1))
 
 
+def _mean_losses(losses: list[Tensor], weight: float = 1.0) -> Tensor:
+    """weight * mean(losses), kept on-graph."""
+    acc = losses[0]
+    for t in losses[1:]:
+        acc = ag.add(acc, t)
+    return ag.scale(acc, weight / len(losses))
+
+
 def loss_encoder_stage3(l1: Tensor, inner_losses: list[Tensor], lambda_g: float) -> Tensor:
     """l1 + lambda_g * mean(inner generation losses), kept on-graph."""
-    acc = inner_losses[0]
-    for t in inner_losses[1:]:
-        acc = ag.add(acc, t)
-    return ag.add(l1, ag.scale(acc, lambda_g / len(inner_losses)))
+    return ag.add(l1, _mean_losses(inner_losses, lambda_g))
 
 
 # ----------------------------------------------------------- training corpus
@@ -232,6 +237,19 @@ def build_examples(docs: list[MultiLevelDocument], vocab: Vocabulary) -> list[Se
                 )
             )
     return out
+
+
+def _check_examples(examples: list[SegmentExample], max_encode_len: int) -> None:
+    """Reject an empty corpus, or a segment the encoder cannot take, before
+    any training; level-1 segments are not bounded by max_segment_tokens."""
+    if not examples:
+        raise ValueError("corpus has no segments to train on")
+    for ex in examples:
+        if not 0 < len(ex.ids) <= max_encode_len:
+            raise ValueError(
+                f"document {ex.doc_id!r} level {ex.level}: segment of {len(ex.ids)} tokens, "
+                f"need 1 to max_encode_len={max_encode_len}"
+            )
 
 
 @dataclass(slots=True)
@@ -272,13 +290,6 @@ def _check_finite(value: float, what: str) -> None:
         raise TrainingDiverged(f"{what} became non-finite")
 
 
-def _mean_losses(losses: list[Tensor]) -> Tensor:
-    acc = losses[0]
-    for t in losses[1:]:
-        acc = ag.add(acc, t)
-    return ag.scale(acc, 1.0 / len(losses))
-
-
 def _batches(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
@@ -317,6 +328,7 @@ def tsmt_train(
     """
     cfg = model.cfg
     examples = build_examples(docs, vocab)
+    _check_examples(examples, cfg.max_encode_len)
     enc_opt = AdamW(model.encoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     dec_opt = AdamW(model.decoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     report = TrainReport()

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -7,6 +8,8 @@ from setkp.cli import main
 from setkp.config import RunConfig, load_run_config, parse_config_file
 from setkp.corpus import load_jsonl
 from setkp.inference import load_portraits, load_predictions
+from setkp.model import ModelConfig
+from setkp.training import TsmtConfig
 
 TINY_CFG = """\
 # desk test setup
@@ -45,11 +48,11 @@ def pipeline(tmp_path_factory):
         ["train", "--config", c, "--corpus", str(paths["corpus"]),
          "--out-ckpt", str(paths["ckpt"]), "--loss-csv", str(paths["loss"]), "--seed", "3"],
         ["generate", "--config", c, "--ckpt", str(paths["ckpt"]),
-         "--corpus", str(paths["corpus"]), "--out", str(paths["preds"]), "--seed", "3"],
+         "--corpus", str(paths["corpus"]), "--out", str(paths["preds"])],
         ["portrait", "--config", c, "--ckpt", str(paths["ckpt"]),
-         "--corpus", str(paths["corpus"]), "--out", str(paths["portraits"]), "--seed", "3"],
+         "--corpus", str(paths["corpus"]), "--out", str(paths["portraits"])],
         ["eval", "--config", c, "--predictions", str(paths["preds"]),
-         "--corpus", str(paths["corpus"]), "--out", str(paths["eval"]), "--seed", "3"],
+         "--corpus", str(paths["corpus"]), "--out", str(paths["eval"])],
         ["analyze", "--config", c, "--portraits", str(paths["portraits"]),
          "--corpus", str(paths["corpus"]), "--out", str(paths["analysis"]), "--seed", "3"],
     ]
@@ -97,15 +100,7 @@ def test_generate_rows_cover_corpus(pipeline):
 def test_generate_deterministic(tmp_path, pipeline):
     out = tmp_path / "again.jsonl"
     assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
-                 "--corpus", str(pipeline["corpus"]), "--out", str(out), "--seed", "3"]) == 0
-    assert out.read_bytes() == pipeline["preds"].read_bytes()
-
-
-def test_generate_threads_match_serial(tmp_path, pipeline):
-    out = tmp_path / "threaded.jsonl"
-    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
-                 "--corpus", str(pipeline["corpus"]), "--out", str(out),
-                 "--seed", "3", "--threads", "3"]) == 0
+                 "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
     assert out.read_bytes() == pipeline["preds"].read_bytes()
 
 
@@ -202,7 +197,7 @@ def test_parse_config_rejects_bad_bool(tmp_path):
 
 def test_config_precedence_flags_over_env_over_file(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("epochs = 5\nbatch_size = 2\nd = 16\n", encoding="utf-8")
+    p.write_text("epochs = 5\ne1 = 2\nbatch_size = 2\nd = 16\n", encoding="utf-8")
     rc = load_run_config(p, {"epochs": 9}, environ={"SETKP_EPOCHS": "7", "SETKP_BATCH_SIZE": "4"})
     assert rc.epochs == 9  # flag wins
     assert rc.batch_size == 4  # env beats file
@@ -219,6 +214,69 @@ def test_run_config_builds_model_and_train_configs():
     rc = RunConfig(d=16, n_heads=2, n_slots=4, n_control_keywords=1, ffn_width=32,
                    epochs=4, e1=2, seed=9)
     mc = rc.model_config(vocab_size=50)
-    assert mc.vocab_size == 50 and mc.d == 16 and mc.n_slots == 4
-    tc = rc.train_config()
-    assert tc.epochs == 4 and tc.e1 == 2 and tc.seed == 9
+    assert mc == ModelConfig(vocab_size=50, d=16, n_heads=2, n_slots=4, n_control_keywords=1,
+                             ffn_width=32)
+    assert rc.train_config() == TsmtConfig(epochs=4, e1=2, seed=9)
+
+
+def test_config_keys_are_the_model_and_train_fields(tmp_path):
+    keys = [f for f in fields(ModelConfig) if f.name != "vocab_size"] + list(fields(TsmtConfig))
+    pipeline_keys = {"n_docs", "vocab_profile", "max_segment_tokens", "min_freq"}
+    assert {f.name for f in fields(RunConfig)} == {f.name for f in keys} | pipeline_keys
+    p = tmp_path / "c.cfg"
+    for f in keys:
+        assert getattr(RunConfig(), f.name) == f.default
+        p.write_text(f"{f.name} = {f.default}\n", encoding="utf-8")
+        assert parse_config_file(p) == {f.name: f.default}
+
+
+def _argv(cmd: str, pipeline: dict, out) -> list[str]:
+    p = {k: str(v) for k, v in pipeline.items()}
+    return {
+        "gen-corpus": ["gen-corpus", "--out"],
+        "train": ["train", "--corpus", p["corpus"], "--out-ckpt"],
+        "generate": ["generate", "--ckpt", p["ckpt"], "--corpus", p["corpus"], "--out"],
+        "portrait": ["portrait", "--ckpt", p["ckpt"], "--corpus", p["corpus"], "--out"],
+        "eval": ["eval", "--predictions", p["preds"], "--corpus", p["corpus"], "--out"],
+        "analyze": ["analyze", "--portraits", p["portraits"], "--corpus", p["corpus"], "--out"],
+    }[cmd] + [str(out)]
+
+
+COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+@pytest.mark.parametrize("line, message", [
+    ("n_slots = 5", "n_slots must be even"),
+    ("e1 = 0", "need 0 < e1 <= epochs"),
+])
+def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cmd, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*_argv(cmd, pipeline, out), "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_config_file_value_names_file_line_and_key(tmp_path, pipeline, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = 5\nd =\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*_argv("generate", pipeline, out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {cfg}:2: d: '' is not an int"
+
+
+def test_bad_env_value_names_variable(tmp_path, pipeline, capsys, monkeypatch):
+    monkeypatch.setenv("SETKP_LR", "fast")
+    assert main(_argv("eval", pipeline, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.strip() == "error: SETKP_LR: lr: 'fast' is not a float"
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_seed_flag_only_on_commands_that_read_it(cmd, capsys):
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    out = capsys.readouterr().out
+    assert ("--seed" in out) == (cmd in {"gen-corpus", "train", "analyze"})
+    assert "--threads" not in out

@@ -304,6 +304,28 @@ def test_training_diverged_guard():
         tsmt_train(model, docs, tcfg, vocab)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("empty corpus", "corpus has no segments to train on"),
+    ("empty segment", "document 'doc-0001' level 1: segment of 0 tokens, "
+                      "need 1 to max_encode_len=256"),
+    ("oversize segment", "document 'doc-0001' level 1: segment of 400 tokens, "
+                         "need 1 to max_encode_len=256"),
+])
+def test_tsmt_rejects_bad_corpus_before_training(tmp_path, case, message):
+    model, vocab, docs, _ = small_setup()
+    if case == "empty corpus":
+        docs = []
+    else:
+        seg = docs[1].segments[0]  # title + abstract: max_segment_tokens does not bound it
+        seg.tokens = [] if case == "empty segment" else seg.tokens * 20
+    ckpt = tmp_path / "m.ckpt"
+    tcfg = TsmtConfig(epochs=2, e1=1, batch_size=4, probe_docs=0)
+    with pytest.raises(ValueError) as err:
+        tsmt_train(model, docs, tcfg, vocab, checkpoint_path=ckpt)
+    assert str(err.value) == message
+    assert not ckpt.exists()  # no epoch ran
+
+
 def test_small_overfit_reduces_losses():
     model, vocab, docs, _ = small_setup(n_docs=2)
     tcfg = TsmtConfig(epochs=8, e1=3, batch_size=4, probe_docs=0, seed=0)
