@@ -3,8 +3,8 @@
 Small by design: a handful of primitives, each with a hand-derived backward
 rule, recorded on an explicit Tape and replayed in reverse. No broadcasting
 magic beyond what numpy gives us, no views into graph tensors, no GPU.
-Gradients are exact up to float64 round-off; `grad_check` compares them
-against central finite differences.
+Gradients are exact up to float64 round-off; the test suite checks every
+backward rule against central finite differences.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-LOG_FLOOR = 1e-12  # probability floor inside log-loss primitives
+LOG_FLOOR = 1e-12  # probability floor inside weighted_nll
 
 _tls = threading.local()
 
@@ -48,23 +48,6 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    # operator sugar; all routing through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -169,17 +152,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
-    )
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -197,11 +169,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(
         out, (a, b), lambda g: (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, m))
     )
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T.copy())
-    return _record(out, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -234,17 +201,6 @@ def gather(a: Tensor, idx) -> Tensor:
     return _record(out, (a,), back)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    out = Tensor(a.data.sum())
-    return _record(out, (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return scale(sum_all(a), 1.0 / n)
-
-
 def sum_rows(a: Tensor) -> Tensor:
     """(n, d) -> (d,): sum over axis 0."""
     out = Tensor(a.data.sum(axis=0))
@@ -270,14 +226,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _record(out, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    """Elementwise log with the probability floor; flat below the floor."""
-    clipped = np.maximum(a.data, LOG_FLOOR)
-    out = Tensor(np.log(clipped))
-    live = a.data >= LOG_FLOOR
-    return _record(out, (a,), lambda g: (g * live / clipped,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -379,23 +327,6 @@ def multi_head_attention(
     return _record(out, parents, back)
 
 
-def cross_entropy(p: Tensor, target_index: int, weight: float = 1.0) -> Tensor:
-    """-weight * log p[target_index] for a probability vector p (floored)."""
-    if p.data.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D probability vector")
-    t = int(target_index)
-    pv = max(float(p.data[t]), LOG_FLOOR)
-    out = Tensor(-weight * np.log(pv))
-
-    def back(g):
-        gp = np.zeros_like(p.data)
-        if p.data[t] >= LOG_FLOOR:
-            gp[t] = -weight * float(g) / pv
-        return (gp,)
-
-    return _record(out, (p,), back)
-
-
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:
     """sum_r -weights[r] * log probs[r, targets[r]], probabilities floored.
 
@@ -416,50 +347,3 @@ def weighted_nll(probs: Tensor, targets, weights) -> Tensor:
         return (gp,)
 
     return _record(out, (probs,), back)
-
-
-# --------------------------------------------------------------- grad check
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: dict[str, Tensor],
-    n_coords: int = 50,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    f() must rebuild its graph from scratch on every call and depend on the
-    parameters only through their .data. Coordinates are sampled uniformly
-    across all parameters.
-    """
-    with Tape() as tape:
-        loss = f()
-    tape.backward(loss)
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for name, p in params.items()}
-
-    coords = []
-    for name, p in params.items():
-        for flat in range(p.data.size):
-            coords.append((name, flat))
-    rng = np.random.default_rng(seed)
-    if len(coords) > n_coords:
-        pick = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[i] for i in pick]
-
-    worst = 0.0
-    for name, flat in coords:
-        p = params[name]
-        base = p.data.flat[flat]
-        p.data.flat[flat] = base + step
-        hi = f().item()
-        p.data.flat[flat] = base - step
-        lo = f().item()
-        p.data.flat[flat] = base
-        numeric = (hi - lo) / (2.0 * step)
-        analytic = grads[name].flat[flat]
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

@@ -285,7 +285,6 @@ class Vocabulary:
         self.pad_id = self.index[PAD]
         self.bos_id = self.index[BOS]
         self.eos_id = self.index[EOS]
-        self.sep_id = self.index[SEP]
         self.null_id = self.index[NULL]
         self.unk_id = self.index[UNK]
 

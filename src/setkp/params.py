@@ -9,6 +9,7 @@ little-endian float64 payload. Loading restores bit-identical arrays.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -36,9 +37,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -51,9 +49,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self._params.items()}
 
 
 class Initializer:
@@ -130,41 +125,66 @@ class AdamW:
 
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
-    """Write the container; float payloads are forced little-endian."""
+    """Write the container; float payloads are forced little-endian.
+
+    The bytes go to a sibling temporary file that is then renamed over
+    `path`, so a failed or interrupted write leaves the previous checkpoint
+    as it was.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(store.names())))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, t in store.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", t.data.ndim))
-            for dim in t.data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(store.names())))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name, t in store.items():
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", t.data.ndim))
+                for dim in t.data.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
+    """Read a container; a short read or bytes past the last record raise
+    ValueError naming the path and, inside a record, the parameter."""
     path = Path(path)
     store = ParamStore()
     with open(path, "rb") as fh:
+
+        def read(n: int, what: str) -> bytes:
+            b = fh.read(n)
+            if len(b) != n:
+                raise ValueError(f"{path}: checkpoint truncated in {what} ({len(b)} of {n} bytes)")
+            return b
+
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (blen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(blen).decode("utf-8"))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+        (blen,) = struct.unpack("<I", read(4, "header"))
+        meta = json.loads(read(blen, "metadata").decode("utf-8"))
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", read(2, f"parameter record {i + 1} of {count}"))
+            name = read(nlen, f"parameter record {i + 1} of {count}").decode("utf-8")
+            what = f"parameter {name!r}"
+            (ndim,) = struct.unpack("<B", read(1, what))
+            shape = tuple(struct.unpack("<I", read(4, what))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(read(8 * n, what), dtype="<f8").reshape(shape)
             store.create(name, arr.astype(np.float64))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last parameter record")
     return store, meta

@@ -1,13 +1,14 @@
 """Three-stage training schedule with keyword-padded set targets.
 
-Stage 1 (epochs <= e1) fits the encoder and tagging head on keyword
-extraction alone; the decoder never moves. Afterwards every epoch runs, per
-batch: extract keywords, build padded target lists, then e2 inner rounds of
-(assign targets, update decoder + generation head) with the encoder frozen,
-and finally one encoder update on the extraction loss plus the averaged
-inner generation losses, with the decoder frozen. Inner losses stay on the
-tape across rounds, so the encoder step differentiates straight through
-them.
+Every epoch runs one body per batch: encode the batch on the tape; after
+the first e1 epochs, tag keywords from those same states, build padded
+target lists and control rows, and run e2 inner rounds of (assign targets,
+update decoder + generation head) with the encoder frozen; then one encoder
+update on the extraction loss, plus the averaged inner generation losses
+when rounds ran, with the decoder frozen. Stage 1 (epochs <= e1) thus fits
+the encoder and tagging head on extraction alone and never moves the
+decoder. Inner losses stay on the tape across rounds, so the encoder step
+differentiates straight through them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import autograd as ag
 from .autograd import Tape, Tensor, no_grad
 from .assignment import assign_groups, k_step_predict
 from .corpus import (
+    NULL,
     KeyphraseSet,
     KeywordSpan,
     MultiLevelDocument,
@@ -103,8 +105,6 @@ def kwp_build_targets(
     half = n_slots // 2
 
     def _null() -> TargetEntry:
-        from .corpus import NULL
-
         return TargetEntry(tokens=[NULL], ids=[vocab.null_id], origin=ORIGIN_NULL)
 
     def _pack_gt(phrases: list[list[str]], group: str) -> list[TargetEntry]:
@@ -272,17 +272,13 @@ class TrainReport:
             w = csv.writer(fh)
             w.writerow(["epoch", "stage", "loss_kwe", "loss_kg", "loss_stage3", "pct_null", "duplication"])
             for r in self.rows:
-                w.writerow(
-                    [
-                        r.epoch,
-                        r.stage,
-                        f"{r.loss_kwe:.6f}",
-                        "" if r.loss_kg is None else f"{r.loss_kg:.6f}",
-                        "" if r.loss_stage3 is None else f"{r.loss_stage3:.6f}",
-                        "" if r.pct_null is None else f"{r.pct_null:.4f}",
-                        "" if r.duplication is None else f"{r.duplication:.4f}",
-                    ]
-                )
+                w.writerow([r.epoch, r.stage, f"{r.loss_kwe:.6f}", _cell(r.loss_kg, ".6f"),
+                            _cell(r.loss_stage3, ".6f"), _cell(r.pct_null, ".4f"),
+                            _cell(r.duplication, ".4f")])
+
+
+def _cell(value: float | None, spec: str) -> str:
+    return "" if value is None else format(value, spec)
 
 
 def _check_finite(value: float, what: str) -> None:
@@ -295,6 +291,7 @@ def _batches(items: list, size: int) -> list[list]:
 
 
 def predicted_keywords(model: Model, ex: SegmentExample, limit: int | None = None) -> list[KeywordSpan]:
+    """Tape-free tagger keywords for one segment; criterion 07 replays an epoch with it."""
     with no_grad():
         states = model.encode(ex.ids)
         tag_probs = model.kwe_probs(states).data
@@ -336,41 +333,26 @@ def tsmt_train(
 
     for epoch in range(1, tcfg.epochs + 1):
         order_rng.shuffle(examples)
-        if epoch <= tcfg.e1:
-            kwe_vals = []
-            for batch in _batches(examples, tcfg.batch_size):
-                weights = kwe_class_weights([ex.labels for ex in batch])
-                with Tape() as tape:
-                    per_seg = []
-                    for ex in batch:
-                        states = model.encode(ex.ids)
-                        per_seg.append(loss_kwe(model.kwe_probs(states), ex.labels, weights))
-                    l1 = _mean_losses(per_seg)
-                    tape.backward(l1)
-                _check_finite(l1.item(), "extraction loss")
-                enc_opt.step()
-                enc_opt.zero_grads()
-                kwe_vals.append(l1.item())
-            row = EpochRow(epoch, "stage1", float(np.mean(kwe_vals)), None, None, None, None)
-        else:
-            kwe_vals, kg_vals, l2_vals = [], [], []
-            for batch in _batches(examples, tcfg.batch_size):
-                weights = kwe_class_weights([ex.labels for ex in batch])
-                targets, controls_ids = [], []
-                for ex in batch:
-                    spans = predicted_keywords(model, ex)
-                    targets.append(
-                        kwp_build_targets(ex.kps, spans, cfg.n_slots, vocab, tcfg.use_keyword_padding)
-                    )
-                    controls_ids.append(control_ids_for(spans, cfg, vocab))
-
-                with Tape() as tape:
-                    enc_states = [model.encode(ex.ids) for ex in batch]
-                    controls = [model.control_rows(cids) for cids in controls_ids]
-                    inner: list[Tensor] = []
+        joint = epoch > tcfg.e1
+        kwe_vals, kg_vals, l2_vals = [], [], []
+        for batch in _batches(examples, tcfg.batch_size):
+            weights = kwe_class_weights([ex.labels for ex in batch])
+            with Tape() as tape:
+                enc_states = [model.encode(ex.ids) for ex in batch]
+                inner: list[Tensor] = []
+                if joint:
+                    targets, controls = [], []
+                    for ex, states in zip(batch, enc_states):
+                        with no_grad():
+                            tag_probs = model.kwe_probs(states).data
+                        spans = model.predict_keywords(tag_probs, ex.tokens)
+                        targets.append(
+                            kwp_build_targets(ex.kps, spans, cfg.n_slots, vocab, tcfg.use_keyword_padding)
+                        )
+                        controls.append(model.control_rows(control_ids_for(spans, cfg, vocab)))
                     for _ in range(tcfg.e2):
                         per_seg = []
-                        for ex, states, control, tl in zip(batch, enc_states, controls, targets):
+                        for states, control, tl in zip(enc_states, controls, targets):
                             dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id)
                             order = assign_groups(
                                 dists,
@@ -385,33 +367,22 @@ def tsmt_train(
                         tape.backward(lg)
                         _check_finite(lg.item(), "generation loss")
                         dec_opt.step()
-                        dec_opt.zero_grads()
                         model.store.zero_grads()
                         inner.append(lg)
                         kg_vals.append(lg.item())
 
-                    per_seg_kwe = [
-                        loss_kwe(model.kwe_probs(states), ex.labels, weights)
-                        for ex, states in zip(batch, enc_states)
-                    ]
-                    l1 = _mean_losses(per_seg_kwe)
-                    l2 = loss_encoder_stage3(l1, inner, tcfg.lambda_g)
-                    tape.backward(l2)
-                _check_finite(l2.item(), "stage-3 loss")
-                enc_opt.step()
-                enc_opt.zero_grads()
-                model.store.zero_grads()
-                kwe_vals.append(l1.item())
-                l2_vals.append(l2.item())
-            row = EpochRow(
-                epoch,
-                "stage23",
-                float(np.mean(kwe_vals)),
-                float(np.mean(kg_vals)),
-                float(np.mean(l2_vals)),
-                None,
-                None,
-            )
+                l1 = _mean_losses(
+                    [loss_kwe(model.kwe_probs(s), ex.labels, weights) for ex, s in zip(batch, enc_states)]
+                )
+                loss = loss_encoder_stage3(l1, inner, tcfg.lambda_g) if joint else l1
+                tape.backward(loss)
+            _check_finite(loss.item(), "stage-3 loss" if joint else "extraction loss")
+            enc_opt.step()
+            model.store.zero_grads()
+            kwe_vals.append(l1.item())
+            l2_vals.append(loss.item())
+        kg, l2 = (float(np.mean(kg_vals)), float(np.mean(l2_vals))) if joint else (None, None)
+        row = EpochRow(epoch, "stage23" if joint else "stage1", float(np.mean(kwe_vals)), kg, l2, None, None)
 
         if probe_fn is not None:
             row.pct_null, row.duplication = probe_fn(model)

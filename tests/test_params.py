@@ -130,3 +130,44 @@ def test_zero_grads():
     store["enc.w"].grad = np.ones((3, 4))
     store.zero_grads()
     assert store["enc.w"].grad is None
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _store_with(seed=3), {"epoch": 1})
+    return path
+
+
+@pytest.mark.parametrize("keep, where", [
+    (10, "header"),
+    (20, "metadata"),
+    (-8, "parameter 'dec.b'"),  # inside the last parameter's payload
+])
+def test_checkpoint_truncated_names_path_and_record(tmp_path, keep, where):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: checkpoint truncated in {where} (")
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match="trailing bytes after the last parameter record") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(str(path))
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    store = _store_with(seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {"epoch": 1})
+    before = path.read_bytes()
+    # the last parameter cannot become float64, so the write fails after
+    # the header and the earlier records are out
+    store["dec.b"].data = np.array(["not", "a", "float", "!"], dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, store, {"epoch": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

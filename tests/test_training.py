@@ -14,6 +14,7 @@ from setkp.training import (
     ORIGIN_NULL,
     TrainingDiverged,
     TsmtConfig,
+    build_examples,
     control_ids_for,
     kwe_class_weights,
     kwp_build_targets,
@@ -262,6 +263,21 @@ def test_tsmt_losses_finite_and_reported():
     for row in report.rows:
         assert np.isfinite(row.loss_kwe)
     assert report.rows[0].loss_kg is None
+
+
+def test_tsmt_encodes_each_segment_once_per_epoch(monkeypatch):
+    model, vocab, docs, _ = small_setup()
+    calls = []
+    encode = Model.encode
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "encode", counting)
+    tcfg = TsmtConfig(epochs=3, e1=1, batch_size=4, probe_docs=0)
+    tsmt_train(model, docs, tcfg, vocab)
+    assert len(calls) == tcfg.epochs * len(build_examples(docs, vocab))
 
 
 def test_tsmt_checkpoint_written(tmp_path):
