@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autograd import Tensor, no_grad
-from .model import DecodeCache, Model
+from .model import Model
 
 
 def k_step_predict(
@@ -23,18 +23,11 @@ def k_step_predict(
 ) -> np.ndarray:
     """Greedy free-running distributions, shape (k, N, vocab).
 
-    Runs outside any tape, one cached decode step per call: assignment is a
-    discrete decision, not a differentiated computation.
+    Runs outside any tape: assignment is a discrete decision, not a
+    differentiated computation.
     """
-    N = model.cfg.n_slots
-    out = np.empty((k, N, model.cfg.vocab_size))
-    prev = np.full((N, 1), bos_id, dtype=np.intp)
     with no_grad():
-        cache = DecodeCache()
-        for t in range(k):
-            out[t] = model.decode_probs(prev, control, enc_states, cache=cache).data
-            prev = out[t].argmax(axis=1).astype(np.intp)[:, None]
-    return out
+        return np.stack(list(model.greedy_steps(control, enc_states, bos_id, k)))
 
 
 def build_cost(dists: np.ndarray, targets: list[list[int]], null_id: int) -> np.ndarray:

@@ -93,8 +93,9 @@ class Tape:
                 if g is None or not p.requires_grad:
                     continue
                 if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-                p.grad += g
+                    p.grad = g.copy()  # g may be shared with a sibling parent
+                else:
+                    p.grad += g
 
 
 def recording() -> bool:
@@ -272,7 +273,6 @@ def multi_head_attention(
     n_heads: int,
     inv_scale: float,
     mask: np.ndarray | None = None,
-    weights_out: list | None = None,
 ) -> Tensor:
     """Fused multi-head attention with leading batch axes.
 
@@ -283,10 +283,11 @@ def multi_head_attention(
     with the head outputs concatenated back to (..., Tq, d). `biases` is
     one tensor per head broadcastable to (..., Tq, Tk) (learned
     relative-position term) or None. `mask` is an additive (Tq, Tk)
-    constant (0 / -inf) shared by every batch entry and head. `weights_out`
-    receives each head's (..., Tq, Tk) weights. Fusing keeps the tape short;
-    the backward below is the textbook attention gradient, batched over
-    heads, with broadcast operands' gradients summed back to their shapes.
+    constant (0 / -inf) shared by every batch entry and head. The weights
+    are not returned; value rows that are one-hot within each head's block
+    make the output show them. Fusing keeps the tape short; the backward
+    below is the textbook attention gradient, batched over heads, with
+    broadcast operands' gradients summed back to their shapes.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.shape[-1] % n_heads:
@@ -301,8 +302,6 @@ def multi_head_attention(
         logits += mask
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     A = e / e.sum(axis=-1, keepdims=True)
-    if weights_out is not None:
-        weights_out.extend(A[..., h, :, :] for h in range(n_heads))
     out = Tensor(_merge_heads(A @ vh))
 
     parents: tuple[Tensor, ...]

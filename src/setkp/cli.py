@@ -73,9 +73,23 @@ def _run_config(args) -> RunConfig:
 
 
 def _load_model(ckpt_path: str) -> tuple[Model, Vocabulary, dict]:
+    """A checkpoint whose metadata, vocabulary and parameters make one model."""
     store, meta = load_checkpoint(ckpt_path)
-    cfg = ModelConfig.from_dict(meta["model_config"])
-    vocab = Vocabulary(meta["vocab"])
+    try:
+        cfg = ModelConfig.from_dict(meta["model_config"])
+        vocab = Vocabulary(meta["vocab"])
+    except KeyError as e:
+        raise ValueError(f"{ckpt_path}: checkpoint metadata has no {e.args[0]}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{ckpt_path}: {e}") from e
+    if len(vocab) != cfg.vocab_size:
+        raise ValueError(f"{ckpt_path}: vocab has {len(vocab)} tokens, vocab_size is {cfg.vocab_size}")
+    want = {n: t.shape for n, t in Model.fresh(cfg, 0).store.items()}
+    have = {n: t.shape for n, t in store.items()}
+    for name in sorted(want.keys() | have.keys()):
+        if want.get(name) != have.get(name):
+            raise ValueError(f"{ckpt_path}: parameter {name!r}: checkpoint has shape "
+                             f"{have.get(name, 'none')}, the model config needs {want.get(name, 'none')}")
     return Model(cfg, store), vocab, meta
 
 
@@ -148,6 +162,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    if args.max_levels is not None and args.max_levels < 1:
+        raise ValueError(f"--max-levels must be at least 1, got {args.max_levels}")
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
     portraits = [

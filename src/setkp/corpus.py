@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterator
 
 DIGIT_TOKEN = "[digit]"
 
@@ -220,8 +221,8 @@ def spans_from_bio(segment: list[str], labels: list[int]) -> list[tuple[int, int
 _FIELDS = ("id", "title", "abstract", "claims", "present_keyphrases", "absent_keyphrases")
 
 
-def load_jsonl(path: str | Path, max_segment_tokens: int = 100) -> list[MultiLevelDocument]:
-    docs = []
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, record) for every non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -231,23 +232,43 @@ def load_jsonl(path: str | Path, max_segment_tokens: int = 100) -> list[MultiLev
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-            missing = [f for f in _FIELDS if f not in rec]
-            if missing:
-                raise ValueError(f"{path}:{lineno}: missing fields {missing}")
-            claims = rec["claims"]
-            if isinstance(claims, list):
-                claims = "; ".join(claims)
-            doc = MultiLevelDocument(
-                doc_id=str(rec["id"]),
-                title=rec["title"],
-                abstract=rec["abstract"],
-                claims=claims,
-                present_keyphrases=list(rec["present_keyphrases"]),
-                absent_keyphrases=list(rec["absent_keyphrases"]),
-                label=rec.get("label"),
-            )
-            build_segments(doc, max_segment_tokens)
-            docs.append(doc)
+            yield lineno, rec
+
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def load_jsonl(path: str | Path, max_segment_tokens: int = 100) -> list[MultiLevelDocument]:
+    docs = []
+    for lineno, rec in read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        missing = [f for f in _FIELDS if f not in rec]
+        if missing:
+            raise ValueError(f"{path}:{lineno}: missing fields {missing}")
+        for f in ("title", "abstract"):
+            if not isinstance(rec[f], str):
+                raise ValueError(f"{path}:{lineno}: {f} must be a string")
+        for f in ("present_keyphrases", "absent_keyphrases"):
+            if not _strings(rec[f]):
+                raise ValueError(f"{path}:{lineno}: {f} must be a list of strings")
+        claims = rec["claims"]
+        if _strings(claims):
+            claims = "; ".join(claims)
+        elif not isinstance(claims, str):
+            raise ValueError(f"{path}:{lineno}: claims must be a string or a list of strings")
+        doc = MultiLevelDocument(
+            doc_id=str(rec["id"]),
+            title=rec["title"],
+            abstract=rec["abstract"],
+            claims=claims,
+            present_keyphrases=rec["present_keyphrases"],
+            absent_keyphrases=rec["absent_keyphrases"],
+            label=rec.get("label"),
+        )
+        build_segments(doc, max_segment_tokens)
+        docs.append(doc)
     return docs
 
 
@@ -294,9 +315,6 @@ class Vocabulary:
     def encode(self, toks: list[str]) -> list[int]:
         unk = self.unk_id
         return [self.index.get(t, unk) for t in toks]
-
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     @classmethod
     def build(cls, docs: list[MultiLevelDocument], min_freq: int = 1) -> "Vocabulary":

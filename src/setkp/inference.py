@@ -13,10 +13,11 @@ from .corpus import (
     MultiLevelDocument,
     Vocabulary,
     derive_keywords,
+    read_jsonl,
     tokenize,
 )
 from .metrics import duplication_ratio, null_ratio, stem_tokens
-from .model import DecodeCache, Model
+from .model import Model
 from .training import control_ids_for
 
 PROMPT_PREFIX = "keyphrases from higher-level: "
@@ -43,56 +44,40 @@ def generate_slots(
     vocab: Vocabulary,
     enc_states: Tensor,
     control: Tensor,
-    max_len: int | None = None,
 ) -> list[SlotPrediction]:
-    """Decode every slot greedily from BOS until EOS or ``max_len`` steps,
-    one cached decode step per call of ``Model.decode_probs``.
+    """Decode every slot greedily from BOS until EOS or ``max_kp_len`` steps
+    (``Model.greedy_steps``), stopping once every slot has emitted EOS.
 
     A slot is null iff its first emitted token is the null marker; confidence
     is the mean probability of its emitted tokens. Returns slot order.
     """
-    cfg = model.cfg
-    m = max_len if max_len is not None else cfg.max_kp_len
-    n = cfg.n_slots
-    half = n // 2
-
+    n = model.cfg.n_slots
+    done = [False] * n
+    emitted: list[list[int]] = [[] for _ in range(n)]
+    probs: list[list[float]] = [[] for _ in range(n)]
     with no_grad():
-        cache = DecodeCache()
-        prev = np.full((n, 1), vocab.bos_id, dtype=np.intp)
-        done = np.zeros(n, dtype=bool)
-        emitted: list[list[int]] = [[] for _ in range(n)]
-        probs: list[list[float]] = [[] for _ in range(n)]
-        for _ in range(m):
-            step = model.decode_probs(prev, control, enc_states, cache=cache).data
-            choice = step.argmax(axis=1)
-            for i in range(n):
+        for step in model.greedy_steps(control, enc_states, vocab.bos_id, model.cfg.max_kp_len):
+            for i, tok in enumerate(step.argmax(axis=1).tolist()):
                 if done[i]:
-                    choice[i] = vocab.eos_id
-                    continue
-                tok = int(choice[i])
+                    continue  # a finished slot's later steps are discarded
                 if tok == vocab.eos_id:
                     done[i] = True
                 else:
                     emitted[i].append(tok)
                     probs[i].append(float(step[i, tok]))
-            if done.all():
+            if all(done):
                 break
-            prev = choice[:, None].astype(np.intp)
 
-    out = []
-    for i in range(n):
-        toks = emitted[i]
-        is_null = bool(toks) and toks[0] == vocab.null_id
-        words = [vocab.tokens[t] for t in toks if t != vocab.null_id]
-        conf = float(np.mean(probs[i])) if probs[i] else 0.0
-        out.append(SlotPrediction(
-            tokens=words,
-            is_null=is_null,
-            group="present" if i < half else "absent",
-            confidence=conf,
+    return [
+        SlotPrediction(
+            tokens=[vocab.tokens[t] for t in toks if t != vocab.null_id],
+            is_null=bool(toks) and toks[0] == vocab.null_id,
+            group="present" if i < n // 2 else "absent",
+            confidence=float(np.mean(ps)) if ps else 0.0,
             slot=i,
-        ))
-    return out
+        )
+        for i, (toks, ps) in enumerate(zip(emitted, probs))
+    ]
 
 
 def filter_predictions(
@@ -131,20 +116,19 @@ def padding_keyword_spans(doc: MultiLevelDocument) -> list[list[str]]:
     return [sp.tokens for sp in spans if tuple(sp.tokens) not in exact]
 
 
-def _encode_and_tag(model: Model, vocab: Vocabulary, tokens: list[str],
-                    limit: int | None = None) -> tuple[Tensor, list[KeywordSpan]]:
+def _encode_and_tag(model: Model, vocab: Vocabulary,
+                    tokens: list[str]) -> tuple[Tensor, list[KeywordSpan]]:
     """Encoder states of the (truncated) tokens and the spans tagged on them."""
     n = model.cfg.max_encode_len
     with no_grad():
         states = model.encode(vocab.encode(tokens)[:n])
         tag_probs = model.kwe_probs(states).data
-    return states, model.predict_keywords(tag_probs, tokens[:n], limit)
+    return states, model.predict_keywords(tag_probs, tokens[:n])
 
 
-def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str],
-                     limit: int | None = None) -> list[KeywordSpan]:
+def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str]) -> list[KeywordSpan]:
     """Run the tag head over raw tokens and decode spans (confidence order)."""
-    return _encode_and_tag(model, vocab, tokens, limit)[1]
+    return _encode_and_tag(model, vocab, tokens)[1]
 
 
 def generate_for_tokens(
@@ -203,13 +187,12 @@ class PortraitEntry:
 
 @dataclass(slots=True)
 class LevelRecord:
-    """Everything one level saw and produced, kept for inspection."""
+    """What one level was prompted with and what it kept, for inspection."""
 
     level: int
     prompt_text: str
     prompt_phrases: list[str]
     keyword_spans: list[list[str]]
-    raw_predictions: list[SlotPrediction]
     kept: list[PortraitEntry]
 
 
@@ -264,8 +247,8 @@ def document_portrait(
 
     Level 1's prompt seeds from its own extracted keyword spans (source
     order). The same spans condition the slots, since the prompt body is the
-    level's text. Per-level prompts, spans, raw slots, and kept entries land
-    in ``levels``.
+    level's text. Per-level prompts, spans and kept entries land in
+    ``levels``.
     """
     cfg = model.cfg
     segments = doc.segments if max_levels is None else doc.segments[:max_levels]
@@ -306,7 +289,6 @@ def document_portrait(
             prompt_text=text,
             prompt_phrases=list(phrases),
             keyword_spans=[sp.tokens for sp in spans],
-            raw_predictions=slots,
             kept=kept_here,
         ))
         prev_phrases = [e.text for e in kept_here]
@@ -318,7 +300,7 @@ def document_portrait(
 # serialization
 
 
-def portrait_to_dict(p: Portrait, inspect: bool = True) -> dict:
+def portrait_to_dict(p: Portrait) -> dict:
     d = {
         "id": p.doc_id,
         "keyphrases": [
@@ -327,7 +309,7 @@ def portrait_to_dict(p: Portrait, inspect: bool = True) -> dict:
             for e in p.entries
         ],
     }
-    if inspect and p.levels:
+    if p.levels:
         d["levels"] = [
             {
                 "level": r.level,
@@ -351,27 +333,10 @@ def portrait_from_dict(d: dict) -> Portrait:
     levels = [
         LevelRecord(level=int(r["level"]), prompt_text=r["prompt_text"],
                     prompt_phrases=list(r["prompt_phrases"]),
-                    keyword_spans=[list(s) for s in r["keyword_spans"]],
-                    raw_predictions=[], kept=[])
+                    keyword_spans=[list(s) for s in r["keyword_spans"]], kept=[])
         for r in d.get("levels", [])
     ]
     return Portrait(doc_id=d["id"], entries=entries, levels=levels)
-
-
-def save_portraits(path, portraits: list[Portrait], inspect: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in portraits:
-            fh.write(json.dumps(portrait_to_dict(p, inspect), sort_keys=True) + "\n")
-
-
-def load_portraits(path) -> list[Portrait]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(portrait_from_dict(json.loads(line)))
-    return out
 
 
 def save_predictions(path, rows: list[dict]) -> None:
@@ -382,10 +347,12 @@ def save_predictions(path, rows: list[dict]) -> None:
 
 
 def load_predictions(path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return [rec for _, rec in read_jsonl(path)]
+
+
+def save_portraits(path, portraits: list[Portrait]) -> None:
+    save_predictions(path, [portrait_to_dict(p) for p in portraits])
+
+
+def load_portraits(path) -> list[Portrait]:
+    return [portrait_from_dict(rec) for _, rec in read_jsonl(path)]

@@ -8,8 +8,8 @@ mask and bucket table), and every slot attends freely over the encoder
 states. Slot inputs add a sinusoidal step embedding and a per-slot control
 row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
-same code specialize. Greedy decoding runs incrementally on a DecodeCache
-of per-layer keys and values, one new step per call.
+same code specialize. ``Model.greedy_steps`` is the one greedy decode loop,
+one cached step per call on a DecodeCache of per-layer keys and values.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict, field
+from typing import Iterator
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class ModelConfig:
             raise ValueError("n_slots must be even")
         if self.n_control_keywords >= self.n_slots // 2:
             raise ValueError("n_control_keywords must be smaller than the group size")
+        if self.assign_steps < 1 or self.max_kp_len < 1:
+            raise ValueError("assign_steps and max_kp_len must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,9 +84,8 @@ def _ape_rows(T: int, d: int) -> np.ndarray:
     return np.stack([ape_vector(t, d) for t in range(1, T + 1)])
 
 
-def dope_rpe_bucket(
-    u: int, v: int, n_buckets: int = 32, max_distance: int = 128, bidirectional: bool = True
-) -> int:
+def dope_rpe_bucket(u: int, v: int, n_buckets: int, max_distance: int,
+                    bidirectional: bool) -> int:
     """Bucket index for the offset v-u.
 
     Half the buckets cover exact small offsets, the rest grow
@@ -113,21 +115,12 @@ def dope_rpe_bucket(
 
 
 @functools.lru_cache(maxsize=None)
-def _encoder_buckets(S: int, n_buckets: int, max_distance: int) -> np.ndarray:
-    out = np.empty((S, S), dtype=np.intp)
-    for i in range(S):
-        for j in range(S):
-            out[i, j] = dope_rpe_bucket(i, j, n_buckets, max_distance, bidirectional=True)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _decoder_buckets(T: int, n_buckets: int, max_distance: int) -> np.ndarray:
-    """(T, T) bucket ids of step u seen from step t, shared by every slot."""
-    out = np.empty((T, T), dtype=np.intp)
-    for t in range(T):
-        for u in range(T):
-            out[t, u] = dope_rpe_bucket(t, u, n_buckets, max_distance, bidirectional=False)
+def _buckets(n: int, n_buckets: int, max_distance: int, bidirectional: bool) -> np.ndarray:
+    """(n, n) bucket ids of position u seen from position t."""
+    out = np.empty((n, n), dtype=np.intp)
+    for t in range(n):
+        for u in range(n):
+            out[t, u] = dope_rpe_bucket(t, u, n_buckets, max_distance, bidirectional)
     return out
 
 
@@ -226,7 +219,7 @@ class Model:
         h = ag.add(ag.matmul(x, self.store[p + "w1"]), self.store[p + "b1"])
         return ag.add(ag.matmul(ag.relu(h), self.store[p + "w2"]), self.store[p + "b2"])
 
-    def encode(self, token_ids: list[int], attn_sink: list | None = None) -> Tensor:
+    def encode(self, token_ids: list[int]) -> Tensor:
         """(S,) token ids -> (S, d) contextual states."""
         cfg = self.cfg
         S = len(token_ids)
@@ -235,7 +228,7 @@ class Model:
         if S > cfg.max_encode_len:
             raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
         ids = np.asarray(token_ids, dtype=np.intp)
-        buckets = _encoder_buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance)
+        buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
         biases = [ag.gather(self.store[f"enc.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
         inv_scale = 1.0 / math.sqrt(cfg.d)
 
@@ -248,7 +241,6 @@ class Model:
                 ag.matmul(h, self.store[p + "wk"]),
                 ag.matmul(h, self.store[p + "wv"]),
                 biases, cfg.n_heads, inv_scale,
-                weights_out=attn_sink,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
@@ -259,21 +251,16 @@ class Model:
         logits = ag.add(ag.matmul(states, self.store["kwe.w"]), self.store["kwe.b"])
         return ag.softmax(logits, axis=-1)
 
-    def predict_keywords(
-        self, tag_probs: np.ndarray, segment: list[str], limit: int | None = None
-    ) -> list[KeywordSpan]:
+    def predict_keywords(self, tag_probs: np.ndarray, segment: list[str]) -> list[KeywordSpan]:
         """Greedy tag decode to spans; confidence is the mean winning-tag
         probability over the span. Ranked by confidence, earliest start
-        breaking ties; `limit` keeps the top spans only."""
+        breaking ties."""
         labels = tag_probs.argmax(axis=1).tolist()
         spans = []
         for start, end in spans_from_bio(segment, labels):
             conf = float(np.mean([tag_probs[i, labels[i]] for i in range(start, end)]))
             spans.append(KeywordSpan(tokens=segment[start:end], start=start, confidence=conf))
-        spans.sort(key=lambda s: (-s.confidence, s.start))
-        if limit is not None:
-            spans = spans[:limit]
-        return spans
+        return sorted(spans, key=lambda s: (-s.confidence, s.start))
 
     # ------------------------------------------------------------- decoder
 
@@ -306,7 +293,6 @@ class Model:
         control: Tensor,
         enc_states: Tensor,
         cache: DecodeCache | None = None,
-        attn_sink: list | None = None,
     ) -> Tensor:
         """Decode: prev_ids (N, T) holds w^{t-1} per slot and step.
 
@@ -341,7 +327,7 @@ class Model:
         )
 
         mask = _causal_mask(L)[t0:]
-        buckets = _decoder_buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance)[t0:]
+        buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
         biases = [ag.gather(self.store[f"dec.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
         inv_scale = 1.0 / math.sqrt(cfg.d)
 
@@ -361,7 +347,6 @@ class Model:
             att = ag.multi_head_attention(
                 ag.matmul(h, self.store[p + "wq"]), k, v,
                 biases, cfg.n_heads, inv_scale, mask=mask,
-                weights_out=attn_sink,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             h = self._ln(x, p + "ln2")
@@ -375,3 +360,16 @@ class Model:
         x = ag.reshape(self._ln(x, "dec.final"), (N * T, cfg.d))
         logits = ag.add(ag.matmul(x, self.store["kg.w"]), self.store["kg.b"])
         return ag.softmax(logits, axis=-1)
+
+    def greedy_steps(self, control: Tensor, enc_states: Tensor, bos_id: int,
+                     steps: int) -> Iterator[np.ndarray]:
+        """Greedy decode from BOS: yields each step's (N, vocab) distributions
+        and feeds every slot's argmax back in. Callers decode under
+        ``no_grad``: a generator that suspended recording itself would leave
+        it suspended for its consumer between steps."""
+        cache = DecodeCache()
+        prev = np.full((self.cfg.n_slots, 1), bos_id, dtype=np.intp)
+        for _ in range(steps):
+            probs = self.decode_probs(prev, control, enc_states, cache=cache).data
+            yield probs
+            prev = probs.argmax(axis=1)[:, None]

@@ -68,9 +68,6 @@ class TsmtConfig:
         if self.e2 < 1:
             raise ValueError("e2 must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(slots=True)
 class TargetEntry:
@@ -215,7 +212,6 @@ class SegmentExample:
     tokens: list[str]
     ids: list[int]
     kps: KeyphraseSet
-    gold_spans: list[KeywordSpan]
     labels: list[int]
 
 
@@ -232,7 +228,6 @@ def build_examples(docs: list[MultiLevelDocument], vocab: Vocabulary) -> list[Se
                     tokens=seg.tokens,
                     ids=vocab.encode(seg.tokens),
                     kps=kps,
-                    gold_spans=spans,
                     labels=bio_labels(seg.tokens, spans),
                 )
             )
@@ -290,12 +285,12 @@ def _batches(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def predicted_keywords(model: Model, ex: SegmentExample, limit: int | None = None) -> list[KeywordSpan]:
+def predicted_keywords(model: Model, ex: SegmentExample) -> list[KeywordSpan]:
     """Tape-free tagger keywords for one segment; criterion 07 replays an epoch with it."""
     with no_grad():
         states = model.encode(ex.ids)
         tag_probs = model.kwe_probs(states).data
-    return model.predict_keywords(tag_probs, ex.tokens, limit)
+    return model.predict_keywords(tag_probs, ex.tokens)
 
 
 def control_ids_for(
@@ -390,7 +385,7 @@ def tsmt_train(
         if checkpoint_path is not None:
             meta = {
                 "model_config": cfg.to_dict(),
-                "train_config": tcfg.to_dict(),
+                "train_config": asdict(tcfg),
                 "vocab": vocab.tokens,
                 "epoch": epoch,
             }

@@ -232,19 +232,21 @@ def test_matmul_batched_grad():
 
 
 def test_attention_rows_stochastic_and_mask_zeroes():
+    # value row j is one-hot at column j of each head's block, so head h's
+    # output block is its (Tq, Tk) weight matrix
     rng = np.random.default_rng(9)
-    q = Tensor(rng.standard_normal((3, 4)))
-    k = Tensor(rng.standard_normal((5, 4)))
-    v = Tensor(rng.standard_normal((5, 4)))
-    mask = np.zeros((3, 5))
+    H, Tq, Tk = 2, 3, 5
+    q = Tensor(rng.standard_normal((Tq, H * Tk)))
+    k = Tensor(rng.standard_normal((Tk, H * Tk)))
+    v = Tensor(np.tile(np.eye(Tk), (1, H)))
+    mask = np.zeros((Tq, Tk))
     mask[1, 2] = -np.inf
-    sink = []
-    ag.multi_head_attention(q, k, v, None, n_heads=2, inv_scale=0.5, mask=mask,
-                            weights_out=sink)
-    assert len(sink) == 2
-    for A in sink:
-        np.testing.assert_allclose(A.sum(axis=1), np.ones(3), atol=1e-12)
+    out = ag.multi_head_attention(q, k, v, None, n_heads=H, inv_scale=0.5, mask=mask)
+    for h in range(H):
+        A = out.data[:, h * Tk:(h + 1) * Tk]
+        np.testing.assert_allclose(A.sum(axis=1), np.ones(Tq), atol=1e-12)
         assert A[1, 2] == 0.0
+        assert (A[mask == 0] > 0).all()
 
 
 def test_attention_matches_manual_single_head():

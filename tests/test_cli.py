@@ -9,6 +9,7 @@ from setkp.config import RunConfig, load_run_config, parse_config_file
 from setkp.corpus import load_jsonl
 from setkp.inference import load_portraits, load_predictions
 from setkp.model import ModelConfig
+from setkp.params import ParamStore, load_checkpoint, save_checkpoint
 from setkp.training import TsmtConfig
 
 TINY_CFG = """\
@@ -169,6 +170,54 @@ def test_missing_checkpoint_fails(tmp_path, pipeline, capsys):
     rc = main(["generate", "--ckpt", str(tmp_path / "absent.ckpt"),
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_portrait_rejects_max_levels_below_one(tmp_path, pipeline, capsys, value):
+    out = tmp_path / "p.jsonl"
+    rc = main(["portrait", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out), "--max-levels", value])
+    assert rc == 1
+    assert f"--max-levels must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _rewrite_checkpoint(src, dst, edit_meta=None, drop=None):
+    store, meta = load_checkpoint(src)
+    kept = ParamStore()
+    for name, t in store.items():
+        if name != drop:
+            kept.create(name, t.data)
+    save_checkpoint(dst, kept, edit_meta(meta) if edit_meta else meta)
+    return dst
+
+
+@pytest.mark.parametrize("edit_meta, drop, message", [
+    (lambda m: {k: v for k, v in m.items() if k != "model_config"}, None,
+     "checkpoint metadata has no model_config"),
+    (lambda m: {**m, "vocab": m["vocab"][:-5]}, None, "tokens, vocab_size is"),
+    (None, "dec.L0.cq", "parameter 'dec.L0.cq': checkpoint has shape none"),
+], ids=["no-model-config", "short-vocab", "missing-parameter"])
+def test_inconsistent_checkpoint_rejected_at_load(tmp_path, pipeline, capsys,
+                                                  edit_meta, drop, message):
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.ckpt", edit_meta, drop)
+    out = tmp_path / "p.jsonl"
+    rc = main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{ckpt}: " in err and message in err
+    assert not out.exists()
+
+
+def test_checkpoint_with_minimal_metadata_accepted(tmp_path, pipeline):
+    keep = ("model_config", "vocab", "epoch")
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "min.ckpt",
+                               lambda m: {k: m[k] for k in keep})
+    out = tmp_path / "p.jsonl"
+    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+                 "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
+    assert out.read_bytes() == pipeline["preds"].read_bytes()
 
 
 # --------------------------------------------------------------------- config

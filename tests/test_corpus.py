@@ -282,6 +282,24 @@ def test_jsonl_error_carries_line_number(tmp_path):
         load_jsonl(path, 32)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("present_keyphrases", "lithium battery", "present_keyphrases must be a list of strings"),
+    ("absent_keyphrases", ["ok", 3], "absent_keyphrases must be a list of strings"),
+    ("title", ["a title"], "title must be a string"),
+    ("abstract", None, "abstract must be a string"),
+    ("claims", 7, "claims must be a string or a list of strings"),
+    ("claims", ["claim one", {"x": 1}], "claims must be a string or a list of strings"),
+])
+def test_jsonl_field_types_checked(tmp_path, field, value, message):
+    rec = {"id": "a", "title": "t", "abstract": "an abstract.", "claims": "a claim.",
+           "present_keyphrases": ["claim"], "absent_keyphrases": []}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {message}"):
+        load_jsonl(path, 32)
+
+
 def test_jsonl_unicode_roundtrip(tmp_path):
     doc = MultiLevelDocument(
         doc_id="u", title="Vorrichtung für etwas", abstract="über ein system.",
@@ -310,7 +328,7 @@ def test_vocab_encode_decode_with_unk():
     v = Vocabulary.build(docs)
     ids = v.encode(["polymer", "zzznotaword"])
     assert ids[1] == v.unk_id
-    assert v.decode([ids[0]]) == ["polymer"]
+    assert v.tokens[ids[0]] == "polymer"
 
 
 def test_vocab_frequency_order_ties_alphabetical():

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -95,7 +95,8 @@ def test_generate_slots_max_len_bound():
     ids = vocab.encode(docs[0].segments[0].tokens)
     enc = model.encode(ids)
     control = model.control_rows([None] * model.cfg.n_slots)
-    slots = generate_slots(model, vocab, enc, control, max_len=2)
+    model = Model(dataclasses.replace(model.cfg, max_kp_len=2), model.store)
+    slots = generate_slots(model, vocab, enc, control)
     assert all(len(s.tokens) <= 2 for s in slots)
 
 
@@ -145,11 +146,13 @@ def test_generate_slots_matches_full_recompute(bias_out, max_len):
     model, vocab, docs = setup_model()
     if bias_out:  # no slot may stop early: every step of the horizon runs
         model.store["kg.b"].data[[vocab.eos_id, vocab.null_id]] = -100.0
-    m = max_len if max_len is not None else model.cfg.max_kp_len
+    if max_len is not None:
+        model = Model(dataclasses.replace(model.cfg, max_kp_len=max_len), model.store)
+    m = model.cfg.max_kp_len
     for seg in docs[0].segments[:3]:
         enc = model.encode(vocab.encode(seg.tokens))
         control = model.control_rows([None, [5], None, [7]])
-        slots = generate_slots(model, vocab, enc, control, max_len=max_len)
+        slots = generate_slots(model, vocab, enc, control)
         emitted, probs = _greedy_full_recompute(model, vocab, enc, control, m)
         for s, ids, ps in zip(slots, emitted, probs):
             assert s.tokens == [vocab.tokens[t] for t in ids if t != vocab.null_id]
@@ -320,14 +323,12 @@ def test_portrait_jsonl_roundtrip(tmp_path):
         assert [r.prompt_text for r in got.levels] == [r.prompt_text for r in orig.levels]
 
 
-def test_portrait_save_without_inspect(tmp_path):
-    model, vocab, docs = setup_model()
-    p = document_portrait(model, vocab, docs[0])
-    path = tmp_path / "p.jsonl"
-    save_portraits(path, [p], inspect=False)
-    raw = json.loads(path.read_text(encoding="utf-8").strip())
-    assert "levels" not in raw
-    assert load_portraits(path)[0].levels == []
+@pytest.mark.parametrize("load", [load_predictions, load_portraits])
+def test_bad_jsonl_line_names_file_and_line(tmp_path, load):
+    path = tmp_path / "out.jsonl"
+    path.write_text('{"id": "a", "keyphrases": []}\n\nnot json\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"out\.jsonl:3: malformed JSON"):
+        load(path)
 
 
 def test_portrait_confidence_rounded_in_json():
