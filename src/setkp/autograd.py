@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,12 +71,16 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tls.tape = None
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, wrt: Iterable[Tensor] | None = None) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
 
         loss must be a scalar recorded on this tape. Grads of all tensors
         touched by the tape are reset first, so repeated backward calls over
-        one tape never mix.
+        one tape never mix. With ``wrt``, only nodes on a path from one of
+        those leaves to the loss are replayed, and only tensors on such a
+        path (the leaves included) receive a gradient; every other .grad
+        stays None. The leaves' gradients are bit-identical to a full pass,
+        since every pruned contribution ends off those paths.
         """
         if loss.data.shape != ():
             raise ValueError("backward expects a scalar loss")
@@ -84,18 +88,31 @@ class Tape:
             out.grad = None
             for p in parents:
                 p.grad = None
+        live = None if wrt is None else self._downstream(wrt)
         loss.grad = np.ones((), dtype=np.float64)
         for out, parents, back in reversed(self.nodes):
-            if out.grad is None:
+            if out.grad is None or (live is not None and id(out) not in live):
                 continue
             gs = back(out.grad)
             for p, g in zip(parents, gs):
                 if g is None or not p.requires_grad:
                     continue
+                if live is not None and id(p) not in live:
+                    continue
                 if p.grad is None:
                     p.grad = g.copy()  # g may be shared with a sibling parent
                 else:
                     p.grad += g
+
+    def _downstream(self, leaves: Iterable[Tensor]) -> set[int]:
+        """ids of the leaves and of every recorded output that depends on one."""
+        live = {id(t) for t in leaves}
+        for out, parents, _ in self.nodes:
+            for p in parents:
+                if id(p) in live:
+                    live.add(id(out))
+                    break
+        return live
 
 
 def recording() -> bool:

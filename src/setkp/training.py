@@ -323,6 +323,7 @@ def tsmt_train(
     _check_examples(examples, cfg.max_encode_len)
     enc_opt = AdamW(model.encoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     dec_opt = AdamW(model.decoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    enc_leaves, dec_leaves = list(enc_opt.params.values()), list(dec_opt.params.values())
     report = TrainReport()
     order_rng = random.Random(tcfg.seed)
 
@@ -359,7 +360,7 @@ def tsmt_train(
                             probs = model.decode_probs(prev, control, states)
                             per_seg.append(loss_kg(probs, tgt, w))
                         lg = _mean_losses(per_seg)
-                        tape.backward(lg)
+                        tape.backward(lg, wrt=dec_leaves)
                         _check_finite(lg.item(), "generation loss")
                         dec_opt.step()
                         model.store.zero_grads()
@@ -370,7 +371,7 @@ def tsmt_train(
                     [loss_kwe(model.kwe_probs(s), ex.labels, weights) for ex, s in zip(batch, enc_states)]
                 )
                 loss = loss_encoder_stage3(l1, inner, tcfg.lambda_g) if joint else l1
-                tape.backward(loss)
+                tape.backward(loss, wrt=enc_leaves)
             _check_finite(loss.item(), "stage-3 loss" if joint else "extraction loss")
             enc_opt.step()
             model.store.zero_grads()

@@ -389,3 +389,23 @@ def test_param_split_covers_store():
     dec = set(model.decoder_params())
     assert not (enc & dec)
     assert enc | dec == set(model.store.names())
+
+
+@pytest.mark.parametrize("group", ["encoder", "decoder"])
+def test_pruned_backward_matches_full_on_requested_leaves(group):
+    cfg = tiny_cfg()
+    model, prev, _, _ = _decode_setup(cfg)
+    wanted = model.encoder_params() if group == "encoder" else model.decoder_params()
+    with Tape() as tape:
+        enc_t = model.encode([1, 2, 3, 4])
+        ctrl = model.control_rows([[3, 5], None, [7], None])
+        probs = model.decode_probs(prev, ctrl, enc_t)
+        loss = ag.add(loss_kg(probs, prev, np.ones(prev.shape)),
+                      ag.weighted_nll(model.kwe_probs(enc_t), [0, 1, 2, 0], np.ones(4)))
+        tape.backward(loss)
+        full = {n: p.grad.copy() for n, p in wanted.items() if p.grad is not None}
+        tape.backward(loss, wrt=wanted.values())
+    assert set(full) == {n for n, p in wanted.items() if p.grad is not None}
+    for n, g in full.items():
+        np.testing.assert_array_equal(wanted[n].grad, g)
+    assert all(p.grad is None for n, p in model.store.items() if n not in wanted)
