@@ -19,15 +19,17 @@ from .model import Model
 
 
 def k_step_predict(
-    model: Model, enc_states: Tensor, control: Tensor, k: int, bos_id: int
+    model: Model, enc_states: Tensor, control: Tensor, k: int, bos_id: int,
+    enc_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Greedy free-running distributions, shape (k, N, vocab).
+    """Greedy free-running distributions, shape (k, R, vocab) for the R
+    slot rows of ``control`` (arguments as for ``Model.decode_probs``).
 
     Runs outside any tape: assignment is a discrete decision, not a
     differentiated computation.
     """
     with no_grad():
-        return np.stack(list(model.greedy_steps(control, enc_states, bos_id, k)))
+        return np.stack(list(model.greedy_steps(control, enc_states, bos_id, k, enc_mask)))
 
 
 def build_cost(dists: np.ndarray, targets: list[list[int]], null_id: int) -> np.ndarray:

@@ -219,17 +219,24 @@ def gather(a: Tensor, idx) -> Tensor:
     return _record(out, (a,), back)
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    """(n, d) -> (d,): sum over axis 0."""
-    out = Tensor(a.data.sum(axis=0))
-    n = a.data.shape[0]
-    return _record(out, (a,), lambda g: (np.tile(g, (n, 1)),))
+def gather_sum(a: Tensor, idx, mask) -> Tensor:
+    """Masked sums of gathered rows: out[r] = sum_k mask[r, k] * a[idx[r, k]].
 
+    a (n, d) with idx and mask (R, K) -> (R, d). Rows are summed in k
+    order, and an entry with mask 0 adds nothing and receives no gradient;
+    backward scatter-adds, so repeated indices accumulate.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    m = np.asarray(mask, dtype=np.float64)[..., None]
+    shape = a.data.shape
+    out = Tensor((a.data[idx] * m).sum(axis=1))
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """List of (d,) vectors -> (n, d). Row i depends only on parts[i]."""
-    out = Tensor(np.stack([p.data for p in parts], axis=0))
-    return _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(len(parts))))
+    def back(g):
+        buf = np.zeros(shape)
+        np.add.at(buf, idx, g[:, None, :] * m)
+        return (buf,)
+
+    return _record(out, (a,), back)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -299,8 +306,10 @@ def multi_head_attention(
     logits = (q_h k_h^T + bias_h) * inv_scale + mask, softmaxed over keys,
     with the head outputs concatenated back to (..., Tq, d). `biases` is
     one tensor per head broadcastable to (..., Tq, Tk) (learned
-    relative-position term) or None. `mask` is an additive (Tq, Tk)
-    constant (0 / -inf) shared by every batch entry and head. The weights
+    relative-position term) or None. `mask` is an additive constant
+    (0 / -inf) broadcastable to the (..., H, Tq, Tk) logits: a (Tq, Tk)
+    causal mask shared by every batch entry and head, or a (B, 1, 1, Tk)
+    key-padding mask. Every query row must keep one finite key. The weights
     are not returned; value rows that are one-hot within each head's block
     make the output show them. Fusing keeps the tape short; the backward
     below is the textbook attention gradient, batched over heads, with

@@ -330,10 +330,13 @@ def portrait_from_dict(d: dict) -> Portrait:
                       confidence=float(e.get("confidence", 0.0)))
         for e in d["keyphrases"]
     ]
+    # a level kept exactly the entries that carry its level number
+    by_level_text = {(e.level, e.text): e for e in entries}
     levels = [
         LevelRecord(level=int(r["level"]), prompt_text=r["prompt_text"],
                     prompt_phrases=list(r["prompt_phrases"]),
-                    keyword_spans=[list(s) for s in r["keyword_spans"]], kept=[])
+                    keyword_spans=[list(s) for s in r["keyword_spans"]],
+                    kept=[by_level_text[int(r["level"]), t] for t in r["kept"]])
         for r in d.get("levels", [])
     ]
     return Portrait(doc_id=d["id"], entries=entries, levels=levels)

@@ -10,6 +10,12 @@ row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
 same code specialize. ``Model.greedy_steps`` is the one greedy decode loop,
 one cached step per call on a DecodeCache of per-layer keys and values.
+
+Training runs a batch of B segments through the same code: ``encode`` pads
+them to (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the
+decoder takes B*N slot rows, and each segment's slots cross-attend to its
+own states only. A single segment is the unbatched case: (S, d) states and
+N slot rows, as inference uses them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,12 +122,30 @@ def dope_rpe_bucket(u: int, v: int, n_buckets: int, max_distance: int,
 
 @functools.lru_cache(maxsize=None)
 def _buckets(n: int, n_buckets: int, max_distance: int, bidirectional: bool) -> np.ndarray:
-    """(n, n) bucket ids of position u seen from position t."""
-    out = np.empty((n, n), dtype=np.intp)
-    for t in range(n):
-        for u in range(n):
-            out[t, u] = dope_rpe_bucket(t, u, n_buckets, max_distance, bidirectional)
-    return out
+    """(n, n) bucket ids of position u seen from position t.
+
+    A bucket depends only on the offset u - t, so the table indexes one
+    per-offset lookup of 2n - 1 entries by t - u.
+    """
+    by_offset = np.array(
+        [dope_rpe_bucket(j, 0, n_buckets, max_distance, bidirectional) for j in range(1 - n, n)],
+        dtype=np.intp,
+    )
+    pos = np.arange(n)
+    return by_offset[np.subtract.outer(pos, pos) + n - 1]
+
+
+def padding_mask(lengths: Sequence[int]) -> np.ndarray | None:
+    """(B, 1, 1, S_max) additive key mask for a batch of segment lengths:
+    0 over each segment's tokens, -inf over its padding; None when no
+    segment is padded."""
+    S = max(lengths)
+    if min(lengths) == S:
+        return None
+    mask = np.zeros((len(lengths), 1, 1, S))
+    for b, n in enumerate(lengths):
+        mask[b, ..., n:] = -np.inf
+    return mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,10 +156,12 @@ def _causal_mask(T: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class DecodeCache:
-    """Incremental decode state for one greedy decode of one encoder input.
+    """Incremental decode state for one greedy decode of one encoder input
+    (one segment or one batch).
 
     ``steps`` counts the positions decoded so far. ``self_kv[i]`` holds
-    decoder layer i's self-attention keys and values, each (N, steps, d);
+    decoder layer i's self-attention keys and values, each (R, steps, d)
+    for R slot rows;
     ``cross_kv[i]`` holds the layer's projected encoder keys and values,
     computed on the first call. A cache belongs to one decode loop: create
     it there and drop it afterwards, never share it between threads.
@@ -219,15 +245,30 @@ class Model:
         h = ag.add(ag.matmul(x, self.store[p + "w1"]), self.store[p + "b1"])
         return ag.add(ag.matmul(ag.relu(h), self.store[p + "w2"]), self.store[p + "b2"])
 
-    def encode(self, token_ids: list[int]) -> Tensor:
-        """(S,) token ids -> (S, d) contextual states."""
+    def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
+        """(S,) token ids -> (S, d) contextual states.
+
+        A batch of B id lists gives (B, S_max, d): each segment's rows past
+        its own length are padding, which ``padding_mask`` keeps out of
+        every attention, so a segment's rows match its own (S, d) encode up
+        to float round-off.
+        """
         cfg = self.cfg
-        S = len(token_ids)
-        if S < 1:
-            raise ValueError("cannot encode an empty sequence")
-        if S > cfg.max_encode_len:
-            raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
-        ids = np.asarray(token_ids, dtype=np.intp)
+        batched = len(token_ids) > 0 and not np.isscalar(token_ids[0])
+        lengths = [len(s) for s in token_ids] if batched else [len(token_ids)]
+        for S in lengths:
+            if S < 1:
+                raise ValueError("cannot encode an empty sequence")
+            if S > cfg.max_encode_len:
+                raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
+        S = max(lengths)
+        if batched:
+            ids = np.zeros((len(lengths), S), dtype=np.intp)
+            for b, seq in enumerate(token_ids):
+                ids[b, : len(seq)] = seq
+            mask = padding_mask(lengths)
+        else:
+            ids, mask = np.asarray(token_ids, dtype=np.intp), None
         buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
         biases = [ag.gather(self.store[f"enc.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
         inv_scale = 1.0 / math.sqrt(cfg.d)
@@ -240,14 +281,14 @@ class Model:
                 ag.matmul(h, self.store[p + "wq"]),
                 ag.matmul(h, self.store[p + "wk"]),
                 ag.matmul(h, self.store[p + "wv"]),
-                biases, cfg.n_heads, inv_scale,
+                biases, cfg.n_heads, inv_scale, mask=mask,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
         return self._ln(x, "enc.final")
 
     def kwe_probs(self, states: Tensor) -> Tensor:
-        """(S,d) -> (S,3) tag distribution (O/B/I) per token."""
+        """(..., S, d) -> (..., S, 3) tag distribution (O/B/I) per token."""
         logits = ag.add(ag.matmul(states, self.store["kwe.w"]), self.store["kwe.b"])
         return ag.softmax(logits, axis=-1)
 
@@ -265,22 +306,31 @@ class Model:
     # ------------------------------------------------------------- decoder
 
     def control_rows(self, keyword_ids: list[list[int] | None]) -> Tensor:
-        """Per-slot control row: learned slot code + summed keyword token
-        embeddings (skipped when keyword control is disabled)."""
+        """Control row per slot: learned slot code + summed keyword token
+        embeddings (skipped when keyword control is disabled).
+
+        One entry per slot row: N for one segment, B*N for a batch, segment
+        b's slots being rows b*N..(b+1)*N-1. Returns (rows, d).
+        """
         cfg = self.cfg
-        assert len(keyword_ids) == cfg.n_slots
-        parts = []
-        for n in range(cfg.n_slots):
-            vec = ag.gather(self.store["dec.ctrl"], n)
-            ids = keyword_ids[n]
-            if ids and cfg.use_keyword_control:
-                kw = ag.sum_rows(ag.gather(self.store["dec.emb"], np.asarray(ids, dtype=np.intp)))
-                vec = ag.add(vec, kw)
-            parts.append(vec)
-        return ag.stack_rows(parts)
+        R = len(keyword_ids)
+        if R == 0 or R % cfg.n_slots:
+            raise ValueError(f"need a multiple of n_slots={cfg.n_slots} keyword entries, got {R}")
+        rows = ag.gather(self.store["dec.ctrl"], np.arange(R) % cfg.n_slots)
+        keywords = [ids or [] for ids in keyword_ids] if cfg.use_keyword_control else []
+        K = max(map(len, keywords), default=0)
+        if K:
+            idx = np.zeros((R, K), dtype=np.intp)
+            mask = np.zeros((R, K))
+            for r, ids in enumerate(keywords):
+                idx[r, : len(ids)] = ids
+                mask[r, : len(ids)] = 1.0
+            rows = ag.add(rows, ag.gather_sum(self.store["dec.emb"], idx, mask))
+        return rows
 
     def _cross_kv(self, enc_states: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention keys and values, (S, d) each."""
+        """Each decoder layer's cross-attention keys and values, shaped like
+        the encoder states."""
         return [
             (ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
              ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
@@ -293,21 +343,29 @@ class Model:
         control: Tensor,
         enc_states: Tensor,
         cache: DecodeCache | None = None,
+        enc_mask: np.ndarray | None = None,
     ) -> Tensor:
-        """Decode: prev_ids (N, T) holds w^{t-1} per slot and step.
+        """Decode: prev_ids (R, T) holds w^{t-1} per slot row and step.
+
+        For one segment, enc_states is (S, d) and R = N. For a batch of B,
+        enc_states is (B, S_max, d) from ``encode``, enc_mask its
+        ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
+        each segment's N*T queries attend only to its own states.
 
         Without a cache this is the teacher-forced pass over steps 1..T; it
-        returns (N*T, vocab) next-token distributions, row n*T + t being
-        slot n's distribution for step t+1. With a cache, prev_ids holds only
-        the T steps after the cache's ``steps`` earlier ones: their keys and
-        values are appended to the cache, and the (N*T, vocab) rows returned
-        cover the new steps only, equal to the matching rows of the full pass
-        up to float round-off. A cache is tape-free: passing one while a Tape
-        records raises RuntimeError.
+        returns (R*T, vocab) next-token distributions, row r*T + t being
+        slot row r's distribution for step t+1. With a cache, prev_ids holds
+        only the T steps after the cache's ``steps`` earlier ones: their keys
+        and values are appended to the cache, and the (R*T, vocab) rows
+        returned cover the new steps only, equal to the matching rows of the
+        full pass up to float round-off. A cache is tape-free: passing one
+        while a Tape records raises RuntimeError.
         """
         cfg = self.cfg
-        N, T = prev_ids.shape
-        assert N == cfg.n_slots
+        R, T = prev_ids.shape
+        B = enc_states.data.shape[0] if enc_states.data.ndim == 3 else None
+        if R != (B or 1) * cfg.n_slots:
+            raise ValueError(f"{R} slot rows for {B or 1} segment(s) of {cfg.n_slots} slots")
         if cache is None:
             t0, cross_kv = 0, self._cross_kv(enc_states)
         else:
@@ -323,7 +381,7 @@ class Model:
 
         x = ag.add(
             ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(L, cfg.d)[t0:])),
-            ag.gather(control, np.arange(N)[:, None]),
+            ag.gather(control, np.arange(R)[:, None]),
         )
 
         mask = _causal_mask(L)[t0:]
@@ -350,26 +408,32 @@ class Model:
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             h = self._ln(x, p + "ln2")
+            q = ag.matmul(h, self.store[p + "cq"])
+            if B is not None:  # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries
+                q = ag.reshape(q, (B, -1, cfg.d))
             catt = ag.multi_head_attention(
-                ag.matmul(h, self.store[p + "cq"]), *cross_kv[i], None, cfg.n_heads, inv_scale,
+                q, *cross_kv[i], None, cfg.n_heads, inv_scale, mask=enc_mask,
             )
+            if B is not None:
+                catt = ag.reshape(catt, (R, T, cfg.d))
             x = ag.add(x, ag.matmul(catt, self.store[p + "co"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
         if cache is not None:
             cache.steps = L
-        x = ag.reshape(self._ln(x, "dec.final"), (N * T, cfg.d))
+        x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         logits = ag.add(ag.matmul(x, self.store["kg.w"]), self.store["kg.b"])
         return ag.softmax(logits, axis=-1)
 
     def greedy_steps(self, control: Tensor, enc_states: Tensor, bos_id: int,
-                     steps: int) -> Iterator[np.ndarray]:
-        """Greedy decode from BOS: yields each step's (N, vocab) distributions
-        and feeds every slot's argmax back in. Callers decode under
+                     steps: int, enc_mask: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Greedy decode from BOS: yields each step's (R, vocab) distributions,
+        one row per control row, and feeds every row's argmax back in.
+        Arguments are as for ``decode_probs``. Callers decode under
         ``no_grad``: a generator that suspended recording itself would leave
         it suspended for its consumer between steps."""
         cache = DecodeCache()
-        prev = np.full((self.cfg.n_slots, 1), bos_id, dtype=np.intp)
+        prev = np.full((control.data.shape[0], 1), bos_id, dtype=np.intp)
         for _ in range(steps):
-            probs = self.decode_probs(prev, control, enc_states, cache=cache).data
+            probs = self.decode_probs(prev, control, enc_states, cache=cache, enc_mask=enc_mask).data
             yield probs
             prev = probs.argmax(axis=1)[:, None]

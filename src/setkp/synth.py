@@ -26,62 +26,53 @@ MAX_SEGMENT_TOKENS = 32  # claim sentences are sized so one sentence = one segme
 @dataclass(frozen=True)
 class Topic:
     key: str
-    content: tuple[str, ...]
     phrases: tuple[tuple[str, ...], ...]
     absent: tuple[tuple[str, ...], ...]
 
 
-def _topic(key, content, pairs, absent):
+def _topic(key, pairs, absent):
     phrases = tuple(tuple(p.split()) for p in pairs)
-    return Topic(key, tuple(content.split()), phrases, tuple(tuple(a.split()) for a in absent))
+    return Topic(key, phrases, tuple(tuple(a.split()) for a in absent))
 
 
 TOPICS = (
     _topic(
         "polymer",
-        "polymer resin monomer curing adhesive coating epoxy laminate",
         ("polymer coating", "epoxy resin", "adhesive laminate", "curing monomer", "polymer adhesive"),
         ("thermoset chemistry", "crosslink synthesis"),
     ),
     _topic(
         "battery",
-        "battery anode cathode electrolyte lithium cell charge separator",
         ("lithium battery", "battery cell", "electrolyte separator", "cathode charge", "lithium anode"),
         ("energy storage", "electrochemical density"),
     ),
     _topic(
         "antenna",
-        "antenna signal radio waveguide beam frequency transceiver array",
         ("antenna array", "radio signal", "waveguide beam", "frequency transceiver", "signal beam"),
         ("wireless propagation", "spectrum modulation"),
     ),
     _topic(
         "turbine",
-        "turbine rotor blade compressor shaft stator cooling nozzle",
         ("turbine blade", "rotor shaft", "cooling nozzle", "compressor stator", "turbine rotor"),
         ("aerodynamic efficiency", "thermal margin"),
     ),
     _topic(
         "imaging",
-        "imaging sensor pixel lens aperture focus detector optical",
         ("imaging sensor", "pixel detector", "optical lens", "aperture focus", "sensor lens"),
         ("photonic resolution", "light capture"),
     ),
     _topic(
         "catalyst",
-        "catalyst reactor oxide hydrogen conversion substrate zeolite reagent",
         ("zeolite catalyst", "hydrogen reactor", "oxide substrate", "conversion reagent", "catalyst substrate"),
         ("catalytic kinetics", "reaction selectivity"),
     ),
     _topic(
         "implant",
-        "implant prosthesis tissue bone fixation scaffold graft suture",
         ("bone implant", "tissue scaffold", "fixation suture", "graft prosthesis", "implant scaffold"),
         ("biocompatible integration", "surgical anchoring"),
     ),
     _topic(
         "encryption",
-        "encryption cipher authentication token hash protocol signature nonce",
         ("cipher protocol", "authentication token", "hash signature", "encryption nonce", "token signature"),
         ("cryptographic hardening", "secure handshake"),
     ),

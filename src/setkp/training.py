@@ -8,7 +8,15 @@ update on the extraction loss, plus the averaged inner generation losses
 when rounds ran, with the decoder frozen. Stage 1 (epochs <= e1) thus fits
 the encoder and tagging head on extraction alone and never moves the
 decoder. Inner losses stay on the tape across rounds, so the encoder step
-differentiates straight through them.
+differentiates straight through them; each backward pass walks only the
+part of the tape that leads to the parameters it updates.
+
+The batch is one leading axis through the whole step: one padded encode,
+one control-row gather, one free-running decode for assignment and one
+teacher-forced decode over all B*N slot rows, and one loss per kind over
+the batch, weighted so that it is the mean of the per-segment losses.
+Keyword tagging, target building, Hungarian assignment and the teacher
+arrays stay per segment, on slices of the batch.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .corpus import (
     bio_labels,
     derive_keywords,
 )
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, padding_mask
 from .params import AdamW, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -149,11 +157,21 @@ def kwe_class_weights(label_seqs: list[list[int]]) -> np.ndarray:
     return 1.0 / np.maximum(counts, 1.0)
 
 
-def loss_kwe(tag_probs: Tensor, labels: list[int], class_weights: np.ndarray) -> Tensor:
-    """Mean weighted token cross-entropy over one segment."""
-    S = len(labels)
-    w = class_weights[np.asarray(labels)]
-    return ag.scale(ag.weighted_nll(tag_probs, labels, w), 1.0 / S)
+def loss_kwe(tag_probs: Tensor, labels: list[int] | list[list[int]],
+             class_weights: np.ndarray) -> Tensor:
+    """Mean weighted token cross-entropy of one segment: (S, 3) tag
+    distributions and S labels. A batch passes (B, S_max, 3) and B label
+    lists and gets the mean of its segments' losses; padding rows carry
+    weight 0."""
+    seqs = labels if tag_probs.data.ndim == 3 else [labels]
+    S = tag_probs.data.shape[-2]
+    tgt = np.zeros((len(seqs), S), dtype=np.intp)
+    w = np.zeros((len(seqs), S))
+    for b, seq in enumerate(seqs):
+        tgt[b, : len(seq)] = seq
+        w[b, : len(seq)] = class_weights[np.asarray(seq)] / len(seq)
+    nll = ag.weighted_nll(ag.reshape(tag_probs, (-1, 3)), tgt.reshape(-1), w.reshape(-1))
+    return ag.scale(nll, 1.0 / len(seqs))
 
 
 def teacher_arrays(
@@ -184,8 +202,25 @@ def teacher_arrays(
     return prev, tgt, w
 
 
+def _pad_teacher_arrays(
+    arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]], pad_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack per-segment ``teacher_arrays`` into (B*N, T_max) arrays; the
+    columns a segment lacks hold pad_id with weight 0."""
+    T = max(prev.shape[1] for prev, _, _ in arrays)
+
+    def stack(i: int, fill) -> np.ndarray:
+        return np.concatenate(
+            [np.pad(a[i], ((0, 0), (0, T - a[i].shape[1])), constant_values=fill) for a in arrays]
+        )
+
+    return stack(0, pad_id), stack(1, pad_id), stack(2, 0.0)
+
+
 def loss_kg(probs: Tensor, tgt: np.ndarray, w: np.ndarray) -> Tensor:
-    """Summed weighted next-token cross-entropy for one segment."""
+    """Summed weighted next-token cross-entropy: one segment's generation
+    loss. A batch passes its weights divided by its segment count, which
+    makes this the mean of the per-segment sums."""
     return ag.weighted_nll(probs, tgt.reshape(-1), w.reshape(-1))
 
 
@@ -333,33 +368,36 @@ def tsmt_train(
         kwe_vals, kg_vals, l2_vals = [], [], []
         for batch in _batches(examples, tcfg.batch_size):
             weights = kwe_class_weights([ex.labels for ex in batch])
+            enc_mask = padding_mask([len(ex.ids) for ex in batch])
             with Tape() as tape:
-                enc_states = [model.encode(ex.ids) for ex in batch]
+                states = model.encode([ex.ids for ex in batch])
                 inner: list[Tensor] = []
                 if joint:
-                    targets, controls = [], []
-                    for ex, states in zip(batch, enc_states):
-                        with no_grad():
-                            tag_probs = model.kwe_probs(states).data
-                        spans = model.predict_keywords(tag_probs, ex.tokens)
+                    with no_grad():
+                        tag_probs = model.kwe_probs(states).data
+                    targets, control_ids = [], []
+                    for ex, seg_tags in zip(batch, tag_probs):
+                        spans = model.predict_keywords(seg_tags[: len(ex.ids)], ex.tokens)
                         targets.append(
                             kwp_build_targets(ex.kps, spans, cfg.n_slots, vocab, tcfg.use_keyword_padding)
                         )
-                        controls.append(model.control_rows(control_ids_for(spans, cfg, vocab)))
+                        control_ids += control_ids_for(spans, cfg, vocab)
+                    control = model.control_rows(control_ids)
                     for _ in range(tcfg.e2):
-                        per_seg = []
-                        for states, control, tl in zip(enc_states, controls, targets):
-                            dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id)
+                        dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id,
+                                               enc_mask)
+                        arrays = []
+                        for b, tl in enumerate(targets):
                             order = assign_groups(
-                                dists,
+                                dists[:, b * cfg.n_slots : (b + 1) * cfg.n_slots],
                                 [e.ids for e in tl.present],
                                 [e.ids for e in tl.absent],
                                 vocab.null_id,
                             )
-                            prev, tgt, w = teacher_arrays(tl.all(), order, cfg, vocab, tcfg)
-                            probs = model.decode_probs(prev, control, states)
-                            per_seg.append(loss_kg(probs, tgt, w))
-                        lg = _mean_losses(per_seg)
+                            arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
+                        prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+                        probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
+                        lg = loss_kg(probs, tgt, w / len(batch))
                         tape.backward(lg, wrt=dec_leaves)
                         _check_finite(lg.item(), "generation loss")
                         dec_opt.step()
@@ -367,9 +405,7 @@ def tsmt_train(
                         inner.append(lg)
                         kg_vals.append(lg.item())
 
-                l1 = _mean_losses(
-                    [loss_kwe(model.kwe_probs(s), ex.labels, weights) for ex, s in zip(batch, enc_states)]
-                )
+                l1 = loss_kwe(model.kwe_probs(states), [ex.labels for ex in batch], weights)
                 loss = loss_encoder_stage3(l1, inner, tcfg.lambda_g) if joint else l1
                 tape.backward(loss, wrt=enc_leaves)
             _check_finite(loss.item(), "stage-3 loss" if joint else "extraction loss")

@@ -126,16 +126,56 @@ def test_gather_2d_index_shape():
     assert out.shape == (2, 2, 2)
 
 
-def test_sum_rows_stack_rows_grad():
+def test_gather_sum_values_and_grad():
+    # rows of different lengths, a repeated index within one row, an empty row
     rng = np.random.default_rng(5)
-    parts = [_param(rng, (4,)) for _ in range(3)]
-    err = grad_check(lambda: _dot(ag.softmax(ag.stack_rows(parts))),
-                     {f"p{i}": p for i, p in enumerate(parts)}, n_coords=12)
+    a = _param(rng, (6, 4))
+    idx = np.array([[1, 1, 4], [2, 0, 0], [0, 0, 0], [5, 3, 0]])
+    mask = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0]], dtype=float)
+    out = ag.gather_sum(a, idx, mask).data
+    np.testing.assert_array_equal(out[0], a.data[1] + a.data[1] + a.data[4])
+    np.testing.assert_array_equal(out[1], a.data[2])
+    np.testing.assert_array_equal(out[2], np.zeros(4))
+    np.testing.assert_array_equal(out[3], a.data[5] + a.data[3])
+    err = grad_check(lambda: _dot(ag.softmax(ag.gather_sum(a, idx, mask))), {"a": a}, n_coords=24)
     assert err < 1e-6
 
-    a = _param(rng, (3, 4))
-    err = grad_check(lambda: _dot(ag.softmax(ag.sum_rows(a))), {"a": a}, n_coords=12)
-    assert err < 1e-6
+    with Tape() as tape:
+        loss = _dot(ag.gather_sum(a, idx, mask))
+    tape.backward(loss)
+    assert not a.grad[[0]].any()  # index 0 appears only under mask 0
+
+
+def test_attention_grad_with_key_padding_mask():
+    # batch entries of lengths 4, 2 and 3 padded to 4, per-head (T, T)
+    # biases; queries and values past an entry's length are padding too
+    rng = np.random.default_rng(15)
+    q = _param(rng, (3, 4, 6))
+    k = _param(rng, (3, 4, 6))
+    v = _param(rng, (3, 4, 6))
+    biases = [_param(rng, (4, 4)) for _ in range(2)]
+    lengths = [4, 2, 3]
+    mask = np.zeros((3, 1, 1, 4))
+    for b, n in enumerate(lengths):
+        mask[b, ..., n:] = -np.inf
+
+    def f():
+        return _dot(ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask))
+
+    params = {"q": q, "k": k, "v": v, "b0": biases[0], "b1": biases[1]}
+    assert grad_check(f, params, n_coords=100) < 1e-5
+
+    with Tape() as tape:
+        loss = f()
+    tape.backward(loss)
+    out = ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask)
+    for b, n in enumerate(lengths):
+        assert not k.grad[b, n:].any() and not v.grad[b, n:].any()
+        one = ag.multi_head_attention(
+            Tensor(q.data[b, :n]), Tensor(k.data[b, :n]), Tensor(v.data[b, :n]),
+            [Tensor(x.data[:n, :n]) for x in biases], n_heads=2, inv_scale=0.5,
+        )
+        np.testing.assert_allclose(out.data[b, :n], one.data, rtol=0, atol=1e-12)
 
 
 def test_softmax_grad():

@@ -323,6 +323,30 @@ def test_portrait_jsonl_roundtrip(tmp_path):
         assert [r.prompt_text for r in got.levels] == [r.prompt_text for r in orig.levels]
 
 
+def test_portrait_levels_keep_their_entries_through_save_and_load(tmp_path):
+    from setkp.inference import LevelRecord
+
+    e1 = PortraitEntry(tokens=["polymer", "coating"], level=1, group="present", confidence=0.9)
+    e2 = PortraitEntry(tokens=["epoxy"], level=2, group="present", confidence=0.8)
+    e3 = PortraitEntry(tokens=["thermoset"], level=2, group="absent", confidence=0.7)
+    p = Portrait(doc_id="d", entries=[e1, e2, e3], levels=[
+        LevelRecord(level=1, prompt_text="p1", prompt_phrases=["a"], keyword_spans=[["a"]], kept=[e1]),
+        LevelRecord(level=2, prompt_text="p2", prompt_phrases=["polymer coating"],
+                    keyword_spans=[], kept=[e3, e2]),
+        LevelRecord(level=3, prompt_text="p3", prompt_phrases=[], keyword_spans=[], kept=[]),
+    ])
+    path = tmp_path / "p.jsonl"
+    save_portraits(path, [p])
+    (back,) = load_portraits(path)
+    assert [[e.text for e in r.kept] for r in back.levels] == [
+        ["polymer coating"], ["thermoset", "epoxy"], []
+    ]
+    assert all(any(k is e for e in back.entries) for r in back.levels for k in r.kept)
+    again = tmp_path / "again.jsonl"
+    save_portraits(again, [back])
+    assert again.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("load", [load_predictions, load_portraits])
 def test_bad_jsonl_line_names_file_and_line(tmp_path, load):
     path = tmp_path / "out.jsonl"

@@ -6,13 +6,16 @@ import pytest
 from setkp import autograd as ag
 from setkp.autograd import Tape
 from setkp.corpus import KeywordSpan
+from setkp.assignment import k_step_predict
 from setkp.model import (
     DecodeCache,
     Model,
     ModelConfig,
     _ape_rows,
+    _buckets,
     ape_vector,
     dope_rpe_bucket,
+    padding_mask,
 )
 from setkp.training import loss_kg
 
@@ -118,6 +121,16 @@ def test_rpe_monotone_with_distance():
             assert b >= prev
         prev = b
     assert prev == 31
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_bucket_table_matches_per_pair_buckets(bidirectional):
+    for n in range(1, 65):
+        want = np.array([[dope_rpe_bucket(t, u, 32, 128, bidirectional) for u in range(n)]
+                         for t in range(n)])
+        got = _buckets(n, 32, 128, bidirectional)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------------------------------ encoder
@@ -233,8 +246,18 @@ def test_control_rows_disabled_ignores_keywords():
 
 def test_control_rows_wrong_length_rejected():
     model = Model.fresh(tiny_cfg(), seed=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         model.control_rows([None, None])
+    with pytest.raises(ValueError):
+        model.control_rows([None] * 6)
+
+
+def test_control_rows_batch_stacks_segments():
+    model = Model.fresh(tiny_cfg(), seed=0)
+    segs = [[[3, 4], None, [5], None], [None, [7, 7, 2], None, [1]]]
+    rows = model.control_rows(segs[0] + segs[1]).data
+    np.testing.assert_array_equal(rows[:4], model.control_rows(segs[0]).data)
+    np.testing.assert_array_equal(rows[4:], model.control_rows(segs[1]).data)
 
 
 # ------------------------------------------------------------------ decoder
@@ -409,3 +432,55 @@ def test_pruned_backward_matches_full_on_requested_leaves(group):
     for n, g in full.items():
         np.testing.assert_array_equal(wanted[n].grad, g)
     assert all(p.grad is None for n, p in model.store.items() if n not in wanted)
+
+
+# ------------------------------------------------------------- batch axis
+
+_SEGMENTS = [[1, 5, 7, 2, 9, 4, 4], [3, 8], [6, 2, 2, 11, 13], [9]]
+_KEYWORDS = [[[5, 7], None, [2], None], [None, None, None, [8]],
+             [[11, 13], [6], None, None], [None] * 4]
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)])
+def test_padded_batch_matches_single_segment_calls(perm):
+    cfg = tiny_cfg()
+    model = Model.fresh(cfg, seed=3)
+    rng = np.random.default_rng(7)
+    N, T = cfg.n_slots, 3
+    prev = {i: rng.integers(0, cfg.vocab_size, size=(N, T)) for i in range(len(_SEGMENTS))}
+    segs = [_SEGMENTS[i] for i in perm]
+    mask = padding_mask([len(s) for s in segs])
+    with ag.no_grad():
+        states = model.encode(segs)
+        control = model.control_rows([ids for i in perm for ids in _KEYWORDS[i]])
+        probs = model.decode_probs(np.concatenate([prev[i] for i in perm]), control, states,
+                                   enc_mask=mask).data.reshape(len(segs), N * T, -1)
+        dists = k_step_predict(model, states, control, 3, 1, mask)
+        assert states.data.shape == (len(segs), max(map(len, segs)), cfg.d)
+        for b, i in enumerate(perm):
+            one = model.encode(_SEGMENTS[i])
+            ctrl = model.control_rows(_KEYWORDS[i])
+            S = len(_SEGMENTS[i])
+            np.testing.assert_allclose(states.data[b, :S], one.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs[b], model.decode_probs(prev[i], ctrl, one).data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
+                                       k_step_predict(model, one, ctrl, 3, 1),
+                                       rtol=0, atol=1e-12)
+
+
+def test_padding_mask_only_for_padded_batches():
+    assert padding_mask([3, 3]) is None
+    m = padding_mask([3, 1])
+    assert m.shape == (2, 1, 1, 3)
+    assert (m[0] == 0).all() and (m[1, ..., :1] == 0).all() and np.isneginf(m[1, ..., 1:]).all()
+
+
+def test_decode_probs_rejects_rows_not_matching_segments():
+    cfg = tiny_cfg()
+    model = Model.fresh(cfg, seed=0)
+    states = model.encode([[1, 2], [3]])
+    control = model.control_rows([None] * cfg.n_slots)
+    with pytest.raises(ValueError):
+        model.decode_probs(np.ones((cfg.n_slots, 2), dtype=np.intp), control, states,
+                           enc_mask=padding_mask([2, 1]))

@@ -1,5 +1,6 @@
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from setkp.training import (
     ORIGIN_NULL,
     TrainingDiverged,
     TsmtConfig,
+    _pad_teacher_arrays,
     build_examples,
     control_ids_for,
     kwe_class_weights,
@@ -143,6 +145,34 @@ def test_loss_kwe_hand_value():
     assert val == pytest.approx((1 + 4) * math.log(3) / 2)
 
 
+def test_batched_losses_are_means_of_per_segment_losses():
+    rng = np.random.default_rng(4)
+    cw = np.array([0.5, 1.0, 3.0])
+    labels = [[0, 1, 2, 0], [2, 1], [0, 0, 1]]
+    probs = rng.dirichlet(np.ones(3), size=(3, 4))
+    batched = loss_kwe(Tensor(probs), labels, cw).item()
+    per_seg = [loss_kwe(Tensor(probs[b, : len(seq)]), seq, cw).item() for b, seq in enumerate(labels)]
+    assert batched == pytest.approx(np.mean(per_seg), rel=1e-12)
+
+    _, vocab, _, cfg = small_setup()
+    tcfg = TsmtConfig()
+    # all-null targets (NULL, EOS) next to a two-token phrase (w1, w2, EOS)
+    entries = [kwp_build_targets(_kps(p, []), [], cfg.n_slots, vocab).all()
+               for p in ([], [["polymer", "coating"]])]
+    arrays = [teacher_arrays(e, [0, 1, 2, 3], cfg, vocab, tcfg) for e in entries]
+    prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+    assert prev.shape == tgt.shape == w.shape == (2 * cfg.n_slots, 3)
+    assert (w[: cfg.n_slots, 2] == 0).all() and (tgt[: cfg.n_slots, 2] == vocab.pad_id).all()
+    V = len(vocab)
+    probs = rng.dirichlet(np.ones(V), size=(2, cfg.n_slots, 3))
+    per_seg = []
+    for b, (_, seg_tgt, seg_w) in enumerate(arrays):
+        seg_probs = probs[b, :, : seg_tgt.shape[1]].reshape(-1, V)
+        per_seg.append(loss_kg(Tensor(seg_probs), seg_tgt, seg_w).item())
+    batched = loss_kg(Tensor(probs.reshape(-1, V)), tgt, w / 2).item()
+    assert batched == pytest.approx(np.mean(per_seg), rel=1e-12)
+
+
 def test_loss_kg_quarter_log_three():
     # single row with weight 1/4 and probability 1/3 on the target
     probs = Tensor(np.full((1, 3), 1 / 3))
@@ -267,17 +297,19 @@ def test_tsmt_losses_finite_and_reported():
 
 def test_tsmt_encodes_each_segment_once_per_epoch(monkeypatch):
     model, vocab, docs, _ = small_setup()
-    calls = []
+    encoded = []
     encode = Model.encode
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return encode(self, *args, **kwargs)
+    def recording(self, token_ids):
+        batched = not np.isscalar(token_ids[0])
+        encoded.extend(tuple(s) for s in token_ids) if batched else encoded.append(tuple(token_ids))
+        return encode(self, token_ids)
 
-    monkeypatch.setattr(Model, "encode", counting)
+    monkeypatch.setattr(Model, "encode", recording)
     tcfg = TsmtConfig(epochs=3, e1=1, batch_size=4, probe_docs=0)
     tsmt_train(model, docs, tcfg, vocab)
-    assert len(calls) == tcfg.epochs * len(build_examples(docs, vocab))
+    segments = [tuple(ex.ids) for ex in build_examples(docs, vocab)]
+    assert Counter(encoded) == Counter(segments * tcfg.epochs)
 
 
 def test_tsmt_checkpoint_written(tmp_path):
