@@ -5,6 +5,14 @@ rule, recorded on an explicit Tape and replayed in reverse. No broadcasting
 magic beyond what numpy gives us, no views into graph tensors, no GPU.
 Gradients are exact up to float64 round-off; the test suite checks every
 backward rule against central finite differences.
+
+The hot path is Python overhead per node, so the primitives are coarse:
+``matmul`` and ``linear`` run a (..., k) @ (k, m) product as one 2-D GEMM
+over the flattened leading axes, ``linear`` is a whole affine map
+``x @ w + b`` in one node, ``gather_heads`` looks up every head's
+relative-position bias in one node, and ``multi_head_attention`` is fused.
+Reductions call the ufunc's ``reduce`` directly, which gives the same bits
+as the ndarray methods without their Python frames.
 """
 
 from __future__ import annotations
@@ -146,10 +154,10 @@ def _as_tensor(x) -> Tensor:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
@@ -177,16 +185,38 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * c,))
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (..., k) @ b (k, m) as one 2-D product over the flattened leading
+    axes; numpy would otherwise loop over them, one small product each."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a (..., k) @ b (k, m) -> (..., m): leading axes of a are batch axes."""
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise ValueError("matmul expects a (..., k) @ (k, m) pair")
     ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
+    out = Tensor(_gemm(ad, bd))
     k, m = bd.shape
     return _record(
-        out, (a, b), lambda g: (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, m))
+        out, (a, b), lambda g: (_gemm(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, m))
     )
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (..., k) @ w (k, m) + b (m,) -> (..., m) as one node."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ValueError("linear expects x (..., k), w (k, m) and b (m,)")
+    xd, wd = x.data, w.data
+    y = _gemm(xd, wd)
+    y += b.data
+    k, m = wd.shape
+
+    def back(g):
+        g2 = g.reshape(-1, m)
+        return (_gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
+
+    return _record(Tensor(y), (x, w, b), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -239,15 +269,34 @@ def gather_sum(a: Tensor, idx, mask) -> Tensor:
     return _record(out, (a,), back)
 
 
+def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
+    """Per-head lookups stacked as one node: out[h] = tables[h][idx].
+
+    Each table is (n,) and idx an integer array of any shape I; the output
+    is (H, *I), e.g. the (H, Tq, Tk) relative-position bias of an
+    attention from a (Tq, Tk) bucket table. Backward scatter-adds each
+    head's gradient into its own table, so repeated ids accumulate.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    H, n = len(tables), tables[0].data.shape[0]
+    out = Tensor(np.stack([t.data for t in tables])[:, idx])
+    flat = (idx + n * np.arange(H).reshape((H,) + (1,) * idx.ndim)).ravel()
+
+    def back(g):
+        buf = np.bincount(flat, weights=g.ravel(), minlength=H * n).reshape(H, n)
+        return tuple(buf)
+
+    return _record(out, tuple(tables), back)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along `axis`."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True))
+    y = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(y)
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
         return (y * (g - dot),)
 
     return _record(out, (a,), back)
@@ -258,8 +307,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gd = gain.data
     d = x.data.shape[-1]
     # the sums np.mean / np.var compute, without their per-call overhead
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gd + bias.data)
@@ -268,11 +317,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gg = g * gd
         gx = inv * (
             gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(gg, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d)
         )
         axes = tuple(range(g.ndim - 1))
-        return (gx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        return (gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes))
 
     return _record(out, (x, gain, bias), back)
 
@@ -293,7 +342,7 @@ def multi_head_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    biases: Sequence[Tensor] | None,
+    bias: Tensor | None,
     n_heads: int,
     inv_scale: float,
     mask: np.ndarray | None = None,
@@ -303,17 +352,18 @@ def multi_head_attention(
     q (..., Tq, d), k/v (..., Tk, d); the leading axes broadcast, so keys
     shared by every batch entry can stay (Tk, d). Head h uses columns
     [h*dh:(h+1)*dh], and all heads are computed at once as (..., H, Tq, Tk)
-    logits = (q_h k_h^T + bias_h) * inv_scale + mask, softmaxed over keys,
-    with the head outputs concatenated back to (..., Tq, d). `biases` is
-    one tensor per head broadcastable to (..., Tq, Tk) (learned
-    relative-position term) or None. `mask` is an additive constant
-    (0 / -inf) broadcastable to the (..., H, Tq, Tk) logits: a (Tq, Tk)
-    causal mask shared by every batch entry and head, or a (B, 1, 1, Tk)
-    key-padding mask. Every query row must keep one finite key. The weights
-    are not returned; value rows that are one-hot within each head's block
-    make the output show them. Fusing keeps the tape short; the backward
-    below is the textbook attention gradient, batched over heads, with
-    broadcast operands' gradients summed back to their shapes.
+    logits = (q_h k_h^T + bias[h]) * inv_scale + mask, softmaxed over keys,
+    with the head outputs concatenated back to (..., Tq, d). `bias` is one
+    (H, Tq, Tk) tensor (the learned relative-position term, from
+    ``gather_heads``) or None; it is added to the logits in place, so it
+    must not be larger than them. `mask` is an additive constant (0 / -inf)
+    broadcastable to the (..., H, Tq, Tk) logits: a (Tq, Tk) causal mask
+    shared by every batch entry and head, or a (B, 1, 1, Tk) key-padding
+    mask. Every query row must keep one finite key. The weights are not
+    returned; value rows that are one-hot within each head's block make the
+    output show them. Fusing keeps the tape short; the backward below is
+    the textbook attention gradient, batched over heads, with broadcast
+    operands' gradients summed back to their shapes.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.shape[-1] % n_heads:
@@ -321,33 +371,26 @@ def multi_head_attention(
     qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
 
     logits = qh @ kh.swapaxes(-1, -2)
-    if biases is not None:
-        logits = logits + np.stack([b.data for b in biases], axis=-3)
+    if bias is not None:
+        logits += bias.data
     logits *= inv_scale
     if mask is not None:
         logits += mask
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    A = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    A = e / np.add.reduce(e, axis=-1, keepdims=True)
     out = Tensor(_merge_heads(A @ vh))
-
-    parents: tuple[Tensor, ...]
-    if biases is not None:
-        parents = (q, k, v, *biases)
-    else:
-        parents = (q, k, v)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
 
     def back(g):
         gh = _split_heads(g, n_heads)
         gA = gh @ vh.swapaxes(-1, -2)
-        gs = A * (gA - (gA * A).sum(axis=-1, keepdims=True)) * inv_scale
-        grads = [
+        gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
+        grads = (
             _unbroadcast(_merge_heads(gs @ kh), qd.shape),
             _unbroadcast(_merge_heads(gs.swapaxes(-1, -2) @ qh), kd.shape),
             _unbroadcast(_merge_heads(A.swapaxes(-1, -2) @ gh), vd.shape),
-        ]
-        if biases is not None:
-            grads += [_unbroadcast(gs[..., h, :, :], b.data.shape) for h, b in enumerate(biases)]
-        return tuple(grads)
+        )
+        return grads if bias is None else (*grads, _unbroadcast(gs, bias.data.shape))
 
     return _record(out, parents, back)
 

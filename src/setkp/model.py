@@ -242,8 +242,8 @@ class Model:
         return ag.layer_norm(x, self.store[prefix + ".g"], self.store[prefix + ".b"])
 
     def _ffn(self, x: Tensor, p: str) -> Tensor:
-        h = ag.add(ag.matmul(x, self.store[p + "w1"]), self.store[p + "b1"])
-        return ag.add(ag.matmul(ag.relu(h), self.store[p + "w2"]), self.store[p + "b2"])
+        h = ag.linear(x, self.store[p + "w1"], self.store[p + "b1"])
+        return ag.linear(ag.relu(h), self.store[p + "w2"], self.store[p + "b2"])
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
         """(S,) token ids -> (S, d) contextual states.
@@ -270,7 +270,7 @@ class Model:
         else:
             ids, mask = np.asarray(token_ids, dtype=np.intp), None
         buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
-        biases = [ag.gather(self.store[f"enc.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
+        bias = ag.gather_heads([self.store[f"enc.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
         inv_scale = 1.0 / math.sqrt(cfg.d)
 
         x = ag.gather(self.store["enc.emb"], ids)
@@ -281,7 +281,7 @@ class Model:
                 ag.matmul(h, self.store[p + "wq"]),
                 ag.matmul(h, self.store[p + "wk"]),
                 ag.matmul(h, self.store[p + "wv"]),
-                biases, cfg.n_heads, inv_scale, mask=mask,
+                bias, cfg.n_heads, inv_scale, mask=mask,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
@@ -289,7 +289,7 @@ class Model:
 
     def kwe_probs(self, states: Tensor) -> Tensor:
         """(..., S, d) -> (..., S, 3) tag distribution (O/B/I) per token."""
-        logits = ag.add(ag.matmul(states, self.store["kwe.w"]), self.store["kwe.b"])
+        logits = ag.linear(states, self.store["kwe.w"], self.store["kwe.b"])
         return ag.softmax(logits, axis=-1)
 
     def predict_keywords(self, tag_probs: np.ndarray, segment: list[str]) -> list[KeywordSpan]:
@@ -384,9 +384,10 @@ class Model:
             ag.gather(control, np.arange(R)[:, None]),
         )
 
-        mask = _causal_mask(L)[t0:]
+        # one new step's causal-mask row is all zeros: it sees every key
+        mask = _causal_mask(L)[t0:] if T > 1 else None
         buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
-        biases = [ag.gather(self.store[f"dec.rpe.h{h}"], buckets) for h in range(cfg.n_heads)]
+        bias = ag.gather_heads([self.store[f"dec.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
         inv_scale = 1.0 / math.sqrt(cfg.d)
 
         for i in range(cfg.n_dec_layers):
@@ -404,7 +405,7 @@ class Model:
                     cache.self_kv.append((k, v))
             att = ag.multi_head_attention(
                 ag.matmul(h, self.store[p + "wq"]), k, v,
-                biases, cfg.n_heads, inv_scale, mask=mask,
+                bias, cfg.n_heads, inv_scale, mask=mask,
             )
             x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
             h = self._ln(x, p + "ln2")
@@ -421,7 +422,7 @@ class Model:
         if cache is not None:
             cache.steps = L
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
-        logits = ag.add(ag.matmul(x, self.store["kg.w"]), self.store["kg.b"])
+        logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])
         return ag.softmax(logits, axis=-1)
 
     def greedy_steps(self, control: Tensor, enc_states: Tensor, bos_id: int,

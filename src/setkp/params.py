@@ -83,9 +83,9 @@ class Initializer:
 class AdamW:
     """Decoupled-weight-decay Adam over a fixed parameter subset.
 
-    Moments are keyed by parameter name; stepping skips parameters without a
-    gradient, so a single optimizer can serve a loss that only touches part
-    of its subset.
+    Moments are keyed by parameter name and updated in place; stepping skips
+    parameters without a gradient, so a single optimizer can serve a loss
+    that only touches part of its subset.
     """
 
     def __init__(
@@ -106,18 +106,29 @@ class AdamW:
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
     def step(self) -> None:
+        """p <- p - lr * (mhat / (sqrt(vhat) + eps) + wd * p) for every
+        parameter with a gradient, evaluated in that order with in-place
+        temporaries."""
         self.t += 1
+        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for n, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[n] = self.b1 * self.m[n] + (1 - self.b1) * g
-            self.v[n] = self.b2 * self.v[n] + (1 - self.b2) * g * g
-            mhat = self.m[n] / (1 - self.b1**self.t)
-            vhat = self.v[n] / (1 - self.b2**self.t)
+            g, m, v = p.grad, self.m[n], self.v[n]
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * g * g
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd = m / c1
+            upd /= den
+            upd += self.wd * p.data
+            upd *= self.lr
             # rebind instead of mutating: backward closures alias the old
             # array, and stage-wise training re-differentiates older graphs
-            p.data = p.data - self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p.data)
+            p.data = p.data - upd
 
     def zero_grads(self) -> None:
         for p in self.params.values():

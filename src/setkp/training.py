@@ -208,11 +208,16 @@ def _pad_teacher_arrays(
     """Stack per-segment ``teacher_arrays`` into (B*N, T_max) arrays; the
     columns a segment lacks hold pad_id with weight 0."""
     T = max(prev.shape[1] for prev, _, _ in arrays)
+    R = sum(prev.shape[0] for prev, _, _ in arrays)
 
     def stack(i: int, fill) -> np.ndarray:
-        return np.concatenate(
-            [np.pad(a[i], ((0, 0), (0, T - a[i].shape[1])), constant_values=fill) for a in arrays]
-        )
+        out = np.full((R, T), fill, dtype=arrays[0][i].dtype)
+        r = 0
+        for a in arrays:
+            n, t = a[i].shape
+            out[r : r + n, :t] = a[i]
+            r += n
+        return out
 
     return stack(0, pad_id), stack(1, pad_id), stack(2, 0.0)
 

@@ -92,6 +92,71 @@ def test_matmul_rejects_vectors():
         ag.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+def test_matmul_flat_matches_per_entry_products():
+    # (B, T, k) @ (k, m) runs as one flattened GEMM; forward and the input
+    # gradient must match per-entry 2-D products
+    rng = np.random.default_rng(16)
+    a = _param(rng, (5, 3, 8))
+    b = _param(rng, (8, 6))
+    with Tape() as tape:
+        out = ag.matmul(a, b)
+        loss = _dot(out)
+    tape.backward(loss)
+    g = _readout(out.data.size).reshape(out.shape)
+    for i in range(5):
+        np.testing.assert_allclose(out.data[i], a.data[i] @ b.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad[i], g[i] @ b.data.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, sum(a.data[i].T @ g[i] for i in range(5)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 3, 3)])
+def test_linear_grad(shape):
+    rng = np.random.default_rng(17)
+    x = _param(rng, shape)
+    w = _param(rng, (3, 5))
+    b = _param(rng, (5,))
+    params = {"x": x, "w": w, "b": b}
+    assert grad_check(lambda: _dot(ag.linear(x, w, b)), params, n_coords=40) < 1e-6
+    # the bias gradient is the readout summed over every leading position
+    with Tape() as tape:
+        loss = _dot(ag.linear(x, w, b))
+    tape.backward(loss)
+    r = _readout(x.data.size // 3 * 5).reshape(-1, 5)
+    np.testing.assert_allclose(b.grad, r.sum(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ag.linear(x, w, b).data,
+                                  ag.add(ag.matmul(x, w), b).data)
+
+
+def test_linear_rejects_mismatched_bias():
+    with pytest.raises(ValueError):
+        ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+def test_gather_heads_grad_per_head_tables():
+    # repeated bucket ids accumulate, and each head's table gets only the
+    # gradient of its own output block
+    rng = np.random.default_rng(18)
+    tables = [_param(rng, (5,)) for _ in range(3)]
+    idx = np.array([[0, 1, 1], [4, 1, 0]])
+    out = ag.gather_heads(tables, idx)
+    assert out.shape == (3, 2, 3)
+    for h, t in enumerate(tables):
+        np.testing.assert_array_equal(out.data[h], t.data[idx])
+    params = {f"h{h}": t for h, t in enumerate(tables)}
+    assert grad_check(lambda: _dot(ag.softmax(ag.gather_heads(tables, idx))), params,
+                      n_coords=15) < 1e-6
+
+    with Tape() as tape:
+        loss = _dot(ag.gather_heads(tables, idx))
+    tape.backward(loss)
+    r = _readout(18).reshape(3, 2, 3)
+    for h, t in enumerate(tables):
+        expect = np.zeros(5)
+        np.add.at(expect, idx, r[h])
+        np.testing.assert_array_equal(t.grad, expect)
+        assert t.grad[1] != 0.0 and t.grad[2] == 0.0 and t.grad[3] == 0.0
+
+
 def test_reshape_grad():
     rng = np.random.default_rng(3)
     a = _param(rng, (3, 4))
@@ -147,33 +212,33 @@ def test_gather_sum_values_and_grad():
 
 
 def test_attention_grad_with_key_padding_mask():
-    # batch entries of lengths 4, 2 and 3 padded to 4, per-head (T, T)
-    # biases; queries and values past an entry's length are padding too
+    # batch entries of lengths 4, 2 and 3 padded to 4, one (H, T, T) head
+    # bias; queries and values past an entry's length are padding too
     rng = np.random.default_rng(15)
     q = _param(rng, (3, 4, 6))
     k = _param(rng, (3, 4, 6))
     v = _param(rng, (3, 4, 6))
-    biases = [_param(rng, (4, 4)) for _ in range(2)]
+    bias = _param(rng, (2, 4, 4))
     lengths = [4, 2, 3]
     mask = np.zeros((3, 1, 1, 4))
     for b, n in enumerate(lengths):
         mask[b, ..., n:] = -np.inf
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
-    params = {"q": q, "k": k, "v": v, "b0": biases[0], "b1": biases[1]}
+    params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=100) < 1e-5
 
     with Tape() as tape:
         loss = f()
     tape.backward(loss)
-    out = ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask)
+    out = ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
     for b, n in enumerate(lengths):
         assert not k.grad[b, n:].any() and not v.grad[b, n:].any()
         one = ag.multi_head_attention(
             Tensor(q.data[b, :n]), Tensor(k.data[b, :n]), Tensor(v.data[b, :n]),
-            [Tensor(x.data[:n, :n]) for x in biases], n_heads=2, inv_scale=0.5,
+            Tensor(bias.data[:, :n, :n]), n_heads=2, inv_scale=0.5,
         )
         np.testing.assert_allclose(out.data[b, :n], one.data, rtol=0, atol=1e-12)
 
@@ -208,31 +273,31 @@ def test_attention_grad_with_bias_and_mask():
     q = _param(rng, (3, 4))
     k = _param(rng, (5, 4))
     v = _param(rng, (5, 4))
-    biases = [_param(rng, (3, 5)) for _ in range(2)]
+    bias = _param(rng, (2, 3, 5))
     mask = np.zeros((3, 5))
     mask[0, 4] = -np.inf
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
-    params = {"q": q, "k": k, "v": v, "b0": biases[0], "b1": biases[1]}
+    params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=60) < 1e-5
 
 
 def test_batched_attention_grad_with_bias_and_causal_mask():
-    # (B, T, d) queries/keys/values, per-head (T, T) biases and a (T, T)
+    # (B, T, d) queries/keys/values, one (H, T, T) head bias and a (T, T)
     # causal mask broadcast over the batch axis
     rng = np.random.default_rng(11)
     q = _param(rng, (3, 4, 6))
     k = _param(rng, (3, 4, 6))
     v = _param(rng, (3, 4, 6))
-    biases = [_param(rng, (4, 4)) for _ in range(2)]
+    bias = _param(rng, (2, 4, 4))
     mask = np.triu(np.full((4, 4), -np.inf), k=1)
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
-    params = {"q": q, "k": k, "v": v, "b0": biases[0], "b1": biases[1]}
+    params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=80) < 1e-5
 
 
@@ -254,13 +319,39 @@ def test_batched_attention_matches_per_entry_loop():
     q = Tensor(rng.standard_normal((3, 4, 6)))
     k = Tensor(rng.standard_normal((3, 4, 6)))
     v = Tensor(rng.standard_normal((3, 4, 6)))
-    biases = [Tensor(rng.standard_normal((4, 4))) for _ in range(2)]
+    bias = Tensor(rng.standard_normal((2, 4, 4)))
     mask = np.triu(np.full((4, 4), -np.inf), k=1)
-    out = ag.multi_head_attention(q, k, v, biases, n_heads=2, inv_scale=0.5, mask=mask)
+    out = ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
     for b in range(3):
         one = ag.multi_head_attention(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b]),
-                                      biases, n_heads=2, inv_scale=0.5, mask=mask)
+                                      bias, n_heads=2, inv_scale=0.5, mask=mask)
         np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("masking", ["key_padding", "causal"])
+def test_attention_head_bias_matches_per_head_logits(masking):
+    # one (H, Tq, Tk) bias adds bias[h] to head h's logits, for every batch entry
+    rng = np.random.default_rng(19)
+    H, B, T, d = 2, 3, 4, 6
+    q, k, v = (Tensor(rng.standard_normal((B, T, d))) for _ in range(3))
+    bias = Tensor(rng.standard_normal((H, T, T)))
+    if masking == "causal":
+        mask = np.triu(np.full((T, T), -np.inf), k=1)
+    else:
+        mask = np.zeros((B, 1, 1, T))
+        mask[1, ..., 2:] = -np.inf
+    out = ag.multi_head_attention(q, k, v, bias, n_heads=H, inv_scale=0.5, mask=mask)
+    dh = d // H
+    full = np.broadcast_to(mask, (B, H, T, T))
+    for b in range(B):
+        for h in range(H):
+            cols = slice(h * dh, (h + 1) * dh)
+            logits = (q.data[b, :, cols] @ k.data[b, :, cols].T + bias.data[h]) * 0.5
+            logits = logits + full[b, h]
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            A = e / e.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(out.data[b, :, cols], A @ v.data[b, :, cols],
+                                       rtol=0, atol=1e-12)
 
 
 def test_matmul_batched_grad():
@@ -294,11 +385,11 @@ def test_attention_matches_manual_single_head():
     q = Tensor(rng.standard_normal((2, 3)))
     k = Tensor(rng.standard_normal((4, 3)))
     v = Tensor(rng.standard_normal((4, 3)))
-    bias = Tensor(rng.standard_normal((2, 4)))
+    bias = Tensor(rng.standard_normal((1, 2, 4)))
     inv_scale = 1.0 / np.sqrt(3.0)
-    out = ag.multi_head_attention(q, k, v, [bias], n_heads=1, inv_scale=inv_scale)
+    out = ag.multi_head_attention(q, k, v, bias, n_heads=1, inv_scale=inv_scale)
 
-    logits = (q.data @ k.data.T + bias.data) * inv_scale
+    logits = (q.data @ k.data.T + bias.data[0]) * inv_scale
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     A = e / e.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(out.data, A @ v.data, atol=1e-12)

@@ -73,6 +73,30 @@ def test_adamw_rebinds_rather_than_mutates():
     np.testing.assert_array_equal(old, np.array([1.0]))  # forward-time value intact
 
 
+def test_adamw_moments_update_in_place():
+    # two steps: the moment arrays stay the same objects, and the parameters
+    # equal the out-of-place formula bit for bit
+    rng = np.random.default_rng(3)
+    store = ParamStore()
+    p = store.create("w", rng.standard_normal((3, 4)))
+    opt = AdamW({"w": p}, lr=0.05)
+    m_obj, v_obj = opt.m["w"], opt.v["w"]
+    x, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    b1, b2 = opt.b1, opt.b2
+    for t in (1, 2):
+        g = rng.standard_normal((3, 4))
+        p.grad = g
+        opt.step()
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
+        x = x - opt.lr * (mhat / (np.sqrt(vhat) + opt.eps) + opt.wd * x)
+    assert opt.m["w"] is m_obj and opt.v["w"] is v_obj
+    np.testing.assert_array_equal(m_obj, m)
+    np.testing.assert_array_equal(v_obj, v)
+    np.testing.assert_array_equal(p.data, x)
+
+
 def test_adamw_skips_gradless_params():
     store = ParamStore()
     p = store.create("a", np.ones(2))

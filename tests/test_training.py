@@ -239,6 +239,28 @@ def test_teacher_arrays_weights_by_origin():
     assert w[1, 1] == pytest.approx(0.7)  # EOS row keeps the origin weight
 
 
+def test_pad_teacher_arrays_pads_each_segment_in_order():
+    # three segments of target lengths 3, 5 and 2, distinct values per cell
+    rng = np.random.default_rng(6)
+    pad = 1
+    arrays = [
+        (rng.integers(2, 50, (4, T)).astype(np.intp),
+         rng.integers(2, 50, (4, T)).astype(np.intp),
+         rng.random((4, T)) + 0.5)
+        for T in (3, 5, 2)
+    ]
+    prev, tgt, w = _pad_teacher_arrays(arrays, pad)
+    assert prev.shape == tgt.shape == w.shape == (12, 5)
+    assert prev.dtype == tgt.dtype == np.intp and w.dtype == np.float64
+    for b, (seg_prev, seg_tgt, seg_w) in enumerate(arrays):
+        rows, T = slice(4 * b, 4 * b + 4), seg_prev.shape[1]
+        np.testing.assert_array_equal(prev[rows, :T], seg_prev)
+        np.testing.assert_array_equal(tgt[rows, :T], seg_tgt)
+        np.testing.assert_array_equal(w[rows, :T], seg_w)
+        assert (prev[rows, T:] == pad).all() and (tgt[rows, T:] == pad).all()
+        assert (w[rows, T:] == 0.0).all()
+
+
 def test_teacher_arrays_order_permutes_targets():
     _, vocab, _, cfg = small_setup()
     tcfg = TsmtConfig(epochs=1, e1=1)
