@@ -97,9 +97,12 @@ def _parse_levels(raw: str | None) -> set[int] | None:
     if raw is None:
         return None
     try:
-        return {int(s) for s in raw.split(",") if s.strip()}
+        levels = {int(s) for s in raw.split(",") if s.strip()}
     except ValueError:
         raise ValueError(f"bad --levels value {raw!r}; expected e.g. 1,2")
+    if not levels or min(levels) < 1:
+        raise ValueError(f"--levels needs one or more levels of at least 1, got {raw!r}")
+    return levels
 
 
 def cmd_gen_corpus(args) -> int:

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from .corpus import MAX_SEGMENT_TOKENS
 from .model import ModelConfig
 from .training import TsmtConfig
 
@@ -27,7 +28,7 @@ _ModelAndTrainKeys = make_dataclass("_ModelAndTrainKeys", [
 class RunConfig(_ModelAndTrainKeys):
     n_docs: int = 64
     vocab_profile: str = "default"
-    max_segment_tokens: int = 32  # one synthetic claim sentence per segment
+    max_segment_tokens: int = MAX_SEGMENT_TOKENS
     min_freq: int = 1
 
     def __post_init__(self):

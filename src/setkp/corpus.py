@@ -13,12 +13,16 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 DIGIT_TOKEN = "[digit]"
 
 PAD, BOS, EOS, SEP, NULL, UNK = "[pad]", "[bos]", "[eos]", "[sep]", "[null]", "[unk]"
 SPECIALS = (PAD, BOS, EOS, SEP, NULL, UNK, DIGIT_TOKEN)
+
+# claims budget per segment; synthetic claim sentences are sized so that one
+# sentence fills one segment
+MAX_SEGMENT_TOKENS = 32
 
 # bracketed specials survive tokenization verbatim; digit runs collapse
 _TOKEN_RE = re.compile(r"\[(?:pad|bos|eos|sep|null|unk|digit)\]|\d+|[^\W\d_]+")
@@ -34,7 +38,7 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def _contains_run(haystack: list[str], needle: list[str]) -> bool:
+def _contains_run(haystack: Sequence[str], needle: Sequence[str]) -> bool:
     n = len(needle)
     if n == 0 or n > len(haystack):
         return False
@@ -106,7 +110,7 @@ class MultiLevelDocument:
         return KeyphraseSet(present=p_in + a_in, absent=a_out + p_out)
 
 
-def split_claims(claims: str, max_segment_tokens: int = 100) -> list[list[str]]:
+def split_claims(claims: str, max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> list[list[str]]:
     """Greedy packing of claim sentences into segments of bounded length.
 
     Sentences end at '.' or ';'. A sentence longer than the budget is
@@ -135,7 +139,7 @@ def split_claims(claims: str, max_segment_tokens: int = 100) -> list[list[str]]:
     return segments
 
 
-def build_segments(doc: MultiLevelDocument, max_segment_tokens: int = 100) -> None:
+def build_segments(doc: MultiLevelDocument, max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> None:
     segs = [DocumentSegment(level=1, tokens=tokenize(doc.title + " " + doc.abstract))]
     for toks in split_claims(doc.claims, max_segment_tokens):
         segs.append(DocumentSegment(level=len(segs) + 1, tokens=toks))
@@ -239,7 +243,8 @@ def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
-def load_jsonl(path: str | Path, max_segment_tokens: int = 100) -> list[MultiLevelDocument]:
+def load_jsonl(path: str | Path,
+               max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> list[MultiLevelDocument]:
     docs = []
     for lineno, rec in read_jsonl(path):
         if not isinstance(rec, dict):

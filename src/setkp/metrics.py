@@ -13,6 +13,8 @@ import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import _contains_run
+
 
 class _Porter:
     """Porter (1980) stemmer, steps 1a-5b, original suffix tables."""
@@ -297,19 +299,15 @@ def null_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
 
 def occurs_stemmed(phrase: list[str], source: list[str]) -> bool:
     """Contiguous containment of the stemmed phrase in the stemmed source."""
-    ps = list(stem_tokens(phrase))
-    ss = [porter_stem(t) for t in source]
-    n = len(ps)
-    if n == 0 or n > len(ss):
-        return False
-    return any(ss[i : i + n] == ps for i in range(len(ss) - n + 1))
+    return _contains_run(stem_tokens(source), stem_tokens(phrase))
 
 
 def split_by_source(preds: list[list[str]], source: list[str]) -> tuple[list[list[str]], list[list[str]]]:
     """Predictions into (present, absent) buckets by stemmed containment."""
+    stems = stem_tokens(source)
     present, absent = [], []
     for p in preds:
-        (present if occurs_stemmed(p, source) else absent).append(p)
+        (present if _contains_run(stems, stem_tokens(p)) else absent).append(p)
     return present, absent
 
 

@@ -8,8 +8,9 @@ mask and bucket table), and every slot attends freely over the encoder
 states. Slot inputs add a sinusoidal step embedding and a per-slot control
 row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
-same code specialize. ``Model.greedy_steps`` is the one greedy decode loop,
-one cached step per call on a DecodeCache of per-layer keys and values.
+same code specialize. ``decode_probs`` runs every pass on a DecodeCache of
+per-layer keys and values: teacher forcing is one pass from an empty cache,
+and ``Model.greedy_steps``, the one greedy decode loop, one step per call.
 
 Training runs a batch of B segments through the same code: ``encode`` pads
 them to (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the
@@ -161,10 +162,10 @@ class DecodeCache:
 
     ``steps`` counts the positions decoded so far. ``self_kv[i]`` holds
     decoder layer i's self-attention keys and values, each (R, steps, d)
-    for R slot rows;
-    ``cross_kv[i]`` holds the layer's projected encoder keys and values,
-    computed on the first call. A cache belongs to one decode loop: create
-    it there and drop it afterwards, never share it between threads.
+    for R slot rows; ``cross_kv[i]`` holds the layer's projected encoder
+    keys and values, computed on the first call. The teacher-forced pass
+    runs on an empty cache and drops it; otherwise a cache belongs to one
+    decode loop: create it there, never share it between threads.
     """
 
     steps: int = 0
@@ -182,6 +183,7 @@ class Model:
     def __init__(self, cfg: ModelConfig, store: ParamStore):
         self.cfg = cfg
         self.store = store
+        self._inv_scale = 1.0 / math.sqrt(cfg.d)
 
     @classmethod
     def fresh(cls, cfg: ModelConfig, seed: int) -> "Model":
@@ -189,45 +191,34 @@ class Model:
         init = Initializer(store, seed)
         d, V = cfg.d, cfg.vocab_size
 
-        init.embedding("enc.emb", (V, d))
-        for h in range(cfg.n_heads):
-            init.embedding(f"enc.rpe.h{h}", (cfg.rpe_buckets,))
-        for i in range(cfg.n_enc_layers):
-            p = f"enc.L{i}."
-            init.ones(p + "ln1.g", (d,)); init.zeros(p + "ln1.b", (d,))
-            for w in ("wq", "wk", "wv", "wo"):
-                init.projection(p + w, d, d)
-            init.ones(p + "ln2.g", (d,)); init.zeros(p + "ln2.b", (d,))
-            init.projection(p + "w1", d, cfg.ffn_width)
-            init.zeros(p + "b1", (cfg.ffn_width,))
-            init.projection(p + "w2", cfg.ffn_width, d)
-            init.zeros(p + "b2", (d,))
-        init.ones("enc.final.g", (d,)); init.zeros("enc.final.b", (d,))
+        def norm(name: str) -> None:
+            init.ones(name + ".g", (d,)); init.zeros(name + ".b", (d,))
 
-        init.projection("kwe.w", d, 3)
-        init.zeros("kwe.b", (3,))
+        def stack(name: str, tables: dict, n_layers: int, attentions: list, head: str, width: int):
+            """Tables, position biases, pre-LN layers, final norm, output head."""
+            for table, shape in tables.items():
+                init.embedding(f"{name}.{table}", shape)
+            for h in range(cfg.n_heads):
+                init.embedding(f"{name}.rpe.h{h}", (cfg.rpe_buckets,))
+            for i in range(n_layers):
+                p = f"{name}.L{i}."
+                for j, weights in enumerate(attentions, 1):
+                    norm(f"{p}ln{j}")
+                    for w in weights:
+                        init.projection(p + w, d, d)
+                norm(f"{p}ln{len(attentions) + 1}")
+                init.projection(p + "w1", d, cfg.ffn_width)
+                init.zeros(p + "b1", (cfg.ffn_width,))
+                init.projection(p + "w2", cfg.ffn_width, d)
+                init.zeros(p + "b2", (d,))
+            norm(f"{name}.final")
+            init.projection(head + ".w", d, width)
+            init.zeros(head + ".b", (width,))
 
-        init.embedding("dec.emb", (V, d))
-        init.embedding("dec.ctrl", (cfg.n_slots, d))
-        for h in range(cfg.n_heads):
-            init.embedding(f"dec.rpe.h{h}", (cfg.rpe_buckets,))
-        for i in range(cfg.n_dec_layers):
-            p = f"dec.L{i}."
-            init.ones(p + "ln1.g", (d,)); init.zeros(p + "ln1.b", (d,))
-            for w in ("wq", "wk", "wv", "wo"):
-                init.projection(p + w, d, d)
-            init.ones(p + "ln2.g", (d,)); init.zeros(p + "ln2.b", (d,))
-            for w in ("cq", "ck", "cv", "co"):
-                init.projection(p + w, d, d)
-            init.ones(p + "ln3.g", (d,)); init.zeros(p + "ln3.b", (d,))
-            init.projection(p + "w1", d, cfg.ffn_width)
-            init.zeros(p + "b1", (cfg.ffn_width,))
-            init.projection(p + "w2", cfg.ffn_width, d)
-            init.zeros(p + "b2", (d,))
-        init.ones("dec.final.g", (d,)); init.zeros("dec.final.b", (d,))
-
-        init.projection("kg.w", d, V)
-        init.zeros("kg.b", (V,))
+        self_att = ("wq", "wk", "wv", "wo")
+        stack("enc", {"emb": (V, d)}, cfg.n_enc_layers, [self_att], "kwe", 3)
+        stack("dec", {"emb": (V, d), "ctrl": (cfg.n_slots, d)}, cfg.n_dec_layers,
+              [self_att, ("cq", "ck", "cv", "co")], "kg", V)
         return cls(cfg, store)
 
     def encoder_params(self) -> dict[str, Tensor]:
@@ -244,6 +235,21 @@ class Model:
     def _ffn(self, x: Tensor, p: str) -> Tensor:
         h = ag.linear(x, self.store[p + "w1"], self.store[p + "b1"])
         return ag.linear(ag.relu(h), self.store[p + "w2"], self.store[p + "b2"])
+
+    def _self_attention(self, x: Tensor, prefix: str, bias: Tensor, mask: np.ndarray | None,
+                        past: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, tuple]:
+        """Pre-LN self-attention sublayer of layer ``prefix``. Returns x plus
+        the attention output, and the (keys, values) attended over: ``past``'s
+        earlier steps, if given, then x's own, joined off the tape."""
+        h = self._ln(x, prefix + "ln1")
+        q = ag.matmul(h, self.store[prefix + "wq"])
+        k = ag.matmul(h, self.store[prefix + "wk"])
+        v = ag.matmul(h, self.store[prefix + "wv"])
+        if past is not None:
+            k = Tensor(np.concatenate([past[0].data, k.data], axis=-2))
+            v = Tensor(np.concatenate([past[1].data, v.data], axis=-2))
+        att = ag.multi_head_attention(q, k, v, bias, self.cfg.n_heads, self._inv_scale, mask=mask)
+        return ag.add(x, ag.matmul(att, self.store[prefix + "wo"])), (k, v)
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
         """(S,) token ids -> (S, d) contextual states.
@@ -271,19 +277,11 @@ class Model:
             ids, mask = np.asarray(token_ids, dtype=np.intp), None
         buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
         bias = ag.gather_heads([self.store[f"enc.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
-        inv_scale = 1.0 / math.sqrt(cfg.d)
 
         x = ag.gather(self.store["enc.emb"], ids)
         for i in range(cfg.n_enc_layers):
             p = f"enc.L{i}."
-            h = self._ln(x, p + "ln1")
-            att = ag.multi_head_attention(
-                ag.matmul(h, self.store[p + "wq"]),
-                ag.matmul(h, self.store[p + "wk"]),
-                ag.matmul(h, self.store[p + "wv"]),
-                bias, cfg.n_heads, inv_scale, mask=mask,
-            )
-            x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
+            x, _ = self._self_attention(x, p, bias, mask)
             x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
         return self._ln(x, "enc.final")
 
@@ -328,15 +326,6 @@ class Model:
             rows = ag.add(rows, ag.gather_sum(self.store["dec.emb"], idx, mask))
         return rows
 
-    def _cross_kv(self, enc_states: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention keys and values, shaped like
-        the encoder states."""
-        return [
-            (ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
-             ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
-            for i in range(self.cfg.n_dec_layers)
-        ]
-
     def decode_probs(
         self,
         prev_ids: np.ndarray,
@@ -352,14 +341,15 @@ class Model:
         ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
         each segment's N*T queries attend only to its own states.
 
-        Without a cache this is the teacher-forced pass over steps 1..T; it
-        returns (R*T, vocab) next-token distributions, row r*T + t being
-        slot row r's distribution for step t+1. With a cache, prev_ids holds
-        only the T steps after the cache's ``steps`` earlier ones: their keys
-        and values are appended to the cache, and the (R*T, vocab) rows
-        returned cover the new steps only, equal to the matching rows of the
-        full pass up to float round-off. A cache is tape-free: passing one
-        while a Tape records raises RuntimeError.
+        prev_ids holds the T steps after the cache's ``steps`` earlier ones;
+        their keys and values are appended to the cache, and the result is
+        (R*T, vocab) next-token distributions, row r*T + t being slot row r's
+        distribution for step ``steps`` + t + 1. Without a cache the pass
+        runs on a fresh one: that is the teacher-forced pass over steps
+        1..T, which training records on the tape, and a cached step's rows
+        equal the matching rows of it up to float round-off. A caller's
+        cache is tape-free: passing one while a Tape records raises
+        RuntimeError.
         """
         cfg = self.cfg
         R, T = prev_ids.shape
@@ -367,60 +357,43 @@ class Model:
         if R != (B or 1) * cfg.n_slots:
             raise ValueError(f"{R} slot rows for {B or 1} segment(s) of {cfg.n_slots} slots")
         if cache is None:
-            t0, cross_kv = 0, self._cross_kv(enc_states)
-        else:
-            if ag.recording():
-                raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
-            if not cache.cross_kv:
-                cache.enc_states = enc_states
-                cache.cross_kv = self._cross_kv(enc_states)
-            elif cache.enc_states is not enc_states:
-                raise ValueError("a DecodeCache serves the encoder states it was filled from")
-            t0, cross_kv = cache.steps, cache.cross_kv
-        L = t0 + T
+            cache = DecodeCache()
+        elif ag.recording():
+            raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
+        if not cache.cross_kv:  # keys and values shaped like the encoder states
+            cache.enc_states = enc_states
+            cache.cross_kv = [(ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
+                               ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
+                              for i in range(cfg.n_dec_layers)]
+        elif cache.enc_states is not enc_states:
+            raise ValueError("a DecodeCache serves the encoder states it was filled from")
+        t0 = cache.steps
+        L = cache.steps = t0 + T
 
         x = ag.add(
             ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(L, cfg.d)[t0:])),
-            ag.gather(control, np.arange(R)[:, None]),
+            ag.reshape(control, (R, 1, cfg.d)),
         )
 
         # one new step's causal-mask row is all zeros: it sees every key
         mask = _causal_mask(L)[t0:] if T > 1 else None
         buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
         bias = ag.gather_heads([self.store[f"dec.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
-        inv_scale = 1.0 / math.sqrt(cfg.d)
 
         for i in range(cfg.n_dec_layers):
             p = f"dec.L{i}."
-            h = self._ln(x, p + "ln1")
-            k = ag.matmul(h, self.store[p + "wk"])
-            v = ag.matmul(h, self.store[p + "wv"])
-            if cache is not None:
-                if t0:
-                    pk, pv = cache.self_kv[i]
-                    k = Tensor(np.concatenate([pk.data, k.data], axis=1))
-                    v = Tensor(np.concatenate([pv.data, v.data], axis=1))
-                    cache.self_kv[i] = (k, v)
-                else:
-                    cache.self_kv.append((k, v))
-            att = ag.multi_head_attention(
-                ag.matmul(h, self.store[p + "wq"]), k, v,
-                bias, cfg.n_heads, inv_scale, mask=mask,
-            )
-            x = ag.add(x, ag.matmul(att, self.store[p + "wo"]))
-            h = self._ln(x, p + "ln2")
-            q = ag.matmul(h, self.store[p + "cq"])
+            x, kv = self._self_attention(x, p, bias, mask, cache.self_kv[i] if t0 else None)
+            cache.self_kv[i:i + 1] = [kv]  # replaces layer i's entry; appends it from empty
+            q = ag.matmul(self._ln(x, p + "ln2"), self.store[p + "cq"])
             if B is not None:  # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries
                 q = ag.reshape(q, (B, -1, cfg.d))
             catt = ag.multi_head_attention(
-                q, *cross_kv[i], None, cfg.n_heads, inv_scale, mask=enc_mask,
+                q, *cache.cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
             )
             if B is not None:
                 catt = ag.reshape(catt, (R, T, cfg.d))
             x = ag.add(x, ag.matmul(catt, self.store[p + "co"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
-        if cache is not None:
-            cache.steps = L
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])
         return ag.softmax(logits, axis=-1)

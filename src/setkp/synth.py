@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from .corpus import MultiLevelDocument, _contains_run, build_segments, tokenize
 
-MAX_SEGMENT_TOKENS = 32  # claim sentences are sized so one sentence = one segment
-
 
 @dataclass(frozen=True)
 class Topic:
@@ -142,7 +140,7 @@ def _gen_doc(rng: random.Random, topics, idx: int) -> MultiLevelDocument:
         absent_keyphrases=[" ".join(a) for a in absents],
         label=topic.key,
     )
-    build_segments(doc, MAX_SEGMENT_TOKENS)
+    build_segments(doc)
 
     all_toks = doc.all_tokens()
     for i, p in enumerate(phrases):

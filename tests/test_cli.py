@@ -166,6 +166,16 @@ def test_bad_levels_flag_fails(tmp_path, pipeline, capsys):
     assert "expected e.g. 1,2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [",", "", "0,9", "-1"])
+def test_levels_flag_rejects_empty_or_non_positive_levels(tmp_path, pipeline, capsys, value):
+    out = tmp_path / "a.csv"
+    rc = main(["analyze", "--config", str(pipeline["cfg"]), "--portraits", str(pipeline["portraits"]),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out), "--levels", value])
+    assert rc == 1
+    assert f"--levels needs one or more levels of at least 1, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_fails(tmp_path, pipeline, capsys):
     rc = main(["generate", "--ckpt", str(tmp_path / "absent.ckpt"),
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "p.jsonl")])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkp import corpus
+from setkp.config import RunConfig
 from setkp.corpus import (
     DIGIT_TOKEN,
     SPECIALS,
@@ -256,6 +257,15 @@ def test_jsonl_roundtrip(tmp_path):
         assert a.absent_keyphrases == b.absent_keyphrases
         assert a.label == b.label
         assert [s.tokens for s in a.segments] == [s.tokens for s in b.segments]
+
+
+def test_load_jsonl_defaults_to_the_pipeline_segment_budget(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_jsonl(path, synth_corpus(11, 6))
+    cli_docs = load_jsonl(path, RunConfig().max_segment_tokens)  # what `setkp train` loads
+    assert any(len(d.segments) > 2 for d in cli_docs)
+    assert ([[s.tokens for s in d.segments] for d in load_jsonl(path)]
+            == [[s.tokens for s in d.segments] for d in cli_docs])
 
 
 def test_jsonl_claims_list_accepted(tmp_path):

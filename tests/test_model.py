@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -404,6 +405,33 @@ def test_decode_grads_flow_to_decoder_params():
     for name in ("dec.ctrl", "dec.emb", "kg.w", "enc.emb"):
         g = model.store[name].grad
         assert g is not None and np.isfinite(g).all()
+
+
+_ENC_LAYER = ["ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b", "w1", "b1", "w2", "b2"]
+_DEC_LAYER = ["ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b",
+              "cq", "ck", "cv", "co", "ln3.g", "ln3.b", "w1", "b1", "w2", "b2"]
+
+
+def test_fresh_init_order_and_values_are_pinned():
+    """Every seeded run and checkpoint depends on the order in which
+    ``Model.fresh`` draws its parameters; this pins names, shapes and values."""
+    cfg = ModelConfig(vocab_size=12, d=8, n_heads=2, n_enc_layers=2, n_dec_layers=2,
+                      n_slots=4, n_control_keywords=1, ffn_width=12, rpe_buckets=6)
+    store = Model.fresh(cfg, seed=7).store
+    assert store.names() == [
+        "enc.emb", "enc.rpe.h0", "enc.rpe.h1",
+        *[f"enc.L{i}.{n}" for i in range(2) for n in _ENC_LAYER],
+        "enc.final.g", "enc.final.b", "kwe.w", "kwe.b",
+        "dec.emb", "dec.ctrl", "dec.rpe.h0", "dec.rpe.h1",
+        *[f"dec.L{i}.{n}" for i in range(2) for n in _DEC_LAYER],
+        "dec.final.g", "dec.final.b", "kg.w", "kg.b",
+    ]
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(name.encode())
+        h.update(repr(t.shape).encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == "877c23c97c36dd84f20590cf1a7bfbcb23d55f8e6e161556ef8653f39cfcdaef"
 
 
 def test_param_split_covers_store():

@@ -13,8 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, summary", [
     ("overfit_curve.py", ["--n-docs", "4", "--epochs", "2", "--e1", "1", "--every", "1"],
      "final presentF1="),
-    ("ablation_sweep.py", ["--seeds", "1", "--n-docs", "4", "--epochs", "2", "--e1", "1"],
-     "padding lowers nulls on "),
 ])
 def test_script_runs(script, args, summary):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
