@@ -79,16 +79,32 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tls.tape = None
 
-    def backward(self, loss: Tensor, wrt: Iterable[Tensor] | None = None) -> None:
+    def backward(
+        self,
+        loss: Tensor,
+        wrt: Iterable[Tensor] | None = None,
+        seeds: Iterable[tuple[Tensor, np.ndarray]] = (),
+    ) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
 
         loss must be a scalar recorded on this tape. Grads of all tensors
         touched by the tape are reset first, so repeated backward calls over
-        one tape never mix. With ``wrt``, only nodes on a path from one of
-        those leaves to the loss are replayed, and only tensors on such a
-        path (the leaves included) receive a gradient; every other .grad
-        stays None. The leaves' gradients are bit-identical to a full pass,
-        since every pruned contribution ends off those paths.
+        one tape never mix.
+
+        ``seeds`` are extra (tensor, cotangent) pairs, each cotangent shaped
+        like its tensor: the pass then differentiates loss + sum_i <c_i, t_i>,
+        a vector-Jacobian product. A seed starts its tensor's gradient before
+        any node adds to it, so a tensor whose downstream graph is gone can
+        still pass on a gradient taken earlier.
+
+        With ``wrt``, only nodes with a parent on a path from one of those
+        tensors to the loss are replayed, and only tensors on such a path
+        (the named ones included) receive a gradient; every other .grad
+        stays None. A named tensor may be an intermediate: it gets its own
+        exact gradient, and nothing upstream of it is replayed unless another
+        named tensor lies there. The named tensors' gradients are
+        bit-identical to a full pass, since every pruned contribution ends
+        off those paths.
         """
         if loss.data.shape != ():
             raise ValueError("backward expects a scalar loss")
@@ -96,10 +112,15 @@ class Tape:
             out.grad = None
             for p in parents:
                 p.grad = None
-        live = None if wrt is None else self._downstream(wrt)
+        live, replay = (None, None) if wrt is None else self._downstream(wrt)
         loss.grad = np.ones((), dtype=np.float64)
+        for t, c in seeds:
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape != t.data.shape:
+                raise ValueError(f"seed of shape {c.shape} for a tensor of shape {t.data.shape}")
+            t.grad = c.copy() if t.grad is None else t.grad + c
         for out, parents, back in reversed(self.nodes):
-            if out.grad is None or (live is not None and id(out) not in live):
+            if out.grad is None or (replay is not None and id(out) not in replay):
                 continue
             gs = back(out.grad)
             for p, g in zip(parents, gs):
@@ -112,15 +133,19 @@ class Tape:
                 else:
                     p.grad += g
 
-    def _downstream(self, leaves: Iterable[Tensor]) -> set[int]:
-        """ids of the leaves and of every recorded output that depends on one."""
-        live = {id(t) for t in leaves}
+    def _downstream(self, wrt: Iterable[Tensor]) -> tuple[set[int], set[int]]:
+        """ids of the named tensors and of every recorded output that depends
+        on one (the tensors that may receive a gradient), and ids of the
+        outputs whose node has such a parent (the nodes to replay)."""
+        live = {id(t) for t in wrt}
+        replay = set()
         for out, parents, _ in self.nodes:
             for p in parents:
                 if id(p) in live:
                     live.add(id(out))
+                    replay.add(id(out))
                     break
-        return live
+        return live, replay
 
 
 def recording() -> bool:

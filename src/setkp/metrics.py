@@ -297,11 +297,6 @@ def null_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
     return sum(1 for _, is_null in slot_outputs if is_null) / len(slot_outputs)
 
 
-def occurs_stemmed(phrase: list[str], source: list[str]) -> bool:
-    """Contiguous containment of the stemmed phrase in the stemmed source."""
-    return _contains_run(stem_tokens(source), stem_tokens(phrase))
-
-
 def split_by_source(preds: list[list[str]], source: list[str]) -> tuple[list[list[str]], list[list[str]]]:
     """Predictions into (present, absent) buckets by stemmed containment."""
     stems = stem_tokens(source)

@@ -121,19 +121,28 @@ def dope_rpe_bucket(u: int, v: int, n_buckets: int, max_distance: int,
     return base + val
 
 
-@functools.lru_cache(maxsize=None)
-def _buckets(n: int, n_buckets: int, max_distance: int, bidirectional: bool) -> np.ndarray:
-    """(n, n) bucket ids of position u seen from position t.
+_BUCKET_TABLES: dict[tuple[int, int, bool], np.ndarray] = {}
 
-    A bucket depends only on the offset u - t, so the table indexes one
-    per-offset lookup of 2n - 1 entries by t - u.
+
+def _buckets(n: int, n_buckets: int, max_distance: int, bidirectional: bool) -> np.ndarray:
+    """(n, n) bucket ids of position u seen from position t, read-only.
+
+    A bucket depends only on the offset u - t, so one table per setting,
+    grown to the largest n asked for, serves every smaller n as its
+    leading (n, n) block; it indexes one per-offset lookup by t - u.
     """
-    by_offset = np.array(
-        [dope_rpe_bucket(j, 0, n_buckets, max_distance, bidirectional) for j in range(1 - n, n)],
-        dtype=np.intp,
-    )
-    pos = np.arange(n)
-    return by_offset[np.subtract.outer(pos, pos) + n - 1]
+    key = (n_buckets, max_distance, bidirectional)
+    table = _BUCKET_TABLES.get(key)
+    if table is None or table.shape[0] < n:
+        by_offset = np.array(
+            [dope_rpe_bucket(j, 0, n_buckets, max_distance, bidirectional) for j in range(1 - n, n)],
+            dtype=np.intp,
+        )
+        pos = np.arange(n)
+        table = by_offset[np.subtract.outer(pos, pos) + n - 1]
+        table.flags.writeable = False
+        _BUCKET_TABLES[key] = table
+    return table[:n, :n]
 
 
 def padding_mask(lengths: Sequence[int]) -> np.ndarray | None:

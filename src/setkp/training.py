@@ -7,9 +7,11 @@ update decoder + generation head) with the encoder frozen; then one encoder
 update on the extraction loss, plus the averaged inner generation losses
 when rounds ran, with the decoder frozen. Stage 1 (epochs <= e1) thus fits
 the encoder and tagging head on extraction alone and never moves the
-decoder. Inner losses stay on the tape across rounds, so the encoder step
-differentiates straight through them; each backward pass walks only the
-part of the tape that leads to the parameters it updates.
+decoder. An inner loss reaches the encoder only through the encoder states,
+so each round's decoder backward also takes that loss's gradient at the
+states and then drops the round's graph; the encoder step seeds the states
+with those gradients instead of replaying the decoder. Each backward pass
+walks only the part of the tape that leads to what it differentiates.
 
 The batch is one leading axis through the whole step: one padded encode,
 one control-row gather, one free-running decode for assignment and one
@@ -238,7 +240,9 @@ def _mean_losses(losses: list[Tensor], weight: float = 1.0) -> Tensor:
 
 
 def loss_encoder_stage3(l1: Tensor, inner_losses: list[Tensor], lambda_g: float) -> Tensor:
-    """l1 + lambda_g * mean(inner generation losses), kept on-graph."""
+    """l1 + lambda_g * mean(inner generation losses), kept on-graph: the
+    reference form of the encoder step's loss, whose gradient
+    ``_train_batch`` takes without building it."""
     return ag.add(l1, _mean_losses(inner_losses, lambda_g))
 
 
@@ -345,6 +349,78 @@ def control_ids_for(
     return per_group + list(per_group)
 
 
+def _train_batch(
+    model: Model,
+    batch: list[SegmentExample],
+    joint: bool,
+    tcfg: TsmtConfig,
+    vocab: Vocabulary,
+    enc_opt: AdamW,
+    dec_opt: AdamW,
+) -> tuple[float, list[float], float]:
+    """One batch of the schedule: the inner decoder rounds when ``joint``,
+    then the encoder step. Returns the extraction loss, the inner
+    generation losses (none in stage 1) and the encoder step's loss,
+    l1 + lambda_g * mean(inner).
+
+    An inner loss reaches the encoder only through the states, so each
+    round's backward also takes its loss's gradient at the states, and the
+    round then drops its nodes from the tape. The encoder step seeds the
+    states with lambda_g times the mean of those gradients and walks only
+    the encoder and the tag head.
+    """
+    cfg = model.cfg
+    enc_mask = padding_mask([len(ex.ids) for ex in batch])
+    inner: list[float] = []
+    seeds = []
+    with Tape() as tape:
+        states = model.encode([ex.ids for ex in batch])
+        tag_probs = model.kwe_probs(states)
+        if joint:
+            targets, control_ids = [], []
+            for ex, seg_tags in zip(batch, tag_probs.data):
+                spans = model.predict_keywords(seg_tags[: len(ex.ids)], ex.tokens)
+                targets.append(
+                    kwp_build_targets(ex.kps, spans, cfg.n_slots, vocab, tcfg.use_keyword_padding)
+                )
+                control_ids += control_ids_for(spans, cfg, vocab)
+            control = model.control_rows(control_ids)
+            wrt = list(dec_opt.params.values()) + [states]
+            mark = len(tape.nodes)
+            d_states = 0.0
+            for _ in range(tcfg.e2):
+                dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
+                arrays = []
+                for b, tl in enumerate(targets):
+                    order = assign_groups(
+                        dists[:, b * cfg.n_slots : (b + 1) * cfg.n_slots],
+                        [e.ids for e in tl.present],
+                        [e.ids for e in tl.absent],
+                        vocab.null_id,
+                    )
+                    arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
+                prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+                probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
+                lg = loss_kg(probs, tgt, w / len(batch))
+                tape.backward(lg, wrt=wrt)
+                del tape.nodes[mark:]  # nothing reads this round's graph again
+                _check_finite(lg.item(), "generation loss")
+                dec_opt.step()
+                model.store.zero_grads()
+                d_states = d_states + states.grad
+                inner.append(lg.item())
+            seeds = [(states, d_states * (tcfg.lambda_g / tcfg.e2))]
+        labels = [ex.labels for ex in batch]
+        l1 = loss_kwe(tag_probs, labels, kwe_class_weights(labels))
+        tape.backward(l1, wrt=enc_opt.params.values(), seeds=seeds)
+    # the sums loss_encoder_stage3 makes, in its order
+    loss = l1.item() + sum(inner) * (tcfg.lambda_g / tcfg.e2) if joint else l1.item()
+    _check_finite(loss, "stage-3 loss" if joint else "extraction loss")
+    enc_opt.step()
+    model.store.zero_grads()
+    return l1.item(), inner, loss
+
+
 def tsmt_train(
     model: Model,
     docs: list[MultiLevelDocument],
@@ -355,6 +431,10 @@ def tsmt_train(
 ) -> TrainReport:
     """Run the staged schedule; returns the per-epoch report.
 
+    Each batch runs ``_train_batch``, whose encoder step moves the
+    parameters as differentiating ``loss_encoder_stage3`` over the whole
+    joint graph would, up to float summation order.
+
     probe_fn, when given, is called as probe_fn(model) after each epoch and
     must return (pct_null, duplication) floats for the report.
     """
@@ -363,7 +443,6 @@ def tsmt_train(
     _check_examples(examples, cfg.max_encode_len)
     enc_opt = AdamW(model.encoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     dec_opt = AdamW(model.decoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
-    enc_leaves, dec_leaves = list(enc_opt.params.values()), list(dec_opt.params.values())
     report = TrainReport()
     order_rng = random.Random(tcfg.seed)
 
@@ -372,52 +451,10 @@ def tsmt_train(
         joint = epoch > tcfg.e1
         kwe_vals, kg_vals, l2_vals = [], [], []
         for batch in _batches(examples, tcfg.batch_size):
-            weights = kwe_class_weights([ex.labels for ex in batch])
-            enc_mask = padding_mask([len(ex.ids) for ex in batch])
-            with Tape() as tape:
-                states = model.encode([ex.ids for ex in batch])
-                inner: list[Tensor] = []
-                if joint:
-                    with no_grad():
-                        tag_probs = model.kwe_probs(states).data
-                    targets, control_ids = [], []
-                    for ex, seg_tags in zip(batch, tag_probs):
-                        spans = model.predict_keywords(seg_tags[: len(ex.ids)], ex.tokens)
-                        targets.append(
-                            kwp_build_targets(ex.kps, spans, cfg.n_slots, vocab, tcfg.use_keyword_padding)
-                        )
-                        control_ids += control_ids_for(spans, cfg, vocab)
-                    control = model.control_rows(control_ids)
-                    for _ in range(tcfg.e2):
-                        dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id,
-                                               enc_mask)
-                        arrays = []
-                        for b, tl in enumerate(targets):
-                            order = assign_groups(
-                                dists[:, b * cfg.n_slots : (b + 1) * cfg.n_slots],
-                                [e.ids for e in tl.present],
-                                [e.ids for e in tl.absent],
-                                vocab.null_id,
-                            )
-                            arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
-                        prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
-                        probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
-                        lg = loss_kg(probs, tgt, w / len(batch))
-                        tape.backward(lg, wrt=dec_leaves)
-                        _check_finite(lg.item(), "generation loss")
-                        dec_opt.step()
-                        model.store.zero_grads()
-                        inner.append(lg)
-                        kg_vals.append(lg.item())
-
-                l1 = loss_kwe(model.kwe_probs(states), [ex.labels for ex in batch], weights)
-                loss = loss_encoder_stage3(l1, inner, tcfg.lambda_g) if joint else l1
-                tape.backward(loss, wrt=enc_leaves)
-            _check_finite(loss.item(), "stage-3 loss" if joint else "extraction loss")
-            enc_opt.step()
-            model.store.zero_grads()
-            kwe_vals.append(l1.item())
-            l2_vals.append(loss.item())
+            l1, inner, loss = _train_batch(model, batch, joint, tcfg, vocab, enc_opt, dec_opt)
+            kwe_vals.append(l1)
+            kg_vals += inner
+            l2_vals.append(loss)
         kg, l2 = (float(np.mean(kg_vals)), float(np.mean(l2_vals))) if joint else (None, None)
         row = EpochRow(epoch, "stage23" if joint else "stage1", float(np.mean(kwe_vals)), kg, l2, None, None)
 

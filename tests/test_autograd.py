@@ -502,6 +502,78 @@ def test_backward_uses_values_from_op_time():
         assert x.grad[0, 0] == pytest.approx(5.0)
 
 
+def test_seeded_backward_matches_finite_differences():
+    # backward(loss, seeds=[(t, c), ...]) differentiates loss + sum <c, t>;
+    # z is not on the loss's path at all, so only its seed reaches w2
+    rng = np.random.default_rng(5)
+    x, w, w2 = _param(rng, (3, 4)), _param(rng, (4, 4)), _param(rng, (4, 2))
+    gain, bias = _param(rng, (4,)), _param(rng, (4,))
+    c_h, c_z = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
+    params = {"x": x, "w": w, "w2": w2, "gain": gain, "bias": bias}
+
+    def forward():
+        h = ag.layer_norm(ag.matmul(x, w), gain, bias)
+        return _dot(ag.softmax(h)), h, ag.matmul(x, w2)
+
+    def value() -> float:
+        loss, h, z = forward()
+        return loss.item() + float(np.sum(c_h * h.data)) + float(np.sum(c_z * z.data))
+
+    with Tape() as tape:
+        loss, h, z = forward()
+    tape.backward(loss, seeds=[(h, c_h), (z, c_z)])
+    grads = {n: p.grad.copy() for n, p in params.items()}
+    tape.backward(loss, wrt=[w2, gain], seeds=[(h, c_h), (z, c_z)])
+    np.testing.assert_array_equal(w2.grad, grads["w2"])
+    np.testing.assert_array_equal(gain.grad, grads["gain"])
+    assert x.grad is None and w.grad is None and bias.grad is None
+
+    step = 1e-6
+    for name, p in params.items():
+        for flat in range(p.data.size):
+            base = p.data.flat[flat]
+            p.data.flat[flat] = base + step
+            hi = value()
+            p.data.flat[flat] = base - step
+            lo = value()
+            p.data.flat[flat] = base
+            numeric = (hi - lo) / (2.0 * step)
+            assert grads[name].flat[flat] == pytest.approx(numeric, rel=1e-6, abs=1e-8), (name, flat)
+
+
+def test_seed_shape_must_match_its_tensor():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        h = ag.scale(x, 2.0)
+        loss = _dot(h)
+    with pytest.raises(ValueError):
+        tape.backward(loss, seeds=[(h, np.ones(3))])
+
+
+def test_backward_wrt_intermediate_gives_its_exact_gradient():
+    rng = np.random.default_rng(6)
+    x, w = _param(rng, (3, 4)), _param(rng, (4, 4))
+    with Tape() as tape:
+        h = ag.matmul(x, w)  # the intermediate; its node is tape.nodes[0]
+        loss = ag.add(_dot(ag.softmax(h)), _dot(ag.relu(h)))  # h fans out
+    producer = [0]  # counts replays of h's node
+    out, parents, back = tape.nodes[0]
+
+    def counted(g):
+        producer[0] += 1
+        return back(g)
+
+    tape.nodes[0] = (out, parents, counted)
+    tape.backward(loss)
+    full = h.grad.copy()
+    assert producer == [1] and x.grad is not None and w.grad is not None
+
+    tape.backward(loss, wrt=[h])
+    np.testing.assert_array_equal(h.grad, full)
+    assert x.grad is None and w.grad is None
+    assert producer == [1]  # nothing upstream of h was replayed
+
+
 # ------------------------------------------------------------- properties
 
 

@@ -19,7 +19,6 @@ from setkp.metrics import (
     map_at_k,
     ndcg_at_k,
     null_ratio,
-    occurs_stemmed,
     porter_stem,
     score_record,
     split_by_source,
@@ -314,11 +313,12 @@ def test_null_ratio_quarter():
 # ------------------------------------------------------------ source bucketing
 
 
-def test_occurs_stemmed_contiguous_only():
+def test_split_by_source_stemmed_contiguous_only():
     source = "the polymer coating cures fast".split()
-    assert occurs_stemmed(["polymer", "coatings"], source)
-    assert not occurs_stemmed(["polymer", "cures"], source)  # not adjacent
-    assert not occurs_stemmed([], source)
+    preds = [["polymer", "coatings"], ["polymer", "cures"], []]
+    present, absent = split_by_source(preds, source)
+    assert present == [["polymer", "coatings"]]  # stems match
+    assert absent == [["polymer", "cures"], []]  # not adjacent; empty is never present
 
 
 def test_split_by_source_partition():

@@ -12,6 +12,7 @@ from setkp.model import (
     DecodeCache,
     Model,
     ModelConfig,
+    _BUCKET_TABLES,
     _ape_rows,
     _buckets,
     ape_vector,
@@ -132,6 +133,21 @@ def test_bucket_table_matches_per_pair_buckets(bidirectional):
         got = _buckets(n, 32, 128, bidirectional)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_bucket_tables_bounded_and_sliced_in_any_order(bidirectional):
+    # a setting no other test uses, so this test sees its table grow
+    key = (12, 40, bidirectional)
+    sizes = [5, 64, *range(1, 64), 64]
+    for n in sizes:
+        by_offset = [dope_rpe_bucket(j, 0, *key) for j in range(1 - n, n)]
+        pos = np.arange(n)
+        want = np.array(by_offset)[np.subtract.outer(pos, pos) + n - 1]
+        got = _buckets(n, *key)
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == (n, n) and not got.flags.writeable
+    assert _BUCKET_TABLES[key].shape == (64, 64)  # one table, the largest n asked for
 
 
 # ------------------------------------------------------------------ encoder

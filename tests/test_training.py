@@ -5,9 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from setkp.autograd import Tensor
+from setkp import autograd as ag
+from setkp.assignment import assign_groups, k_step_predict
+from setkp.autograd import Tape, Tensor
 from setkp.corpus import NULL, KeyphraseSet, KeywordSpan, Vocabulary
-from setkp.model import Model, ModelConfig
+from setkp.model import Model, ModelConfig, padding_mask
+from setkp.params import AdamW
 from setkp.synth import synth_corpus
 from setkp.training import (
     ORIGIN_GT,
@@ -16,6 +19,7 @@ from setkp.training import (
     TrainingDiverged,
     TsmtConfig,
     _pad_teacher_arrays,
+    _train_batch,
     build_examples,
     control_ids_for,
     kwe_class_weights,
@@ -405,3 +409,118 @@ def test_small_overfit_reduces_losses():
     assert kwe_last < kwe_first
     kg = [r.loss_kg for r in report.rows if r.loss_kg is not None]
     assert kg[-1] < kg[0]
+
+
+def test_encoder_step_replays_no_decoder_node(monkeypatch):
+    # every node decode_probs records counts its backward calls by the kind
+    # of pass replaying it; the encoder step must neither replay nor hold one
+    model, vocab, docs, _ = small_setup()
+    enc_ids = {id(p) for p in model.encoder_params().values()}
+    phase = [None]
+    replays = Counter()
+    held = []
+    decode, backward = Model.decode_probs, Tape.backward
+
+    def counted(back):
+        def run(g):
+            replays[phase[0]] += 1
+            return back(g)
+        run.from_decoder = True
+        return run
+
+    def recording_decode(self, *args, **kwargs):
+        tape = ag._active_tape()  # None for the tape-free assignment decode
+        start = len(tape.nodes) if tape else 0
+        out = decode(self, *args, **kwargs)
+        if tape:
+            for i in range(start, len(tape.nodes)):
+                o, parents, back = tape.nodes[i]
+                tape.nodes[i] = (o, parents, counted(back))
+        return out
+
+    def recording_backward(self, loss, wrt=None, **kwargs):
+        wrt = list(wrt)
+        phase[0] = "encoder" if any(id(t) in enc_ids for t in wrt) else "decoder"
+        if phase[0] == "encoder":
+            held.append(sum(hasattr(back, "from_decoder") for _, _, back in self.nodes))
+        return backward(self, loss, wrt, **kwargs)
+
+    monkeypatch.setattr(Model, "decode_probs", recording_decode)
+    monkeypatch.setattr(Tape, "backward", recording_backward)
+    tsmt_train(model, docs, TsmtConfig(epochs=2, e1=1, e2=2, batch_size=4, probe_docs=0), vocab)
+    assert replays["decoder"] > 0
+    assert replays["encoder"] == 0
+    assert held and set(held) == {0}
+
+
+def test_batch_gradients_match_the_full_tape_formulation(monkeypatch):
+    # one joint batch: every decoder step and the encoder step get the
+    # gradients that differentiating loss_encoder_stage3 on one tape gives
+    docs = synth_corpus(0, 2)
+    vocab = Vocabulary.build(docs)
+    cfg = ModelConfig(vocab_size=len(vocab), d=16, n_heads=2, n_slots=4, n_control_keywords=1,
+                      ffn_width=32)
+    tcfg = TsmtConfig(epochs=2, e1=1, e2=3, batch_size=4, probe_docs=0)
+    batch = build_examples(docs, vocab)[:4]
+    assert len({len(ex.ids) for ex in batch}) > 1  # a padded batch
+
+    step = AdamW.step
+    grads: list[dict[str, np.ndarray]] = []
+
+    def recording_step(self):
+        grads.append({n: p.grad.copy() for n, p in self.params.items() if p.grad is not None})
+        step(self)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+
+    def optimizers(model):
+        return (AdamW(model.encoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay),
+                AdamW(model.decoder_params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay))
+
+    model = Model.fresh(cfg, seed=1)
+    l1, inner, loss = _train_batch(model, batch, True, tcfg, vocab, *optimizers(model))
+    got, grads = grads, []
+
+    # the reference: every round stays on one tape, and the encoder step
+    # differentiates l1 + lambda_g * mean(inner) through all of them
+    model = Model.fresh(cfg, seed=1)
+    enc_opt, dec_opt = optimizers(model)
+    N, enc_mask = cfg.n_slots, padding_mask([len(ex.ids) for ex in batch])
+    with Tape() as tape:
+        states = model.encode([ex.ids for ex in batch])
+        tag_probs = model.kwe_probs(states)
+        targets, control_ids = [], []
+        for ex, tags in zip(batch, tag_probs.data):
+            spans = model.predict_keywords(tags[: len(ex.ids)], ex.tokens)
+            targets.append(kwp_build_targets(ex.kps, spans, N, vocab))
+            control_ids += control_ids_for(spans, cfg, vocab)
+        control = model.control_rows(control_ids)
+        ref_inner = []
+        for _ in range(tcfg.e2):
+            dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
+            arrays = []
+            for b, tl in enumerate(targets):
+                order = assign_groups(dists[:, b * N : (b + 1) * N], [e.ids for e in tl.present],
+                                      [e.ids for e in tl.absent], vocab.null_id)
+                arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
+            prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+            probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
+            lg = loss_kg(probs, tgt, w / len(batch))
+            tape.backward(lg)
+            dec_opt.step()
+            model.store.zero_grads()
+            ref_inner.append(lg)
+        labels = [ex.labels for ex in batch]
+        ref_l1 = loss_kwe(tag_probs, labels, kwe_class_weights(labels))
+        ref_loss = loss_encoder_stage3(ref_l1, ref_inner, tcfg.lambda_g)
+        tape.backward(ref_loss)
+    enc_opt.step()
+
+    # the reported losses are the same floats; the gradients agree to round-off
+    assert (l1, inner, loss) == (ref_l1.item(), [t.item() for t in ref_inner], ref_loss.item())
+    assert len(got) == len(grads) == tcfg.e2 + 1
+    for mine, ref in zip(got, grads):
+        assert mine.keys() == ref.keys()
+        for name in ref:
+            np.testing.assert_allclose(mine[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+    assert "enc.emb" in got[-1] and "kwe.w" in got[-1]
