@@ -8,7 +8,7 @@ import argparse
 import time
 
 from setkp import inference, metrics
-from setkp.cli import _eval_record, _generate_doc
+from setkp.cli import _eval_record, prediction_rows
 from setkp.corpus import Vocabulary
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
@@ -17,7 +17,8 @@ from setkp.training import TsmtConfig, tsmt_train
 
 def scores(model, vocab, docs) -> str:
     """Training-set macro F1@M and slot ratios, scored as `setkp eval` scores."""
-    _, m = metrics.evaluate([_eval_record(d, _generate_doc(model, vocab, d)) for d in docs])
+    rows = prediction_rows(model, vocab, docs)
+    _, m = metrics.evaluate([_eval_record(d, row) for d, row in zip(docs, rows)])
     return (f"presentF1={m['present_f1@M']:.3f} absentF1={m['absent_f1@M']:.3f}  "
             f"null={m['null_ratio']:.2f} dup={m['duplication']:.2f}")
 
@@ -55,8 +56,8 @@ def main():
     d = docs[0]
     present, absent = d.keyphrase_tokens()
     print(f"\n{d.doc_id}: present={present} absent={absent}")
-    for seg in d.segments:
-        slots, _ = inference.generate_for_tokens(model, vocab, seg.tokens)
+    generated = inference.generate_segments(model, vocab, [seg.tokens for seg in d.segments])
+    for seg, (slots, _) in zip(d.segments, generated):
         print(f"  L{seg.level}:", [s.text if not s.is_null else "-" for s in slots])
 
 

@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--e2", type=int)
     p.add_argument("--batch-size", type=int)
 
-    p = _command(sub, "generate", "per-segment slot generation")
+    p = _command(sub, "generate", "slot generation for every segment of a corpus")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
@@ -134,31 +134,44 @@ def cmd_train(args) -> int:
     return 0
 
 
+def prediction_rows(model, vocab, docs) -> list[dict]:
+    """One predictions.jsonl row per document: every segment's raw slots and
+    filtered keyphrases, all segments of the corpus generated in one pass."""
+    generated = iter(inference.generate_segments(
+        model, vocab, [seg.tokens for doc in docs for seg in doc.segments]))
+    rows = []
+    for doc in docs:
+        segs = []
+        for seg in doc.segments:
+            slots, _ = next(generated)
+            kept = inference.filter_predictions(slots)
+            segs.append({
+                "level": seg.level,
+                "slots": [
+                    {"text": s.text, "null": s.is_null, "group": s.group,
+                     "confidence": round(s.confidence, 6)}
+                    for s in slots
+                ],
+                "kept": [
+                    {"text": s.text, "group": s.group, "confidence": round(s.confidence, 6)}
+                    for s in kept
+                ],
+            })
+        rows.append({"id": doc.doc_id, "segments": segs})
+    return rows
+
+
 def _generate_doc(model, vocab, doc) -> dict:
-    segs = []
-    for seg in doc.segments:
-        slots, _ = inference.generate_for_tokens(model, vocab, seg.tokens)
-        kept = inference.filter_predictions(slots)
-        segs.append({
-            "level": seg.level,
-            "slots": [
-                {"text": s.text, "null": s.is_null, "group": s.group,
-                 "confidence": round(s.confidence, 6)}
-                for s in slots
-            ],
-            "kept": [
-                {"text": s.text, "group": s.group, "confidence": round(s.confidence, 6)}
-                for s in kept
-            ],
-        })
-    return {"id": doc.doc_id, "segments": segs}
+    """One document's row: a batch of one through ``prediction_rows``, kept
+    for the acceptance tests."""
+    return prediction_rows(model, vocab, [doc])[0]
 
 
 def cmd_generate(args) -> int:
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
-    rows = [_generate_doc(model, vocab, d) for d in docs]
+    rows = prediction_rows(model, vocab, docs)
     inference.save_predictions(args.out, rows)
     print(f"generated for {len(rows)} documents -> {args.out}")
     return 0
@@ -169,11 +182,10 @@ def cmd_portrait(args) -> int:
         raise ValueError(f"--max-levels must be at least 1, got {args.max_levels}")
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
-    portraits = [
-        inference.document_portrait(model, vocab, d, max_levels=args.max_levels,
-                                    padding_keywords=inference.padding_keyword_spans(d) or None)
-        for d in load_jsonl(args.corpus, rc.max_segment_tokens)
-    ]
+    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
+    portraits = inference.portraits(
+        model, vocab, docs, max_levels=args.max_levels,
+        padding_keywords=[inference.padding_keyword_spans(d) or None for d in docs])
     inference.save_portraits(args.out, portraits)
     n = sum(len(p.entries) for p in portraits)
     print(f"built {len(portraits)} portraits ({n} keyphrases) -> {args.out}")

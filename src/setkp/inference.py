@@ -1,9 +1,18 @@
-"""Greedy slot decoding, prediction filtering, and multi-level portraits."""
+"""Batched encoding, greedy slot decoding, prediction filtering, and
+multi-level portraits.
+
+Every inference command encodes through ``encode_and_tag``: segments of
+equal length share one encoder call, and each segment is then decoded on
+its own states by one ``generate_slots`` call. ``portraits`` runs every
+document's level i before any document's level i+1, since a level's prompt
+needs the phrases kept at the level above.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -16,12 +25,15 @@ from .corpus import (
     read_jsonl,
     tokenize,
 )
-from .metrics import duplication_ratio, null_ratio, stem_tokens
+from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
 from .model import Model
 from .training import control_ids_for
 
 PROMPT_PREFIX = "keyphrases from higher-level: "
 PROMPT_INFIX = " [sep] find keyphrases from: "
+# Token rows (segments x length) per Model.encode call. Equal-length groups
+# larger than this are split, which bounds the memory of a batched encode.
+ENCODE_ROWS = 256
 
 
 @dataclass(slots=True)
@@ -83,27 +95,21 @@ def generate_slots(
 def filter_predictions(
     slots: list[SlotPrediction],
     padding_keywords: list[list[str]] | None = None,
+    seen: set[tuple[str, ...]] | None = None,
 ) -> list[SlotPrediction]:
     """Null/empty removal, padding-keyword elimination, stem dedup.
 
     ``padding_keywords`` drops predictions token-identical to any listed
     span. Stem-level duplicates keep the highest-confidence instance;
-    output is confidence-descending.
+    output is confidence-descending. ``seen`` holds stems taken before,
+    which are dropped too, and gains the stem of every prediction kept.
     """
     kept = [s for s in slots if not s.is_null and s.tokens]
     if padding_keywords:
         banned = {tuple(sp) for sp in padding_keywords}
         kept = [s for s in kept if tuple(s.tokens) not in banned]
     kept.sort(key=lambda s: (-s.confidence, s.slot))
-    seen: set[tuple[str, ...]] = set()
-    out = []
-    for s in kept:
-        key = tuple(stem_tokens(s.tokens))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
-    return out
+    return first_wins(kept, lambda s: stem_tokens(s.tokens), seen)
 
 
 def padding_keyword_spans(doc: MultiLevelDocument) -> list[list[str]]:
@@ -116,54 +122,98 @@ def padding_keyword_spans(doc: MultiLevelDocument) -> list[list[str]]:
     return [sp.tokens for sp in spans if tuple(sp.tokens) not in exact]
 
 
-def _encode_and_tag(model: Model, vocab: Vocabulary,
-                    tokens: list[str]) -> tuple[Tensor, list[KeywordSpan]]:
-    """Encoder states of the (truncated) tokens and the spans tagged on them."""
+def encode_and_tag(
+    model: Model,
+    vocab: Vocabulary,
+    segments: Sequence[list[str]],
+    tag: bool = True,
+) -> Iterator[tuple[int, Tensor, list[KeywordSpan] | None]]:
+    """The one inference encoder path: encoder states and tagged keyword
+    spans of every segment, truncated to ``max_encode_len`` tokens.
+
+    Segments of equal length share ``Model.encode`` calls of at most
+    ``ENCODE_ROWS`` token rows (one segment at least). An equal-length batch
+    needs no padding mask, so every segment gets the bits of its own
+    single encode.
+
+    Yields (index into ``segments``, (S, d) states, spans) one encode call
+    at a time, so that a caller that decodes as it goes holds only one
+    call's states. Spans are None when ``tag`` is false.
+    """
     n = model.cfg.max_encode_len
+    groups: dict[int, list[int]] = {}
+    for i, tokens in enumerate(segments):
+        groups.setdefault(min(len(tokens), n), []).append(i)
+    for S, members in groups.items():
+        # a one-row product runs as a matrix-vector product, whose bits
+        # differ from those of the same row inside a larger product
+        per_call = max(ENCODE_ROWS // S, 1) if S > 1 else 1
+        for k in range(0, len(members), per_call):
+            chunk = members[k:k + per_call]
+            with no_grad():
+                states = model.encode([vocab.encode(segments[i])[:n] for i in chunk]).data
+            for b, i in enumerate(chunk):
+                seg_states, spans = Tensor(states[b]), None
+                if tag:
+                    # one segment per call: in a (B*S, d) @ (d, 3) product a
+                    # row's bits depend on its offset, so on the other segments
+                    with no_grad():
+                        tag_probs = model.kwe_probs(seg_states).data
+                    spans = model.predict_keywords(tag_probs, segments[i][:n])
+                yield i, seg_states, spans
+
+
+def _decode(model: Model, vocab: Vocabulary, states: Tensor,
+            spans: list[KeywordSpan]) -> list[SlotPrediction]:
+    """Slots conditioned on ``spans``, decoded on one segment's states."""
     with no_grad():
-        states = model.encode(vocab.encode(tokens)[:n])
-        tag_probs = model.kwe_probs(states).data
-    return states, model.predict_keywords(tag_probs, tokens[:n])
+        control = model.control_rows(control_ids_for(spans, model.cfg, vocab))
+    return generate_slots(model, vocab, states, control)
+
+
+def generate_segments(
+    model: Model,
+    vocab: Vocabulary,
+    segments: Sequence[list[str]],
+) -> list[tuple[list[SlotPrediction], list[KeywordSpan]]]:
+    """(raw slot outputs, keyword spans) of every segment, in input order.
+
+    Each segment's slots are conditioned on the spans tagged on its own
+    states and decoded by one ``generate_slots`` call, right after its
+    encode call. Filtering is the caller's job.
+    """
+    out: list = [None] * len(segments)
+    for i, states, spans in encode_and_tag(model, vocab, segments):
+        out[i] = _decode(model, vocab, states, spans), spans
+    return out
 
 
 def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str]) -> list[KeywordSpan]:
-    """Run the tag head over raw tokens and decode spans (confidence order)."""
-    return _encode_and_tag(model, vocab, tokens)[1]
+    """Keyword spans of one token stream (confidence order): a batch of one
+    through ``encode_and_tag``. Kept for single-input callers and tests, and
+    because the benchmark's tracer times it by name."""
+    ((_, _, spans),) = encode_and_tag(model, vocab, [tokens])
+    return spans
 
 
 def generate_for_tokens(
     model: Model,
     vocab: Vocabulary,
     tokens: list[str],
-    keyword_spans: list[KeywordSpan] | None = None,
 ) -> tuple[list[SlotPrediction], list[KeywordSpan]]:
-    """Single-input path: encode once, extract keywords from those states,
-    condition the slots, decode.
-
-    ``keyword_spans`` overrides extraction (used when the conditioning
-    keywords come from a different token stream than the encoder input).
-    Returns (raw slot outputs, keyword spans); filtering is the caller's job.
-    """
-    cfg = model.cfg
-    with no_grad():
-        if keyword_spans is None:
-            enc, spans = _encode_and_tag(model, vocab, tokens)
-        else:
-            enc, spans = model.encode(vocab.encode(tokens)[: cfg.max_encode_len]), keyword_spans
-        control = model.control_rows(control_ids_for(spans, cfg, vocab))
-        slots = generate_slots(model, vocab, enc, control)
-    return slots, spans
+    """(raw slot outputs, keyword spans) of one token stream: a batch of one
+    through ``generate_segments``. Kept for single-input callers and the
+    acceptance tests."""
+    return generate_segments(model, vocab, [tokens])[0]
 
 
 def slot_ratios(model: Model, vocab: Vocabulary,
                 segments: list[list[str]]) -> tuple[float, float]:
     """Mean per-segment (null ratio, duplication ratio) of the raw slot outputs."""
-    nulls, dups = [], []
-    for tokens in segments:
-        slots, _ = generate_for_tokens(model, vocab, tokens)
-        outs = [(s.tokens, s.is_null) for s in slots]
-        nulls.append(null_ratio(outs))
-        dups.append(duplication_ratio(outs))
+    outs = [[(s.tokens, s.is_null) for s in slots]
+            for slots, _ in generate_segments(model, vocab, segments)]
+    nulls = [null_ratio(o) for o in outs]
+    dups = [duplication_ratio(o) for o in outs]
     return sum(nulls) / len(nulls), sum(dups) / len(dups)
 
 
@@ -234,6 +284,72 @@ def prompt_tokens(phrases: list[str], body_tokens: list[str],
     return head + kept_body, text
 
 
+def portraits(
+    model: Model,
+    vocab: Vocabulary,
+    docs: Sequence[MultiLevelDocument],
+    max_levels: int | None = None,
+    padding_keywords: Sequence[list[list[str]] | None] | None = None,
+) -> list[Portrait]:
+    """Portraits of every document, built level-synchronously: every
+    document's level i is encoded as one batch before any level i+1.
+
+    Each document's levels run top-down, each prompted with the phrases
+    kept at the one above and deduplicated against earlier levels by stem
+    (earliest level wins). Level 1's prompt seeds from its own extracted
+    keyword spans (source order). A level's spans, tagged on its body,
+    condition the slots decoded on its prompt. Per-level prompts, spans and
+    kept entries land in ``levels``. ``padding_keywords`` holds one
+    elimination pool (or None) per document.
+    """
+    cfg = model.cfg
+    levels = [d.segments if max_levels is None else d.segments[:max_levels] for d in docs]
+    for d, segs in zip(docs, levels):
+        if not segs:
+            raise ValueError(f"document {d.doc_id} has no segments")
+    pads = padding_keywords or [None] * len(docs)
+    seen: list[set[tuple[str, ...]]] = [set() for _ in docs]
+    entries: list[list[PortraitEntry]] = [[] for _ in docs]
+    records: list[list[LevelRecord]] = [[] for _ in docs]
+    prev_phrases: list[list[str]] = [[] for _ in docs]
+
+    for li in range(max(map(len, levels), default=0)):
+        active = [k for k, segs in enumerate(levels) if li < len(segs)]
+        bodies = [levels[k][li].tokens for k in active]
+        spans: list = [None] * len(active)
+        for j, _, sp in encode_and_tag(model, vocab, bodies):
+            spans[j] = sp
+
+        prompts = []
+        for j, k in enumerate(active):
+            if li == 0:
+                in_order = sorted(spans[j], key=lambda s: s.start)
+                phrases = list(dict.fromkeys(" ".join(sp.tokens) for sp in in_order))
+            else:
+                phrases = prev_phrases[k]
+            prompts.append((phrases, *prompt_tokens(phrases, bodies[j], cfg.max_encode_len)))
+
+        for j, states, _ in encode_and_tag(model, vocab, [p[1] for p in prompts], tag=False):
+            k, (phrases, _, text) = active[j], prompts[j]
+            level = levels[k][li].level
+            slots = _decode(model, vocab, states, spans[j])
+            kept = [PortraitEntry(tokens=p.tokens, level=level, group=p.group,
+                                  confidence=p.confidence)
+                    for p in filter_predictions(slots, pads[k], seen[k])]
+            entries[k].extend(kept)
+            records[k].append(LevelRecord(
+                level=level,
+                prompt_text=text,
+                prompt_phrases=list(phrases),
+                keyword_spans=[sp.tokens for sp in spans[j]],
+                kept=kept,
+            ))
+            prev_phrases[k] = [e.text for e in kept]
+
+    return [Portrait(doc_id=d.doc_id, entries=entries[k], levels=records[k])
+            for k, d in enumerate(docs)]
+
+
 def document_portrait(
     model: Model,
     vocab: Vocabulary,
@@ -241,59 +357,10 @@ def document_portrait(
     max_levels: int | None = None,
     padding_keywords: list[list[str]] | None = None,
 ) -> Portrait:
-    """Walk the document's levels top-down, prompting each level with the
-    phrases kept at the one above, deduplicating across levels by stem
-    (earliest level wins).
-
-    Level 1's prompt seeds from its own extracted keyword spans (source
-    order). The same spans condition the slots, since the prompt body is the
-    level's text. Per-level prompts, spans and kept entries land in
-    ``levels``.
-    """
-    cfg = model.cfg
-    segments = doc.segments if max_levels is None else doc.segments[:max_levels]
-    if not segments:
-        raise ValueError(f"document {doc.doc_id} has no segments")
-
-    seen_stems: set[tuple[str, ...]] = set()
-    entries: list[PortraitEntry] = []
-    records: list[LevelRecord] = []
-    prev_phrases: list[str] = []
-
-    for li, seg in enumerate(segments):
-        body = seg.tokens
-        spans = extract_keywords(model, vocab, body)
-        if li == 0:
-            in_order = sorted(spans, key=lambda s: s.start)
-            phrases = list(dict.fromkeys(" ".join(sp.tokens) for sp in in_order))
-        else:
-            phrases = prev_phrases
-        toks, text = prompt_tokens(phrases, body, cfg.max_encode_len)
-
-        slots, _ = generate_for_tokens(model, vocab, toks, keyword_spans=spans)
-        kept_preds = filter_predictions(slots, padding_keywords=padding_keywords)
-
-        kept_here: list[PortraitEntry] = []
-        for p in kept_preds:
-            key = tuple(stem_tokens(p.tokens))
-            if key in seen_stems:
-                continue
-            seen_stems.add(key)
-            e = PortraitEntry(tokens=p.tokens, level=seg.level,
-                              group=p.group, confidence=p.confidence)
-            kept_here.append(e)
-            entries.append(e)
-
-        records.append(LevelRecord(
-            level=seg.level,
-            prompt_text=text,
-            prompt_phrases=list(phrases),
-            keyword_spans=[sp.tokens for sp in spans],
-            kept=kept_here,
-        ))
-        prev_phrases = [e.text for e in kept_here]
-
-    return Portrait(doc_id=doc.doc_id, entries=entries, levels=records)
+    """One document's portrait: a batch of one through ``portraits``. Kept
+    for single-document callers and the acceptance tests, and because the
+    benchmark's tracer times it by name."""
+    return portraits(model, vocab, [doc], max_levels, [padding_keywords])[0]
 
 
 # ---------------------------------------------------------------------------

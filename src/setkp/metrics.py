@@ -12,8 +12,11 @@ import csv
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .corpus import _contains_run
+
+T = TypeVar("T")
 
 
 class _Porter:
@@ -203,16 +206,23 @@ def stem_tokens(tokens: list[str]) -> tuple[str, ...]:
     return tuple(porter_stem(t) for t in tokens)
 
 
+def first_wins(items: Iterable[T], key: Callable[[T], Hashable],
+               seen: set | None = None) -> list[T]:
+    """Items in order, less each one whose key an earlier item or ``seen``
+    already holds; ``seen`` gains the key of every item kept."""
+    seen = set() if seen is None else seen
+    out = []
+    for item in items:
+        k = key(item)
+        if k not in seen:
+            seen.add(k)
+            out.append(item)
+    return out
+
+
 def dedup_by_stem(phrases: list[list[str]]) -> list[list[str]]:
     """Keep first occurrence of each stemmed form, preserving order."""
-    seen: set[tuple[str, ...]] = set()
-    out = []
-    for p in phrases:
-        key = stem_tokens(p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    return first_wins(phrases, stem_tokens)
 
 
 def _match_sets(preds: list[list[str]], targets: list[list[str]]):

@@ -16,7 +16,8 @@ Training runs a batch of B segments through the same code: ``encode`` pads
 them to (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the
 decoder takes B*N slot rows, and each segment's slots cross-attend to its
 own states only. A single segment is the unbatched case: (S, d) states and
-N slot rows, as inference uses them.
+N slot rows. Inference encodes equal-length segments as one unpadded batch,
+then decodes each segment on its own (S, d) states and N slot rows.
 """
 
 from __future__ import annotations

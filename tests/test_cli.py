@@ -1,14 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from setkp import inference
+from setkp.autograd import Tape
 from setkp.cli import main
 from setkp.config import RunConfig, load_run_config, parse_config_file
 from setkp.corpus import load_jsonl
 from setkp.inference import load_portraits, load_predictions
-from setkp.model import ModelConfig
+from setkp.model import Model, ModelConfig
 from setkp.params import ParamStore, load_checkpoint, save_checkpoint
 from setkp.training import TsmtConfig
 
@@ -111,6 +116,67 @@ def test_portrait_output(pipeline):
     assert [p.doc_id for p in ps] == [d.doc_id for d in docs]
     for p, d in zip(ps, docs):
         assert [r.level for r in p.levels] == [s.level for s in d.segments]
+
+
+def test_inference_commands_keep_the_traced_benchmark_counts(tmp_path, pipeline, monkeypatch):
+    """The traced benchmark run expects one generate_slots call per generated
+    segment and per portrait level, each running at most max_kp_len
+    decode_probs calls, and no backward pass."""
+    steps: list[int] = []
+    decodes: list[int] = []
+    backwards: list[int] = []
+    generate_slots, decode_probs, backward = (inference.generate_slots, Model.decode_probs,
+                                              Tape.backward)
+
+    def counted_generate(*args, **kwargs):
+        before = len(decodes)
+        out = generate_slots(*args, **kwargs)
+        steps.append(len(decodes) - before)
+        return out
+
+    def counted_decode(self, *args, **kwargs):
+        decodes.append(1)
+        return decode_probs(self, *args, **kwargs)
+
+    def counted_backward(self, *args, **kwargs):
+        backwards.append(1)
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "generate_slots", counted_generate)
+    monkeypatch.setattr(Model, "decode_probs", counted_decode)
+    monkeypatch.setattr(Tape, "backward", counted_backward)
+    docs = load_jsonl(pipeline["corpus"], 32)
+    horizon = load_checkpoint(pipeline["ckpt"])[1]["model_config"]["max_kp_len"]
+    runs = [
+        (_argv("generate", pipeline, tmp_path / "p.jsonl"), sum(len(d.segments) for d in docs)),
+        (_argv("portrait", pipeline, tmp_path / "a.jsonl"), sum(len(d.segments) for d in docs)),
+        ([*_argv("portrait", pipeline, tmp_path / "b.jsonl"), "--max-levels", "1"], len(docs)),
+    ]
+    for argv, calls in runs:
+        steps.clear()
+        assert main(argv) == 0, argv[0]
+        assert len(steps) == calls, argv
+        assert all(1 <= n <= horizon for n in steps), argv
+    assert backwards == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+    ({"MKL_NUM_THREADS": "2"}, None),
+])
+def test_import_pins_openblas_unless_a_thread_count_is_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import os, setkp, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(want)
 
 
 def test_eval_csv_has_macro_row(pipeline):

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from setkp import inference
+from setkp.autograd import Tensor, no_grad
 from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments
 from setkp.inference import (
     PROMPT_INFIX,
@@ -12,15 +14,18 @@ from setkp.inference import (
     SlotPrediction,
     build_prompt,
     document_portrait,
+    encode_and_tag,
     extract_keywords,
     filter_predictions,
     generate_for_tokens,
+    generate_segments,
     generate_slots,
     load_portraits,
     load_predictions,
     padding_keyword_spans,
     portrait_from_dict,
     portrait_to_dict,
+    portraits,
     prompt_tokens,
     save_portraits,
     save_predictions,
@@ -170,6 +175,81 @@ def test_generate_for_tokens_returns_spans():
     assert spans == extract_keywords(model, vocab, toks)
 
 
+# ------------------------------------------------------------ batched encode
+
+
+def _mixed_segments(docs):
+    """Every segment of ``docs`` plus prefixes that share lengths with them,
+    so that the segments form equal-length groups of several sizes, one of
+    them of one-token segments."""
+    segs = [seg.tokens for d in docs for seg in d.segments]
+    return segs + [t[:5] for t in segs[:4]] + [t[:19] for t in segs[4:7]] + [t[:1] for t in segs[:3]]
+
+
+def _single(model, vocab, tokens):
+    """Reference: one unbatched (S,) encode and its tag decode."""
+    toks = tokens[: model.cfg.max_encode_len]
+    with no_grad():
+        states = model.encode(vocab.encode(toks))
+        tags = model.kwe_probs(states).data
+    return states.data, model.predict_keywords(tags, toks)
+
+
+def _batched(model, vocab, segments):
+    out = [None] * len(segments)
+    for i, states, spans in encode_and_tag(model, vocab, segments):
+        out[i] = states.data, spans
+    return out
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_encode_and_tag_matches_single_encodes(order):
+    model, vocab, docs = setup_model(4)
+    segments = _mixed_segments(docs)
+    if order == "reversed":
+        segments = segments[::-1]
+    lengths = [len(t) for t in segments]
+    assert max(lengths.count(n) for n in lengths) >= 3 and len(set(lengths)) >= 5
+    for tokens, (states, spans) in zip(segments, _batched(model, vocab, segments)):
+        want_states, want_spans = _single(model, vocab, tokens)
+        assert np.array_equal(states, want_states)
+        assert spans == want_spans
+    slots = [[(s.tokens, s.is_null, s.confidence) for s in out]
+             for out, _ in generate_segments(model, vocab, segments)]
+    assert slots == [[(s.tokens, s.is_null, s.confidence) for s in generate_for_tokens(
+        model, vocab, tokens)[0]] for tokens in segments]
+
+
+def test_encode_and_tag_splits_groups_over_the_row_budget(monkeypatch):
+    model, vocab, docs = setup_model()
+    segments = [docs[0].segments[0].tokens[:6]] * 5 + [docs[1].segments[0].tokens[:6]] * 2
+    whole = _batched(model, vocab, segments)
+    calls = []
+    encode = Model.encode
+
+    def counted(self, token_ids):
+        calls.append(len(token_ids))
+        return encode(self, token_ids)
+
+    monkeypatch.setattr(Model, "encode", counted)
+    monkeypatch.setattr(inference, "ENCODE_ROWS", 13)  # two 6-token segments per call
+    split = _batched(model, vocab, segments)
+    assert calls == [2, 2, 2, 1]
+    for (a_states, a_spans), (b_states, b_spans) in zip(whole, split):
+        assert np.array_equal(a_states, b_states)
+        assert a_spans == b_spans
+
+
+def test_one_segment_batch_matches_the_unbatched_encode():
+    model, vocab, docs = setup_model()
+    ids = vocab.encode(docs[0].segments[1].tokens)
+    single = model.encode(ids).data
+    batch = model.encode([ids]).data
+    assert batch.shape == (1, *single.shape)
+    assert np.array_equal(batch[0], single)
+    assert np.array_equal(model.kwe_probs(Tensor(batch)).data[0], model.kwe_probs(Tensor(single)).data)
+
+
 # ------------------------------------------------------------------ filtering
 
 
@@ -290,6 +370,32 @@ def test_portrait_empty_doc_rejected():
     )
     with pytest.raises(ValueError):
         document_portrait(model, vocab, doc)
+
+
+@pytest.mark.parametrize("max_levels", [None, 1])
+def test_portraits_match_per_document_portraits(max_levels):
+    model, vocab, docs = setup_model(6)
+    docs = [*docs, _manual_doc()]
+    assert {len(d.segments) for d in docs} >= {2, 3}
+    pads = [padding_keyword_spans(d) or None for d in docs]
+    assert any(pads)
+    got = portraits(model, vocab, docs, max_levels=max_levels, padding_keywords=pads)
+    want = [document_portrait(model, vocab, d, max_levels=max_levels, padding_keywords=p)
+            for d, p in zip(docs, pads)]
+    assert [portrait_to_dict(p) for p in got] == [portrait_to_dict(p) for p in want]
+    assert [len(p.levels) for p in got] == [len(d.segments[:max_levels]) for d in docs]
+
+
+def test_portraits_reject_an_empty_document_by_id():
+    model, vocab, docs = setup_model()
+    empty = MultiLevelDocument(
+        doc_id="e", title="", abstract="", claims="",
+        present_keyphrases=[], absent_keyphrases=[], label="x",
+    )
+    with pytest.raises(ValueError, match="^document e has no segments$"):
+        portraits(model, vocab, [docs[0], empty])
+    with pytest.raises(ValueError, match="^document e has no segments$"):
+        document_portrait(model, vocab, empty)
 
 
 def test_tokens_for_levels_separator_and_restriction():
