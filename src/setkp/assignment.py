@@ -29,7 +29,8 @@ def k_step_predict(
     differentiated computation.
     """
     with no_grad():
-        return np.stack(list(model.greedy_steps(control, enc_states, bos_id, k, enc_mask)))
+        steps = model.greedy_steps(control, enc_states, bos_id, k, enc_mask)
+        return np.stack([probs for probs, _ in steps])
 
 
 def build_cost(dists: np.ndarray, targets: list[list[int]], null_id: int) -> np.ndarray:

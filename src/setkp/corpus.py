@@ -295,7 +295,7 @@ def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:
 
 # ---------------------------------------------------------------- vocabulary
 
-# words of the decoding prompt template; always in-vocabulary
+# words of the decoding prompt template; in the vocabulary whatever min_freq
 PROMPT_WORDS = ("keyphrases", "from", "higher", "level", "find")
 
 
@@ -324,7 +324,8 @@ class Vocabulary:
     @classmethod
     def build(cls, docs: list[MultiLevelDocument], min_freq: int = 1) -> "Vocabulary":
         """Specials, then corpus words (text + keyphrases + prompt words) by
-        descending frequency, ties alphabetical."""
+        descending frequency, ties alphabetical. Words seen fewer than
+        ``min_freq`` times are left out, except the prompt words."""
         freq: dict[str, int] = {}
         for d in docs:
             for tok in d.all_tokens():
@@ -336,7 +337,8 @@ class Vocabulary:
         for w in PROMPT_WORDS:
             freq[w] = freq.get(w, 0) + 1
         words = sorted(
-            (w for w, c in freq.items() if c >= min_freq and w not in SPECIALS),
+            (w for w, c in freq.items()
+             if (c >= min_freq or w in PROMPT_WORDS) and w not in SPECIALS),
             key=lambda w: (-freq[w], w),
         )
         return cls(list(SPECIALS) + words)

@@ -68,8 +68,9 @@ def generate_slots(
     emitted: list[list[int]] = [[] for _ in range(n)]
     probs: list[list[float]] = [[] for _ in range(n)]
     with no_grad():
-        for step in model.greedy_steps(control, enc_states, vocab.bos_id, model.cfg.max_kp_len):
-            for i, tok in enumerate(step.argmax(axis=1).tolist()):
+        steps = model.greedy_steps(control, enc_states, vocab.bos_id, model.cfg.max_kp_len)
+        for step, tokens in steps:
+            for i, tok in enumerate(tokens.tolist()):
                 if done[i]:
                     continue  # a finished slot's later steps are discarded
                 if tok == vocab.eos_id:

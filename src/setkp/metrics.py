@@ -1,15 +1,17 @@
 """Stemming, set/ranking metrics, and the evaluation report.
 
 Matching is always on stemmed token sequences: a prediction and a target
-count as equal when their per-token Porter stems agree. F1@5 pads the
-prediction list to exactly five with sentinel entries that can never match;
-@M variants use the full (deduplicated) prediction list.
+count as equal when their per-token Porter stems agree, and a prediction
+whose stems repeat an earlier one is dropped. F1@5 scores the top five
+predictions with precision taken over five, however few there are, and no
+sentinel entries (Chan et al., ACL 2019); @M variants use the whole list.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, TypeVar
@@ -220,80 +222,64 @@ def first_wins(items: Iterable[T], key: Callable[[T], Hashable],
     return out
 
 
-def dedup_by_stem(phrases: list[list[str]]) -> list[list[str]]:
-    """Keep first occurrence of each stemmed form, preserving order."""
-    return first_wins(phrases, stem_tokens)
+def _distinct_stems(preds: list[list[str]]) -> list[tuple[str, ...]]:
+    """Each prediction's stems, less those an earlier prediction already has."""
+    return first_wins(map(stem_tokens, preds), lambda key: key)
 
 
-def _match_sets(preds: list[list[str]], targets: list[list[str]]):
-    pset = [stem_tokens(p) for p in dedup_by_stem(preds)]
+def _hits(keys: list[tuple[str, ...]], targets: list[list[str]]) -> tuple[list[bool], int]:
+    """Whether each ranked stem key is a target, and the distinct target count."""
     tset = {stem_tokens(t) for t in targets}
-    return pset, tset
+    return [key in tset for key in keys], len(tset)
 
 
-def f1_at_m(preds: list[list[str]], targets: list[list[str]]) -> tuple[float, float, float]:
-    """(precision, recall, f1) over the whole deduplicated prediction list."""
-    pset, tset = _match_sets(preds, targets)
-    matches = sum(1 for p in pset if p in tset)
-    prec = matches / len(pset) if pset else 0.0
-    rec = matches / len(tset) if tset else 0.0
+def _prf(matches: int, n_pred: int, n_target: int) -> tuple[float, float, float]:
+    """(precision, recall, f1) of ``matches`` hits over ``n_pred`` predictions."""
+    prec = matches / n_pred if n_pred else 0.0
+    rec = matches / n_target if n_target else 0.0
     f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
     return prec, rec, f1
+
+
+def _ap(hits: list[bool], k: int, n_target: int) -> float:
+    """Average precision of the first k hits, normalized by min(n_target, k)."""
+    if not n_target or k == 0:
+        return 0.0
+    found = 0
+    ap = 0.0
+    for r, hit in enumerate(hits[:k], start=1):
+        if hit:
+            found += 1
+            ap += found / r
+    return ap / min(n_target, k)
+
+
+def _ndcg(hits: list[bool], k: int, n_target: int) -> float:
+    """Binary-relevance NDCG of the first k hits, 1/log2(rank+1) discounts."""
+    if not n_target or k == 0:
+        return 0.0
+    dcg = sum(1.0 / math.log2(r + 1) for r, hit in enumerate(hits[:k], start=1) if hit)
+    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(n_target, k) + 1))
+    return dcg / ideal
 
 
 def f1_at_5(preds: list[list[str]], targets: list[list[str]]) -> tuple[float, float, float]:
-    """Top five after dedup, padded to exactly five with unmatched sentinels."""
-    pset, tset = _match_sets(preds, targets)
-    top = pset[:5]
-    i = 0
-    while len(top) < 5:
-        top.append((f"__pad{i}__",))
-        i += 1
-    matches = sum(1 for p in top if p in tset)
-    prec = matches / 5.0
-    rec = matches / len(tset) if tset else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-    return prec, rec, f1
-
-
-def map_at_k(preds: list[list[str]], targets: list[list[str]], k: int | None) -> float:
-    """Average precision at cutoff k, normalized by min(|targets|, k)."""
-    pset, tset = _match_sets(preds, targets)
-    if k is None:
-        k = len(pset)
-    ranked = pset[:k]
-    if not tset or k == 0:
-        return 0.0
-    hits = 0
-    ap = 0.0
-    for r, p in enumerate(ranked, start=1):
-        if p in tset:
-            hits += 1
-            ap += hits / r
-    denom = min(len(tset), k)
-    return ap / denom if denom else 0.0
+    """(precision, recall, f1) of the top five stem-distinct predictions."""
+    hits, n_target = _hits(_distinct_stems(preds), targets)
+    return _prf(sum(hits[:5]), 5, n_target)
 
 
 def ndcg_at_k(preds: list[list[str]], targets: list[list[str]], k: int | None) -> float:
-    """Binary-relevance NDCG with 1/log2(rank+1) discounts."""
-    import math
-
-    pset, tset = _match_sets(preds, targets)
-    if k is None:
-        k = len(pset)
-    if not tset or k == 0:
-        return 0.0
-    dcg = sum(
-        1.0 / math.log2(r + 1)
-        for r, p in enumerate(pset[:k], start=1)
-        if p in tset
-    )
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(tset), k) + 1))
-    return dcg / ideal if ideal else 0.0
+    """NDCG@k of the stem-distinct predictions; k=None ranks them all."""
+    hits, n_target = _hits(_distinct_stems(preds), targets)
+    return _ndcg(hits, len(hits) if k is None else k, n_target)
 
 
 def duplication_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
-    """1 - distinct/total over non-null slot outputs (stemmed); 0 when none."""
+    """1 - distinct/total over non-null slot outputs (stemmed); 0 when none.
+
+    A slot that emits EOS first is a non-null empty output, and all such
+    outputs count as duplicates of one another."""
     non_null = [toks for toks, is_null in slot_outputs if not is_null]
     if not non_null:
         return 0.0
@@ -302,18 +288,11 @@ def duplication_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
 
 
 def null_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
+    """Share of slots whose first token is the null marker; a slot that emits
+    EOS first is an empty output, not a null one."""
     if not slot_outputs:
         return 0.0
     return sum(1 for _, is_null in slot_outputs if is_null) / len(slot_outputs)
-
-
-def split_by_source(preds: list[list[str]], source: list[str]) -> tuple[list[list[str]], list[list[str]]]:
-    """Predictions into (present, absent) buckets by stemmed containment."""
-    stems = stem_tokens(source)
-    present, absent = [], []
-    for p in preds:
-        (present if _contains_run(stems, stem_tokens(p)) else absent).append(p)
-    return present, absent
 
 
 def drop_exact(preds: list[list[str]], spans: list[list[str]]) -> list[list[str]]:
@@ -338,26 +317,22 @@ class EvalRecord:
 _SCORE_KEYS = ("f1@5", "f1@M", "map@5", "map@M", "ndcg@5", "ndcg@M")
 
 
-def _bucket_scores(preds, targets) -> dict[str, float]:
-    return {
-        "f1@5": f1_at_5(preds, targets)[2],
-        "f1@M": f1_at_m(preds, targets)[2],
-        "map@5": map_at_k(preds, targets, 5),
-        "map@M": map_at_k(preds, targets, None),
-        "ndcg@5": ndcg_at_k(preds, targets, 5),
-        "ndcg@M": ndcg_at_k(preds, targets, None),
-    }
-
-
 def score_record(rec: EvalRecord) -> dict[str, float]:
-    pred_present, pred_absent = split_by_source(rec.predictions, rec.source_tokens)
+    """Present/absent scores and slot ratios for one document. Each
+    stem-distinct prediction is present when its stems occur as a run in the
+    stemmed source; each bucket's ``_SCORE_KEYS`` come from one hit list."""
+    source = stem_tokens(rec.source_tokens)
+    keys: dict[str, list[tuple[str, ...]]] = {"present": [], "absent": []}
+    for key in _distinct_stems(rec.predictions):
+        keys["present" if _contains_run(source, key) else "absent"].append(key)
     out = {}
-    for bucket, preds, targets in (
-        ("present", pred_present, rec.present_targets),
-        ("absent", pred_absent, rec.absent_targets),
-    ):
-        for k, v in _bucket_scores(preds, targets).items():
-            out[f"{bucket}_{k}"] = v
+    for bucket, targets in (("present", rec.present_targets), ("absent", rec.absent_targets)):
+        hits, n_target = _hits(keys[bucket], targets)
+        m = len(hits)
+        scores = (_prf(sum(hits[:5]), 5, n_target)[2], _prf(sum(hits), m, n_target)[2],
+                  _ap(hits, 5, n_target), _ap(hits, m, n_target),
+                  _ndcg(hits, 5, n_target), _ndcg(hits, m, n_target))
+        out.update((f"{bucket}_{k}", v) for k, v in zip(_SCORE_KEYS, scores))
     out["duplication"] = duplication_ratio(rec.slot_outputs)
     out["null_ratio"] = null_ratio(rec.slot_outputs)
     return out
@@ -365,13 +340,9 @@ def score_record(rec: EvalRecord) -> dict[str, float]:
 
 def evaluate(records: list[EvalRecord]) -> tuple[list[dict], dict[str, float]]:
     """Per-document score rows plus the macro mean over documents."""
-    rows = []
-    for rec in records:
-        row: dict = {"doc_id": rec.doc_id}
-        row.update(score_record(rec))
-        rows.append(row)
+    rows = [{"doc_id": rec.doc_id, **score_record(rec)} for rec in records]
     keys = [k for k in rows[0] if k != "doc_id"] if rows else []
-    macro = {k: sum(r[k] for r in rows) / len(rows) for k in keys} if rows else {}
+    macro = {k: sum(r[k] for r in rows) / len(rows) for k in keys}
     return rows, macro
 
 
@@ -386,9 +357,7 @@ def write_eval_csv(path: str | Path, rows: list[dict], macro: dict[str, float]) 
 
 
 def format_eval_table(macro: dict[str, float]) -> str:
-    lines = []
-    header = f"{'bucket':<10}" + "".join(f"{k:>9}" for k in _SCORE_KEYS)
-    lines.append(header)
+    lines = [f"{'bucket':<10}" + "".join(f"{k:>9}" for k in _SCORE_KEYS)]
     for bucket in ("present", "absent"):
         vals = "".join(f"{macro[f'{bucket}_{k}']:>9.4f}" for k in _SCORE_KEYS)
         lines.append(f"{bucket:<10}{vals}")

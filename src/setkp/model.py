@@ -409,9 +409,11 @@ class Model:
         return ag.softmax(logits, axis=-1)
 
     def greedy_steps(self, control: Tensor, enc_states: Tensor, bos_id: int,
-                     steps: int, enc_mask: np.ndarray | None = None) -> Iterator[np.ndarray]:
+                     steps: int, enc_mask: np.ndarray | None = None
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Greedy decode from BOS: yields each step's (R, vocab) distributions,
-        one row per control row, and feeds every row's argmax back in.
+        one row per control row, with the (R,) tokens chosen from them, which
+        are fed back in. This is the one place the greedy choice is made.
         Arguments are as for ``decode_probs``. Callers decode under
         ``no_grad``: a generator that suspended recording itself would leave
         it suspended for its consumer between steps."""
@@ -419,5 +421,6 @@ class Model:
         prev = np.full((control.data.shape[0], 1), bos_id, dtype=np.intp)
         for _ in range(steps):
             probs = self.decode_probs(prev, control, enc_states, cache=cache, enc_mask=enc_mask).data
-            yield probs
-            prev = probs.argmax(axis=1)[:, None]
+            tokens = probs.argmax(axis=1)
+            yield probs, tokens
+            prev = tokens[:, None]

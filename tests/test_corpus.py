@@ -8,6 +8,7 @@ from setkp import corpus
 from setkp.config import RunConfig
 from setkp.corpus import (
     DIGIT_TOKEN,
+    PROMPT_WORDS,
     SPECIALS,
     KeywordSpan,
     MultiLevelDocument,
@@ -21,6 +22,7 @@ from setkp.corpus import (
     split_claims,
     tokenize,
 )
+from setkp.inference import PROMPT_INFIX, PROMPT_PREFIX
 from setkp.synth import synth_corpus
 
 # ------------------------------------------------------------------ tokenizer
@@ -364,6 +366,17 @@ def test_vocab_includes_keyphrase_and_prompt_words():
     v = Vocabulary.build([doc])
     for w in ("unseen", "phrase", "hidden", "term", "keyphrases", "higher", "level", "find", "from"):
         assert w in v.index, w
+
+
+def test_vocab_keeps_prompt_words_above_the_frequency_floor():
+    v = Vocabulary.build(synth_corpus(0, 64), min_freq=2)
+    assert all(w in v.index for w in PROMPT_WORDS)
+    assert v.unk_id not in v.encode(tokenize(PROMPT_PREFIX + PROMPT_INFIX))
+
+
+def test_prompt_words_are_the_prompt_template_words():
+    words = [w for w in tokenize(PROMPT_PREFIX + PROMPT_INFIX) if w not in SPECIALS]
+    assert PROMPT_WORDS == tuple(dict.fromkeys(words))
 
 
 def test_vocab_missing_special_rejected():

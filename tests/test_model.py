@@ -387,7 +387,9 @@ def test_greedy_steps_leave_recording_to_the_caller():
         with pytest.raises(RuntimeError):
             next(model.greedy_steps(control, enc, 1, 4))
         with ag.no_grad():
-            assert next(model.greedy_steps(control, enc, 1, 4)).shape == (cfg.n_slots, cfg.vocab_size)
+            probs, tokens = next(model.greedy_steps(control, enc, 1, 4))
+    assert probs.shape == (cfg.n_slots, cfg.vocab_size)
+    assert np.array_equal(tokens, probs.argmax(axis=1))
 
 
 def test_decode_cache_rejected_while_recording():
