@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .autograd import Tensor, no_grad
 from .model import Model
@@ -57,6 +56,10 @@ def hungarian(cost: np.ndarray) -> tuple[list[int], float]:
     The total is accumulated in row order so equal assignments sum to
     bit-identical floats across implementations.
     """
+    # imported on first use: loading scipy.optimize more than doubles the memory
+    # and start-up time of a command, and only training assigns
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     ordered = list(cols[np.argsort(rows)])
     total = 0.0

@@ -129,7 +129,10 @@ class Tape:
                 if live is not None and id(p) not in live:
                     continue
                 if p.grad is None:
-                    p.grad = g.copy()  # g may be shared with a sibling parent
+                    # a later += would write through to out.grad, a view's
+                    # base or a sibling parent's gradient; a fresh g is kept
+                    shared = g.base is not None or g is out.grad or sum(h is g for h in gs) > 1
+                    p.grad = g.copy() if shared else g
                 else:
                     p.grad += g
 
@@ -251,9 +254,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    mask = a.data > 0.0
-    return _record(out, (a,), lambda g: (g * mask,))
+    ad = a.data
+    out = Tensor(np.maximum(ad, 0.0))
+    return _record(out, (a,), lambda g: (g * (ad > 0.0),))
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -305,9 +308,9 @@ def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     H, n = len(tables), tables[0].data.shape[0]
     out = Tensor(np.stack([t.data for t in tables])[:, idx])
-    flat = (idx + n * np.arange(H).reshape((H,) + (1,) * idx.ndim)).ravel()
 
     def back(g):
+        flat = (idx + n * np.arange(H).reshape((H,) + (1,) * idx.ndim)).ravel()
         buf = np.bincount(flat, weights=g.ravel(), minlength=H * n).reshape(H, n)
         return tuple(buf)
 

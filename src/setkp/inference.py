@@ -86,7 +86,7 @@ def generate_slots(
             tokens=[vocab.tokens[t] for t in toks if t != vocab.null_id],
             is_null=bool(toks) and toks[0] == vocab.null_id,
             group="present" if i < n // 2 else "absent",
-            confidence=float(np.mean(ps)) if ps else 0.0,
+            confidence=float(np.add.reduce(ps) / len(ps)) if ps else 0.0,
             slot=i,
         )
         for i, (toks, ps) in enumerate(zip(emitted, probs))

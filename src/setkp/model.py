@@ -305,9 +305,11 @@ class Model:
         probability over the span. Ranked by confidence, earliest start
         breaking ties."""
         labels = tag_probs.argmax(axis=1).tolist()
+        winning = np.maximum.reduce(tag_probs, axis=1)
         spans = []
         for start, end in spans_from_bio(segment, labels):
-            conf = float(np.mean([tag_probs[i, labels[i]] for i in range(start, end)]))
+            # the bits np.mean gives, without its per-call overhead
+            conf = float(np.add.reduce(winning[start:end]) / (end - start))
             spans.append(KeywordSpan(tokens=segment[start:end], start=start, confidence=conf))
         return sorted(spans, key=lambda s: (-s.confidence, s.start))
 

@@ -243,7 +243,7 @@ def test_05_metric_hand_values():
     _verdict(
         5,
         ok_f1 and ok_ndcg and ok_porter,
-        f"padded F1@5={f1:.6f} (2/7), NDCG={ndcg:.6f} (1/log2 3), stems={stems}",
+        f"F1@5={f1:.6f} (2/7), NDCG={ndcg:.6f} (1/log2 3), stems={stems}",
     )
 
 

@@ -574,6 +574,96 @@ def test_backward_wrt_intermediate_gives_its_exact_gradient():
     assert producer == [1]  # nothing upstream of h was replayed
 
 
+def _reference_grads(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
+    """Every gradient of a full pass, keyed by tensor id, from a replay that
+    copies each first gradient and never adds in place: no array it keeps
+    can alias another, so its bits are the ones an alias-free tape gives."""
+    grads = {id(loss): np.ones(())}
+    for out, parents, back in reversed(tape.nodes):
+        if id(out) not in grads:
+            continue
+        for p, g in zip(parents, back(grads[id(out)])):
+            if g is None or not p.requires_grad:
+                continue
+            grads[id(p)] = g.copy() if id(p) not in grads else grads[id(p)] + g
+    return grads
+
+
+def _assert_same_bits(tape: Tape, ref: dict[int, np.ndarray], only=None) -> None:
+    tensors = {id(t): t for out, parents, _ in tape.nodes for t in (out, *parents)}
+    for key in ref if only is None else [id(t) for t in only]:
+        got = tensors[key].grad
+        assert got is not None and got.shape == ref[key].shape
+        assert got.tobytes() == ref[key].tobytes()
+
+
+def _twin(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, whose backward hands one array to both parents."""
+    def back(g):
+        d = g * 1.0
+        return d, d
+    return ag._record(Tensor(a.data + b.data), (a, b), back)
+
+
+def _identity(a: Tensor) -> Tensor:
+    """a, whose backward hands its incoming gradient straight back."""
+    return ag._record(Tensor(a.data.copy()), (a,), lambda g: (g,))
+
+
+def test_backward_keeps_first_gradients_apart_from_shared_arrays():
+    # each first gradient the tape adopts without a copy would, if shared,
+    # be written through by a later += : add's parents get two views of one
+    # array, and the reshape view of r's gradient then accumulates into u;
+    # _twin hands one array to both parents; _identity returns out.grad
+    x = Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
+    with Tape() as tape:
+        u, v = ag.scale(x, 2.0), ag.scale(x, 3.0)
+        r = ag.reshape(u, (3, 2))  # replayed after add: accumulates into u
+        s = ag.add(u, v)
+        e = ag.scale(s, 1.5)  # replayed after _identity: accumulates into s
+        i = _identity(s)
+        p, q = ag.scale(x, 0.5), ag.scale(x, -1.0)
+        c = ag.scale(q, 0.25)  # replayed after _twin: accumulates into q
+        t = _twin(p, q)
+        loss = ag.add(ag.add(_dot(i), _dot(e)), ag.add(_dot(t), ag.add(_dot(r), _dot(c))))
+    ref = _reference_grads(tape, loss)
+    tape.backward(loss)
+    _assert_same_bits(tape, ref)
+    tape.backward(loss, wrt=[u, s])
+    _assert_same_bits(tape, ref, only=[u, s])
+
+
+def _every_primitive(emb, w, b, gain, bias, tables) -> Tensor:
+    x = ag.gather(emb, [[0, 1, 1], [4, 2, 0]])  # (2, 3, 4)
+    h = ag.layer_norm(ag.linear(x, w, b), gain, bias)
+    rel = ag.gather_heads(tables, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    a = ag.multi_head_attention(h, h, x, rel, 2, 0.5)  # h and x fan out
+    y = ag.add(ag.relu(a), ag.scale(h, 0.5))
+    s = ag.gather_sum(ag.reshape(y, (6, 4)), [[0, 5, 2], [2, 2, 1]], [[1, 1, 0], [1, 1, 1]])
+    probs = ag.softmax(ag.matmul(s, w))
+    return ag.weighted_nll(probs, [1, 3], [0.5, 2.0]), h
+
+
+def test_backward_bits_on_a_graph_of_every_primitive():
+    rng = np.random.default_rng(21)
+    params = {"emb": _param(rng, (5, 4)), "w": _param(rng, (4, 4)), "b": _param(rng, (4,)),
+              "gain": _param(rng, (4,)), "bias": _param(rng, (4,))}
+    tables = [_param(rng, (3,)) for _ in range(2)]
+
+    def f():
+        return _every_primitive(*params.values(), tables)
+
+    all_params = {**params, "t0": tables[0], "t1": tables[1]}
+    assert grad_check(lambda: f()[0], all_params, n_coords=40) < 1e-6
+    with Tape() as tape:
+        loss, h = f()  # h: an intermediate that fans out
+    ref = _reference_grads(tape, loss)
+    tape.backward(loss)
+    _assert_same_bits(tape, ref)
+    tape.backward(loss, wrt=[h, params["w"]])
+    _assert_same_bits(tape, ref, only=[h, params["w"]])
+
+
 # ------------------------------------------------------------- properties
 
 

@@ -179,6 +179,23 @@ def test_import_pins_openblas_unless_a_thread_count_is_set(preset, want):
     assert proc.stdout.strip() == str(want)
 
 
+def test_inference_commands_leave_scipy_optimize_unloaded(tmp_path, pipeline):
+    # only training's slot-to-target assignment needs scipy.optimize, which
+    # more than doubles the memory and start-up time of an inference command
+    runs = [[*_argv(cmd, pipeline, tmp_path / cmd), "--config", str(pipeline["cfg"])]
+            for cmd in ("generate", "eval", "portrait", "analyze")]
+    code = ("import json, sys, setkp, setkp.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert setkp.cli.main(argv) == 0, argv[0]\n"
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / cmd).exists() for cmd in ("generate", "eval", "portrait", "analyze"))
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_eval_csv_has_macro_row(pipeline):
     lines = pipeline["eval"].read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("doc_id,")

@@ -216,6 +216,19 @@ def test_predict_keywords_spans_and_confidence():
     assert all(s.confidence == pytest.approx(0.9) for s in spans)
 
 
+def test_predict_keywords_confidence_has_the_bits_of_np_mean():
+    # spans of 12, 3 and 1 tokens: numpy sums eight or more values pairwise
+    model = Model.fresh(tiny_cfg(), seed=0)
+    labels = [1] + [2] * 11 + [0, 1, 2, 2, 1]
+    tag_probs = _probs_for_labels(labels)
+    tag_probs[np.arange(len(labels)), labels] = np.random.default_rng(0).uniform(0.4, 1.0, len(labels))
+    spans = model.predict_keywords(tag_probs, [f"w{i}" for i in range(len(labels))])
+    assert sorted(len(s.tokens) for s in spans) == [1, 3, 12]
+    for s in spans:
+        rows = range(s.start, s.start + len(s.tokens))
+        assert s.confidence == float(np.mean([tag_probs[i, labels[i]] for i in rows]))
+
+
 def test_predict_keywords_ranks_by_confidence():
     model = Model.fresh(tiny_cfg(), seed=0)
     tag_probs = _probs_for_labels([1, 0, 1, 0])
