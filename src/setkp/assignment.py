@@ -5,11 +5,19 @@ target list by minimum-cost bipartite assignment. The cost of giving slot n
 target T is the negated sum of the probabilities the slot assigns to T's
 first k tokens while free-running, with null tokens contributing nothing,
 so a pure-null target costs exactly zero against every slot.
+
+The assignment is solved in-repo by ``hungarian``: the shortest augmenting
+path algorithm of Crouse ("On implementing 2D rectangular assignment
+algorithms", IEEE TAES 2016) as SciPy ships it in ``linear_sum_assignment``.
+Zero-cost null targets make ties common, and checkpoint bytes depend on how
+they are broken, so the port keeps SciPy's tie rule and operation order
+(see ``hungarian``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -51,21 +59,84 @@ def build_cost(dists: np.ndarray, targets: list[list[int]], null_id: int) -> np.
 
 
 def hungarian(cost: np.ndarray) -> tuple[list[int], float]:
-    """Minimum-cost assignment; returns (column per row, total cost).
+    """Minimum-cost assignment of every row to its own column; returns
+    (column per row, total cost).
 
-    The total is accumulated in row order so equal assignments sum to
-    bit-identical floats across implementations.
+    Crouse's shortest augmenting path algorithm as SciPy ships it in
+    ``linear_sum_assignment``, ported step for step: the same dual updates,
+    the same column scan order (``remaining`` filled from the last column
+    down, swap-removed) and the same tie rule, under which a column of equal
+    reduced cost replaces the incumbent only when it is unassigned. Reduced
+    costs are ``((min_val + c[i][j]) - u[i]) - v[j]`` in that order, so every
+    input, ties included, gets SciPy's assignment.
+
+    NaN and -inf entries, tall matrices and matrices with no finite
+    assignment raise ``ValueError``; +inf marks a forbidden pair. The total
+    is accumulated in row order so equal assignments sum to bit-identical
+    floats across implementations.
     """
-    # imported on first use: loading scipy.optimize more than doubles the memory
-    # and start-up time of a command, and only training assigns
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    ordered = list(cols[np.argsort(rows)])
+    cost = np.asarray(cost, dtype=np.float64)
+    n_rows, n_cols = cost.shape
+    if n_rows > n_cols:
+        raise ValueError(f"cost matrix {cost.shape} has more rows than columns")
+    valid = cost > -np.inf  # false for NaN and -inf
+    if not valid.all():
+        i, j = np.argwhere(~valid)[0]
+        raise ValueError(f"cost[{i}, {j}] is {cost[i, j]}: entries must be finite or +inf")
+    c = cost.tolist()
+    inf = math.inf
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    path = [-1] * n_cols
+    for cur in range(n_rows):
+        # Dijkstra over reduced costs from the unassigned row `cur` to the
+        # nearest unassigned column
+        spc = [inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen: list[int] = []
+        cols_seen: list[int] = []
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible: no assignment has finite cost")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
     total = 0.0
-    for i, c in enumerate(ordered):
-        total += float(cost[i, c])
-    return ordered, total
+    for i, j in enumerate(col4row):
+        total += c[i][j]
+    return col4row, total
 
 
 def brute_force(cost: np.ndarray) -> tuple[list[int], float]:

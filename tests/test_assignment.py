@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,63 @@ def test_hungarian_optimal_under_random_costs(n, seed):
     _, total_h = hungarian(cost)
     _, total_b = brute_force(cost)
     assert total_h == pytest.approx(total_b, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, where", [(np.nan, "cost[1, 2] is nan"), (-np.inf, "cost[1, 2] is -inf")])
+def test_hungarian_rejects_nan_and_negative_infinity(bad, where):
+    cost = np.zeros((3, 3))
+    cost[1, 2] = bad
+    with pytest.raises(ValueError, match=re.escape(where)):
+        hungarian(cost)
+
+
+@pytest.mark.parametrize("cost", [
+    [[np.inf, np.inf], [0.0, 1.0]],  # a row with no finite entry
+    [[1.0, np.inf], [2.0, np.inf]],  # both rows need column 0
+])
+def test_hungarian_rejects_infeasible_costs(cost):
+    with pytest.raises(ValueError, match="infeasible"):
+        hungarian(np.array(cost))
+
+
+def test_hungarian_routes_around_forbidden_pairs():
+    perm, total = hungarian(np.array([[np.inf, 1.0], [2.0, np.inf]]))
+    assert perm == [1, 0] and total == 3.0
+
+
+def test_hungarian_empty_matrix():
+    assert hungarian(np.zeros((0, 0))) == ([], 0.0)
+
+
+def test_hungarian_rejects_tall_matrices():
+    with pytest.raises(ValueError, match="more rows than columns"):
+        hungarian(np.zeros((3, 2)))
+
+
+def _oracle_costs(rng, n, m):
+    """Uniform, tie-heavy integer, zero-column and repeated-column costs."""
+    uniform = rng.uniform(-4.0, 0.0, size=(n, m))
+    integer = rng.integers(-2, 2, size=(n, m)).astype(float)
+    zero_cols = uniform.copy()
+    zero_cols[:, rng.random(m) < 0.5] = 0.0  # pure-null targets cost exactly zero
+    repeated = uniform[:, rng.integers(0, m, size=m)]
+    small = rng.integers(0, 3, size=(n, m)).astype(float)
+    small[:, rng.random(m) < 0.4] = 0.0
+    return uniform, integer, zero_cols, repeated, small
+
+
+def test_hungarian_returns_scipys_assignment_ties_included():
+    # 6,400 matrices: n = 1..8 rows, square and wide
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(14)
+    for n in range(1, 9):
+        for m in (n, n, n + 1, n + 3):
+            for _ in range(40):
+                for cost in _oracle_costs(rng, n, m):
+                    _, cols = linear_sum_assignment(cost)
+                    perm, total = hungarian(cost)
+                    assert perm == cols.tolist(), cost
+                    assert total == sum(float(cost[i, j]) for i, j in enumerate(perm))
 
 
 # -------------------------------------------------------------- group split

@@ -179,9 +179,32 @@ def test_import_pins_openblas_unless_a_thread_count_is_set(preset, want):
     assert proc.stdout.strip() == str(want)
 
 
+def test_corpus_and_training_commands_load_no_scipy(tmp_path, pipeline):
+    # slot-to-target assignment is solved in-repo; loading scipy.optimize
+    # would cost a training process about 40 MB
+    c = str(pipeline["cfg"])
+    runs = [
+        ["gen-corpus", "--config", c, "--out", str(tmp_path / "corpus.jsonl"), "--seed", "3"],
+        ["train", "--config", c, "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--out-ckpt", str(tmp_path / "model.ckpt"), "--loss-csv", str(tmp_path / "loss.csv"),
+         "--seed", "3"],
+    ]
+    code = ("import json, sys, setkp.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert setkp.cli.main(argv) == 0, argv[0]\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for name in ("corpus", "ckpt", "loss"):
+        assert (tmp_path / pipeline[name].name).read_bytes() == pipeline[name].read_bytes(), name
+
+
 def test_inference_commands_leave_scipy_optimize_unloaded(tmp_path, pipeline):
-    # only training's slot-to-target assignment needs scipy.optimize, which
-    # more than doubles the memory and start-up time of an inference command
+    # no command needs scipy.optimize, which more than doubles the memory and
+    # start-up time of an inference command
     runs = [[*_argv(cmd, pipeline, tmp_path / cmd), "--config", str(pipeline["cfg"])]
             for cmd in ("generate", "eval", "portrait", "analyze")]
     code = ("import json, sys, setkp, setkp.cli\n"
