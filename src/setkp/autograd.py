@@ -6,6 +6,12 @@ magic beyond what numpy gives us, no views into graph tensors, no GPU.
 Gradients are exact up to float64 round-off; the test suite checks every
 backward rule against central finite differences.
 
+``Tape.backward(loss)`` leaves a gradient on every tensor the loss reaches.
+``Tape.backward(loss, wrt=...)`` leaves one only on the named tensors: it
+replays just the paths from them to the loss and drops each other
+gradient as soon as its node has passed it on, so a pass holds the
+gradients in flight rather than one per tensor.
+
 The hot path is Python overhead per node, so the primitives are coarse:
 ``matmul`` and ``linear`` run a (..., k) @ (k, m) product as one 2-D GEMM
 over the flattened leading axes, ``linear`` is a whole affine map
@@ -85,7 +91,7 @@ class Tape:
         wrt: Iterable[Tensor] | None = None,
         seeds: Iterable[tuple[Tensor, np.ndarray]] = (),
     ) -> None:
-        """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
+        """Accumulate d(loss)/d(tensor) into .grad.
 
         loss must be a scalar recorded on this tape. Grads of all tensors
         touched by the tape are reset first, so repeated backward calls over
@@ -97,14 +103,20 @@ class Tape:
         any node adds to it, so a tensor whose downstream graph is gone can
         still pass on a gradient taken earlier.
 
+        Without ``wrt``, every tensor on the tape that the loss (or a seed)
+        reaches keeps its gradient.
+
         With ``wrt``, only nodes with a parent on a path from one of those
-        tensors to the loss are replayed, and only tensors on such a path
-        (the named ones included) receive a gradient; every other .grad
-        stays None. A named tensor may be an intermediate: it gets its own
-        exact gradient, and nothing upstream of it is replayed unless another
+        tensors to the loss are replayed, and exactly the named tensors hold
+        a gradient afterwards; every other .grad is None. A replayed node's
+        output drops its gradient as soon as the node has passed it on, so
+        the pass holds only the gradients still in flight, not one per
+        tensor. A named tensor may be an intermediate: it gets its own exact
+        gradient, and nothing upstream of it is replayed unless another
         named tensor lies there. The named tensors' gradients are
         bit-identical to a full pass, since every pruned contribution ends
-        off those paths.
+        off those paths and no kept gradient shares memory with a dropped
+        one.
         """
         if loss.data.shape != ():
             raise ValueError("backward expects a scalar loss")
@@ -112,35 +124,43 @@ class Tape:
             out.grad = None
             for p in parents:
                 p.grad = None
-        live, replay = (None, None) if wrt is None else self._downstream(wrt)
+        named = live = replay = None
+        if wrt is not None:
+            named = {id(t) for t in wrt}
+            live, replay = self._downstream(named)
         loss.grad = np.ones((), dtype=np.float64)
         for t, c in seeds:
             c = np.asarray(c, dtype=np.float64)
             if c.shape != t.data.shape:
                 raise ValueError(f"seed of shape {c.shape} for a tensor of shape {t.data.shape}")
+            if live is not None and id(t) not in live:
+                continue  # reaches no named tensor
             t.grad = c.copy() if t.grad is None else t.grad + c
         for out, parents, back in reversed(self.nodes):
-            if out.grad is None or (replay is not None and id(out) not in replay):
+            if out.grad is None:
                 continue
-            gs = back(out.grad)
-            for p, g in zip(parents, gs):
-                if g is None or not p.requires_grad:
-                    continue
-                if live is not None and id(p) not in live:
-                    continue
-                if p.grad is None:
-                    # a later += would write through to out.grad, a view's
-                    # base or a sibling parent's gradient; a fresh g is kept
-                    shared = g.base is not None or g is out.grad or sum(h is g for h in gs) > 1
-                    p.grad = g.copy() if shared else g
-                else:
-                    p.grad += g
+            if replay is None or id(out) in replay:
+                gs = back(out.grad)
+                for p, g in zip(parents, gs):
+                    if g is None or not p.requires_grad:
+                        continue
+                    if live is not None and id(p) not in live:
+                        continue
+                    if p.grad is None:
+                        # a later += would write through to out.grad, a view's
+                        # base or a sibling parent's gradient; a fresh g is kept
+                        shared = g.base is not None or g is out.grad or sum(h is g for h in gs) > 1
+                        p.grad = g.copy() if shared else g
+                    else:
+                        p.grad += g
+            if named is not None and id(out) not in named:
+                out.grad = None  # no earlier node reads it
 
-    def _downstream(self, wrt: Iterable[Tensor]) -> tuple[set[int], set[int]]:
+    def _downstream(self, named: set[int]) -> tuple[set[int], set[int]]:
         """ids of the named tensors and of every recorded output that depends
         on one (the tensors that may receive a gradient), and ids of the
         outputs whose node has such a parent (the nodes to replay)."""
-        live = {id(t) for t in wrt}
+        live = set(named)
         replay = set()
         for out, parents, _ in self.nodes:
             for p in parents:

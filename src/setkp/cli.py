@@ -10,7 +10,7 @@ import sys
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
 from .corpus import Vocabulary, load_jsonl, save_jsonl
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, param_spec
 from .params import load_checkpoint
 from .synth import distinct_word_count, synth_corpus
 from .training import tsmt_train
@@ -84,7 +84,7 @@ def _load_model(ckpt_path: str) -> tuple[Model, Vocabulary, dict]:
         raise ValueError(f"{ckpt_path}: {e}") from e
     if len(vocab) != cfg.vocab_size:
         raise ValueError(f"{ckpt_path}: vocab has {len(vocab)} tokens, vocab_size is {cfg.vocab_size}")
-    want = {n: t.shape for n, t in Model.fresh(cfg, 0).store.items()}
+    want = {n: shape for n, _, shape in param_spec(cfg)}
     have = {n: t.shape for n, t in store.items()}
     for name in sorted(want.keys() | have.keys()):
         if want.get(name) != have.get(name):
@@ -137,6 +137,8 @@ def cmd_train(args) -> int:
 def prediction_rows(model, vocab, docs) -> list[dict]:
     """One predictions.jsonl row per document: every segment's raw slots and
     filtered keyphrases, all segments of the corpus generated in one pass."""
+    for doc in docs:
+        inference.check_encodable(doc, doc.segments, model.cfg.max_encode_len)
     generated = iter(inference.generate_segments(
         model, vocab, [seg.tokens for doc in docs for seg in doc.segments]))
     rows = []
@@ -220,6 +222,8 @@ def cmd_eval(args) -> int:
     rc = _run_config(args)
     docs = {d.doc_id: d for d in load_jsonl(args.corpus, rc.max_segment_tokens)}
     rows = inference.load_predictions(args.predictions)
+    if not rows:
+        raise ValueError(f"{args.predictions}: no predictions to score")
     records = []
     for row in rows:
         doc = docs.get(row["id"])

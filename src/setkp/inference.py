@@ -18,6 +18,7 @@ import numpy as np
 
 from .autograd import Tensor, no_grad
 from .corpus import (
+    DocumentSegment,
     KeywordSpan,
     MultiLevelDocument,
     Vocabulary,
@@ -27,7 +28,7 @@ from .corpus import (
 )
 from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
 from .model import Model
-from .training import control_ids_for
+from .training import check_segment, control_ids_for
 
 PROMPT_PREFIX = "keyphrases from higher-level: "
 PROMPT_INFIX = " [sep] find keyphrases from: "
@@ -121,6 +122,14 @@ def padding_keyword_spans(doc: MultiLevelDocument) -> list[list[str]]:
     exact = {tuple(p) for p in present}
     spans = derive_keywords(doc.all_tokens(), present)
     return [sp.tokens for sp in spans if tuple(sp.tokens) not in exact]
+
+
+def check_encodable(doc: MultiLevelDocument, segments: Sequence[DocumentSegment],
+                    max_encode_len: int) -> None:
+    """Reject an empty segment of ``doc`` before any encode, with the error
+    training gives; a long one is truncated to ``max_encode_len`` tokens."""
+    for seg in segments:
+        check_segment(doc.doc_id, seg.level, min(len(seg.tokens), max_encode_len), max_encode_len)
 
 
 def encode_and_tag(
@@ -308,6 +317,7 @@ def portraits(
     for d, segs in zip(docs, levels):
         if not segs:
             raise ValueError(f"document {d.doc_id} has no segments")
+        check_encodable(d, segs, cfg.max_encode_len)
     pads = padding_keywords or [None] * len(docs)
     seen: list[set[tuple[str, ...]]] = [set() for _ in docs]
     entries: list[list[PortraitEntry]] = [[] for _ in docs]

@@ -187,6 +187,41 @@ class DecodeCache:
 # ---------------------------------------------------------------- the model
 
 
+def param_spec(cfg: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, ``Initializer`` method, shape) of every parameter, in the order
+    ``Model.fresh`` draws them: each stack's tables, position biases, pre-LN
+    layers, final norm and output head, the encoder's before the decoder's."""
+    d, V = cfg.d, cfg.vocab_size
+    spec: list[tuple[str, str, tuple[int, ...]]] = []
+
+    def norm(name: str) -> None:
+        spec.extend([(name + ".g", "ones", (d,)), (name + ".b", "zeros", (d,))])
+
+    def stack(name: str, tables: dict, n_layers: int, attentions: list, head: str, width: int):
+        for table, shape in tables.items():
+            spec.append((f"{name}.{table}", "embedding", shape))
+        for h in range(cfg.n_heads):
+            spec.append((f"{name}.rpe.h{h}", "embedding", (cfg.rpe_buckets,)))
+        for i in range(n_layers):
+            p = f"{name}.L{i}."
+            for j, weights in enumerate(attentions, 1):
+                norm(f"{p}ln{j}")
+                spec.extend((p + w, "projection", (d, d)) for w in weights)
+            norm(f"{p}ln{len(attentions) + 1}")
+            spec.extend([(p + "w1", "projection", (d, cfg.ffn_width)),
+                         (p + "b1", "zeros", (cfg.ffn_width,)),
+                         (p + "w2", "projection", (cfg.ffn_width, d)),
+                         (p + "b2", "zeros", (d,))])
+        norm(f"{name}.final")
+        spec.extend([(head + ".w", "projection", (d, width)), (head + ".b", "zeros", (width,))])
+
+    self_att = ("wq", "wk", "wv", "wo")
+    stack("enc", {"emb": (V, d)}, cfg.n_enc_layers, [self_att], "kwe", 3)
+    stack("dec", {"emb": (V, d), "ctrl": (cfg.n_slots, d)}, cfg.n_dec_layers,
+          [self_att, ("cq", "ck", "cv", "co")], "kg", V)
+    return spec
+
+
 class Model:
     """Parameter container plus forward passes; no training state."""
 
@@ -197,38 +232,14 @@ class Model:
 
     @classmethod
     def fresh(cls, cfg: ModelConfig, seed: int) -> "Model":
+        """A model drawn from ``seed``, every parameter in ``param_spec`` order."""
         store = ParamStore()
         init = Initializer(store, seed)
-        d, V = cfg.d, cfg.vocab_size
-
-        def norm(name: str) -> None:
-            init.ones(name + ".g", (d,)); init.zeros(name + ".b", (d,))
-
-        def stack(name: str, tables: dict, n_layers: int, attentions: list, head: str, width: int):
-            """Tables, position biases, pre-LN layers, final norm, output head."""
-            for table, shape in tables.items():
-                init.embedding(f"{name}.{table}", shape)
-            for h in range(cfg.n_heads):
-                init.embedding(f"{name}.rpe.h{h}", (cfg.rpe_buckets,))
-            for i in range(n_layers):
-                p = f"{name}.L{i}."
-                for j, weights in enumerate(attentions, 1):
-                    norm(f"{p}ln{j}")
-                    for w in weights:
-                        init.projection(p + w, d, d)
-                norm(f"{p}ln{len(attentions) + 1}")
-                init.projection(p + "w1", d, cfg.ffn_width)
-                init.zeros(p + "b1", (cfg.ffn_width,))
-                init.projection(p + "w2", cfg.ffn_width, d)
-                init.zeros(p + "b2", (d,))
-            norm(f"{name}.final")
-            init.projection(head + ".w", d, width)
-            init.zeros(head + ".b", (width,))
-
-        self_att = ("wq", "wk", "wv", "wo")
-        stack("enc", {"emb": (V, d)}, cfg.n_enc_layers, [self_att], "kwe", 3)
-        stack("dec", {"emb": (V, d), "ctrl": (cfg.n_slots, d)}, cfg.n_dec_layers,
-              [self_att, ("cq", "ck", "cv", "co")], "kg", V)
+        for name, kind, shape in param_spec(cfg):
+            if kind == "projection":
+                init.projection(name, *shape)
+            else:
+                getattr(init, kind)(name, shape)
         return cls(cfg, store)
 
     def encoder_params(self) -> dict[str, Tensor]:

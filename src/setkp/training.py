@@ -278,17 +278,23 @@ def build_examples(docs: list[MultiLevelDocument], vocab: Vocabulary) -> list[Se
     return out
 
 
+def check_segment(doc_id: str, level: int, n_tokens: int, max_encode_len: int) -> None:
+    """Reject a segment of ``n_tokens`` tokens that the encoder cannot take,
+    naming its document and level."""
+    if not 0 < n_tokens <= max_encode_len:
+        raise ValueError(
+            f"document {doc_id!r} level {level}: segment of {n_tokens} tokens, "
+            f"need 1 to max_encode_len={max_encode_len}"
+        )
+
+
 def _check_examples(examples: list[SegmentExample], max_encode_len: int) -> None:
     """Reject an empty corpus, or a segment the encoder cannot take, before
     any training; level-1 segments are not bounded by max_segment_tokens."""
     if not examples:
         raise ValueError("corpus has no segments to train on")
     for ex in examples:
-        if not 0 < len(ex.ids) <= max_encode_len:
-            raise ValueError(
-                f"document {ex.doc_id!r} level {ex.level}: segment of {len(ex.ids)} tokens, "
-                f"need 1 to max_encode_len={max_encode_len}"
-            )
+        check_segment(ex.doc_id, ex.level, len(ex.ids), max_encode_len)
 
 
 @dataclass(slots=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import Callable
 
 import numpy as np
@@ -662,6 +663,67 @@ def test_backward_bits_on_a_graph_of_every_primitive():
     _assert_same_bits(tape, ref)
     tape.backward(loss, wrt=[h, params["w"]])
     _assert_same_bits(tape, ref, only=[h, params["w"]])
+
+
+def _tape_tensors(tape: Tape) -> list[Tensor]:
+    return list({id(t): t for out, parents, _ in tape.nodes for t in (out, *parents)}.values())
+
+
+def test_wrt_pass_keeps_gradients_only_on_named_tensors():
+    rng = np.random.default_rng(22)
+    params = {"emb": _param(rng, (5, 4)), "w": _param(rng, (4, 4)), "b": _param(rng, (4,)),
+              "gain": _param(rng, (4,)), "bias": _param(rng, (4,))}
+    tables = [_param(rng, (3,)) for _ in range(2)]
+    with Tape() as tape:
+        loss, h = _every_primitive(*params.values(), tables)
+        z = ag.matmul(h, params["w"])  # seeded, off the loss's path
+    seeds = [(z, rng.standard_normal(z.shape)), (params["gain"], rng.standard_normal(4))]
+    tensors = _tape_tensors(tape)
+
+    ref = _reference_grads(tape, loss)
+    named = [h, params["w"], params["emb"], tables[1]]
+    tape.backward(loss, wrt=iter(named))  # a one-shot iterable
+    _assert_same_bits(tape, ref, only=named)
+    assert {id(t) for t in tensors if t.grad is not None} == {id(t) for t in named}
+
+    tape.backward(loss, seeds=seeds)
+    full = {id(t): t.grad.copy() for t in tensors if t.grad is not None}
+    assert id(z) in full and id(h) in full and len(full) > len(named) + 2
+    named = [params["w"], params["b"]]  # both upstream of z; the seeded gain is a leaf
+    tape.backward(loss, wrt={n: params[n] for n in ("w", "b")}.values(), seeds=seeds)
+    for t in named:
+        assert t.grad.tobytes() == full[id(t)].tobytes()
+    assert {id(t) for t in tensors if t.grad is not None} == {id(t) for t in named}
+
+
+def test_wrt_pass_frees_the_gradients_it_was_not_asked_for():
+    # a chain of L (256, 64) products: a full pass ends holding one 128 KiB
+    # gradient per link, a pass for the weights only the two in flight
+    L = 8
+    rng = np.random.default_rng(23)
+    x = _param(rng, (256, 64))
+    ws = [Tensor(rng.standard_normal((64, 64)) / 8.0, requires_grad=True) for _ in range(L)]
+    with Tape() as tape:
+        h = x
+        for w in ws:
+            h = ag.matmul(h, w)
+        loss = _dot(h)
+
+    def traced_peak(wrt) -> int:
+        for t in _tape_tensors(tape):
+            t.grad = None
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss, wrt=wrt)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    full, pruned = traced_peak(None), traced_peak(ws)
+    assert all(w.grad is not None for w in ws)
+    assert full - pruned >= (L - 2) * 256 * 64 * 8
 
 
 # ------------------------------------------------------------- properties

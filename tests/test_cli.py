@@ -255,6 +255,35 @@ def test_eval_unknown_doc_id_fails(tmp_path, pipeline, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_an_empty_predictions_file(tmp_path, pipeline, capsys):
+    empty = tmp_path / "none.jsonl"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "e.csv"
+    rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(empty),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {empty}: no predictions to score\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["generate", "portrait"])
+def test_inference_commands_name_an_empty_segment_before_encoding(tmp_path, pipeline, capsys,
+                                                                  monkeypatch, cmd):
+    rows = [json.loads(line) for line in pipeline["corpus"].read_text(encoding="utf-8").splitlines()]
+    rows[1].update(title="", abstract=" , ")  # level 1 tokenizes to nothing
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    encodes = []
+    monkeypatch.setattr(Model, "encode", lambda self, ids: encodes.append(ids))
+    out = tmp_path / "out.jsonl"
+    rc = main([cmd, "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+               "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: document {rows[1]['id']!r} level 1: segment of 0 "
+                                       "tokens, need 1 to max_encode_len=256\n")
+    assert encodes == [] and not out.exists()
+
+
 def test_analyze_missing_portraits_fails(tmp_path, pipeline, capsys):
     empty = tmp_path / "none.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -324,6 +353,17 @@ def test_inconsistent_checkpoint_rejected_at_load(tmp_path, pipeline, capsys,
     assert rc == 1
     assert f"{ckpt}: " in err and message in err
     assert not out.exists()
+
+
+def test_checkpoint_load_draws_no_model(tmp_path, pipeline, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("Model.fresh called")
+
+    monkeypatch.setattr(Model, "fresh", drawn)
+    out = tmp_path / "p.jsonl"
+    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+                 "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
+    assert out.read_bytes() == pipeline["preds"].read_bytes()
 
 
 def test_checkpoint_with_minimal_metadata_accepted(tmp_path, pipeline):

@@ -18,6 +18,7 @@ from setkp.model import (
     ape_vector,
     dope_rpe_bucket,
     padding_mask,
+    param_spec,
 )
 from setkp.training import loss_kg
 
@@ -463,6 +464,17 @@ def test_fresh_init_order_and_values_are_pinned():
         h.update(repr(t.shape).encode())
         h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     assert h.hexdigest() == "877c23c97c36dd84f20590cf1a7bfbcb23d55f8e6e161556ef8653f39cfcdaef"
+
+
+def test_param_spec_lists_every_fresh_parameter_in_draw_order():
+    cfg = tiny_cfg()
+    store = Model.fresh(cfg, seed=0).store
+    spec = param_spec(cfg)
+    assert [(n, shape) for n, _, shape in spec] == [(n, t.shape) for n, t in store.items()]
+    kinds = {n: kind for n, kind, _ in spec}
+    assert kinds["enc.emb"] == "embedding" and kinds["kg.w"] == "projection"
+    assert all(not store[n].data.any() for n, k in kinds.items() if k == "zeros")
+    assert all((store[n].data == 1.0).all() for n, k in kinds.items() if k == "ones")
 
 
 def test_param_split_covers_store():
