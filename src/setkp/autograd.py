@@ -397,9 +397,9 @@ def multi_head_attention(
 ) -> Tensor:
     """Fused multi-head attention with leading batch axes.
 
-    q (..., Tq, d), k/v (..., Tk, d); the leading axes broadcast, so keys
-    shared by every batch entry can stay (Tk, d). Head h uses columns
-    [h*dh:(h+1)*dh], and all heads are computed at once as (..., H, Tq, Tk)
+    q (..., Tq, d), k/v (..., Tk, d), all three with the same leading axes
+    (ValueError otherwise). Head h uses columns [h*dh:(h+1)*dh], and all
+    heads are computed at once as (..., H, Tq, Tk)
     logits = (q_h k_h^T + bias[h]) * inv_scale + mask, softmaxed over keys,
     with the head outputs concatenated back to (..., Tq, d). `bias` is one
     (H, Tq, Tk) tensor (the learned relative-position term, from
@@ -410,10 +410,12 @@ def multi_head_attention(
     mask. Every query row must keep one finite key. The weights are not
     returned; value rows that are one-hot within each head's block make the
     output show them. Fusing keeps the tape short; the backward below is
-    the textbook attention gradient, batched over heads, with broadcast
-    operands' gradients summed back to their shapes.
+    the textbook attention gradient, batched over heads, with the bias's
+    gradient summed back to its shape.
     """
     qd, kd, vd = q.data, k.data, v.data
+    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
+        raise ValueError(f"q, k and v leading axes differ: {qd.shape}, {kd.shape}, {vd.shape}")
     if qd.shape[-1] % n_heads:
         raise ValueError("width not divisible by head count")
     qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
@@ -433,11 +435,8 @@ def multi_head_attention(
         gh = _split_heads(g, n_heads)
         gA = gh @ vh.swapaxes(-1, -2)
         gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
-        grads = (
-            _unbroadcast(_merge_heads(gs @ kh), qd.shape),
-            _unbroadcast(_merge_heads(gs.swapaxes(-1, -2) @ qh), kd.shape),
-            _unbroadcast(_merge_heads(A.swapaxes(-1, -2) @ gh), vd.shape),
-        )
+        grads = (_merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh),
+                 _merge_heads(A.swapaxes(-1, -2) @ gh))
         return grads if bias is None else (*grads, _unbroadcast(gs, bias.data.shape))
 
     return _record(out, parents, back)

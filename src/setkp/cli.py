@@ -9,7 +9,7 @@ import sys
 
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
-from .corpus import Vocabulary, load_jsonl, save_jsonl
+from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl
 from .model import Model, ModelConfig, param_spec
 from .params import load_checkpoint
 from .synth import distinct_word_count, synth_corpus
@@ -221,15 +221,16 @@ def _eval_record(doc, row) -> metrics.EvalRecord:
 def cmd_eval(args) -> int:
     rc = _run_config(args)
     docs = {d.doc_id: d for d in load_jsonl(args.corpus, rc.max_segment_tokens)}
-    rows = inference.load_predictions(args.predictions)
-    if not rows:
-        raise ValueError(f"{args.predictions}: no predictions to score")
-    records = []
-    for row in rows:
+
+    def record(row: dict) -> metrics.EvalRecord:
         doc = docs.get(row["id"])
         if doc is None:
             raise ValueError(f"predictions reference unknown document {row['id']!r}")
-        records.append(_eval_record(doc, row))
+        return _eval_record(doc, row)
+
+    records = parse_jsonl(args.predictions, record)
+    if not records:
+        raise ValueError(f"{args.predictions}: no predictions to score")
     per_doc, macro = metrics.evaluate(records)
     metrics.write_eval_csv(args.out, per_doc, macro)
     print(metrics.format_eval_table(macro))

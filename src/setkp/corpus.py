@@ -13,7 +13,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 DIGIT_TOKEN = "[digit]"
 
@@ -239,42 +241,59 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
+def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` of every record of a JSONL file. A field that ``parse``
+    finds missing (KeyError) or a value it rejects (ValueError) fails naming
+    the file and line."""
+    out = []
+    for lineno, rec in read_jsonl(path):
+        try:
+            out.append(parse(rec))
+        except KeyError as e:
+            raise ValueError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+    return out
+
+
 def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
+def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
+    """One corpus record as a segmented document."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object")
+    missing = [f for f in _FIELDS if f not in rec]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    for f in ("title", "abstract"):
+        if not isinstance(rec[f], str):
+            raise ValueError(f"{f} must be a string")
+    for f in ("present_keyphrases", "absent_keyphrases"):
+        if not _strings(rec[f]):
+            raise ValueError(f"{f} must be a list of strings")
+    claims = rec["claims"]
+    if _strings(claims):
+        claims = "; ".join(claims)
+    elif not isinstance(claims, str):
+        raise ValueError("claims must be a string or a list of strings")
+    doc = MultiLevelDocument(
+        doc_id=str(rec["id"]),
+        title=rec["title"],
+        abstract=rec["abstract"],
+        claims=claims,
+        present_keyphrases=rec["present_keyphrases"],
+        absent_keyphrases=rec["absent_keyphrases"],
+        label=rec.get("label"),
+    )
+    build_segments(doc, max_segment_tokens)
+    return doc
+
+
 def load_jsonl(path: str | Path,
                max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> list[MultiLevelDocument]:
-    docs = []
-    for lineno, rec in read_jsonl(path):
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        missing = [f for f in _FIELDS if f not in rec]
-        if missing:
-            raise ValueError(f"{path}:{lineno}: missing fields {missing}")
-        for f in ("title", "abstract"):
-            if not isinstance(rec[f], str):
-                raise ValueError(f"{path}:{lineno}: {f} must be a string")
-        for f in ("present_keyphrases", "absent_keyphrases"):
-            if not _strings(rec[f]):
-                raise ValueError(f"{path}:{lineno}: {f} must be a list of strings")
-        claims = rec["claims"]
-        if _strings(claims):
-            claims = "; ".join(claims)
-        elif not isinstance(claims, str):
-            raise ValueError(f"{path}:{lineno}: claims must be a string or a list of strings")
-        doc = MultiLevelDocument(
-            doc_id=str(rec["id"]),
-            title=rec["title"],
-            abstract=rec["abstract"],
-            claims=claims,
-            present_keyphrases=rec["present_keyphrases"],
-            absent_keyphrases=rec["absent_keyphrases"],
-            label=rec.get("label"),
-        )
-        build_segments(doc, max_segment_tokens)
-        docs.append(doc)
-    return docs
+    return parse_jsonl(path, lambda rec: _document(rec, max_segment_tokens))
 
 
 def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:

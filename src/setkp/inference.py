@@ -23,6 +23,7 @@ from .corpus import (
     MultiLevelDocument,
     Vocabulary,
     derive_keywords,
+    parse_jsonl,
     read_jsonl,
     tokenize,
 )
@@ -410,11 +411,17 @@ def portrait_from_dict(d: dict) -> Portrait:
     ]
     # a level kept exactly the entries that carry its level number
     by_level_text = {(e.level, e.text): e for e in entries}
+
+    def kept(level: int, text: str) -> PortraitEntry:
+        if (level, text) not in by_level_text:
+            raise ValueError(f"level {level} keeps {text!r}, which is no keyphrase of that level")
+        return by_level_text[level, text]
+
     levels = [
         LevelRecord(level=int(r["level"]), prompt_text=r["prompt_text"],
                     prompt_phrases=list(r["prompt_phrases"]),
                     keyword_spans=[list(s) for s in r["keyword_spans"]],
-                    kept=[by_level_text[int(r["level"]), t] for t in r["kept"]])
+                    kept=[kept(int(r["level"]), t) for t in r["kept"]])
         for r in d.get("levels", [])
     ]
     return Portrait(doc_id=d["id"], entries=entries, levels=levels)
@@ -436,4 +443,4 @@ def save_portraits(path, portraits: list[Portrait]) -> None:
 
 
 def load_portraits(path) -> list[Portrait]:
-    return [portrait_from_dict(rec) for _, rec in read_jsonl(path)]
+    return parse_jsonl(path, portrait_from_dict)

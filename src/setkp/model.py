@@ -12,12 +12,12 @@ same code specialize. ``decode_probs`` runs every pass on a DecodeCache of
 per-layer keys and values: teacher forcing is one pass from an empty cache,
 and ``Model.greedy_steps``, the one greedy decode loop, one step per call.
 
-Training runs a batch of B segments through the same code: ``encode`` pads
-them to (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the
-decoder takes B*N slot rows, and each segment's slots cross-attend to its
-own states only. A single segment is the unbatched case: (S, d) states and
-N slot rows. Inference encodes equal-length segments as one unpadded batch,
-then decodes each segment on its own (S, d) states and N slot rows.
+Every pass runs on a batch of B segments: ``encode`` pads them to
+(B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
+B*N slot rows, and each segment's slots cross-attend to its own states
+only. One segment is a batch of one, whose states ``encode`` returns as
+(S, d). Inference encodes equal-length segments as one unpadded batch,
+then still decodes each segment's N slot rows on their own.
 """
 
 from __future__ import annotations
@@ -167,15 +167,15 @@ def _causal_mask(T: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class DecodeCache:
-    """Incremental decode state for one greedy decode of one encoder input
-    (one segment or one batch).
+    """Incremental decode state for one greedy decode of one encoder input:
+    a batch of B segments, one segment being a batch of one.
 
     ``steps`` counts the positions decoded so far. ``self_kv[i]`` holds
     decoder layer i's self-attention keys and values, each (R, steps, d)
-    for R slot rows; ``cross_kv[i]`` holds the layer's projected encoder
-    keys and values, computed on the first call. The teacher-forced pass
-    runs on an empty cache and drops it; otherwise a cache belongs to one
-    decode loop: create it there, never share it between threads.
+    for R slot rows; ``cross_kv[i]`` the layer's (B, S_max, d) encoder keys
+    and values, projected on the first call. The teacher-forced pass runs
+    on an empty cache and drops it; otherwise a cache belongs to one decode
+    loop: create it there, never share it between threads.
     """
 
     steps: int = 0
@@ -273,29 +273,30 @@ class Model:
         return ag.add(x, ag.matmul(att, self.store[prefix + "wo"])), (k, v)
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
-        """(S,) token ids -> (S, d) contextual states.
+        """A batch of B id lists -> (B, S_max, d) contextual states.
 
-        A batch of B id lists gives (B, S_max, d): each segment's rows past
-        its own length are padding, which ``padding_mask`` keeps out of
-        every attention, so a segment's rows match its own (S, d) encode up
-        to float round-off.
+        Each segment's rows past its own length are padding, which
+        ``padding_mask`` keeps out of every attention, so a segment's rows
+        match its own encode up to float round-off. One (S,) id list is a
+        batch of one, returned as (S, d).
         """
+        if len(token_ids) == 0 or np.isscalar(token_ids[0]):
+            return ag.reshape(self._encode([token_ids]), (len(token_ids), self.cfg.d))
+        return self._encode(token_ids)
+
+    def _encode(self, token_ids: Sequence[Sequence[int]]) -> Tensor:
         cfg = self.cfg
-        batched = len(token_ids) > 0 and not np.isscalar(token_ids[0])
-        lengths = [len(s) for s in token_ids] if batched else [len(token_ids)]
+        lengths = [len(s) for s in token_ids]
         for S in lengths:
             if S < 1:
                 raise ValueError("cannot encode an empty sequence")
             if S > cfg.max_encode_len:
                 raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
         S = max(lengths)
-        if batched:
-            ids = np.zeros((len(lengths), S), dtype=np.intp)
-            for b, seq in enumerate(token_ids):
-                ids[b, : len(seq)] = seq
-            mask = padding_mask(lengths)
-        else:
-            ids, mask = np.asarray(token_ids, dtype=np.intp), None
+        ids = np.zeros((len(lengths), S), dtype=np.intp)
+        for b, seq in enumerate(token_ids):
+            ids[b, : len(seq)] = seq
+        mask = padding_mask(lengths)
         buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
         bias = ag.gather_heads([self.store[f"enc.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
 
@@ -359,10 +360,11 @@ class Model:
     ) -> Tensor:
         """Decode: prev_ids (R, T) holds w^{t-1} per slot row and step.
 
-        For one segment, enc_states is (S, d) and R = N. For a batch of B,
         enc_states is (B, S_max, d) from ``encode``, enc_mask its
         ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
-        each segment's N*T queries attend only to its own states.
+        each segment's N*T queries attend only to its own states. One
+        segment's (S, d) states are a batch of one, made (1, S, d) where
+        the cache's cross-attention keys are filled.
 
         prev_ids holds the T steps after the cache's ``steps`` earlier ones;
         their keys and values are appended to the cache, and the result is
@@ -376,17 +378,19 @@ class Model:
         """
         cfg = self.cfg
         R, T = prev_ids.shape
-        B = enc_states.data.shape[0] if enc_states.data.ndim == 3 else None
-        if R != (B or 1) * cfg.n_slots:
-            raise ValueError(f"{R} slot rows for {B or 1} segment(s) of {cfg.n_slots} slots")
+        B = math.prod(enc_states.shape[:-2])
+        if R != B * cfg.n_slots:
+            raise ValueError(f"{R} slot rows for {B} segment(s) of {cfg.n_slots} slots")
         if cache is None:
             cache = DecodeCache()
         elif ag.recording():
             raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
-        if not cache.cross_kv:  # keys and values shaped like the encoder states
+        if not cache.cross_kv:  # (B, S_max, d) keys and values
             cache.enc_states = enc_states
-            cache.cross_kv = [(ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
-                               ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
+            states = (enc_states if enc_states.data.ndim == 3
+                      else ag.reshape(enc_states, (1, *enc_states.shape)))  # a batch of one
+            cache.cross_kv = [(ag.matmul(states, self.store[f"dec.L{i}.ck"]),
+                               ag.matmul(states, self.store[f"dec.L{i}.cv"]))
                               for i in range(cfg.n_dec_layers)]
         elif cache.enc_states is not enc_states:
             raise ValueError("a DecodeCache serves the encoder states it was filled from")
@@ -407,15 +411,12 @@ class Model:
             p = f"dec.L{i}."
             x, kv = self._self_attention(x, p, bias, mask, cache.self_kv[i] if t0 else None)
             cache.self_kv[i:i + 1] = [kv]  # replaces layer i's entry; appends it from empty
-            q = ag.matmul(self._ln(x, p + "ln2"), self.store[p + "cq"])
-            if B is not None:  # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries
-                q = ag.reshape(q, (B, -1, cfg.d))
+            # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries and back
+            q = ag.reshape(ag.matmul(self._ln(x, p + "ln2"), self.store[p + "cq"]), (B, -1, cfg.d))
             catt = ag.multi_head_attention(
                 q, *cache.cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
             )
-            if B is not None:
-                catt = ag.reshape(catt, (R, T, cfg.d))
-            x = ag.add(x, ag.matmul(catt, self.store[p + "co"]))
+            x = ag.add(x, ag.matmul(ag.reshape(catt, (R, T, cfg.d)), self.store[p + "co"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])

@@ -302,17 +302,16 @@ def test_batched_attention_grad_with_bias_and_causal_mask():
     assert grad_check(f, params, n_coords=80) < 1e-5
 
 
-def test_batched_attention_grad_with_shared_keys():
-    # (B, Tq, d) queries over (Tk, d) keys/values shared by every batch entry
-    rng = np.random.default_rng(12)
-    q = _param(rng, (3, 2, 4))
-    k = _param(rng, (5, 4))
-    v = _param(rng, (5, 4))
-
-    def f():
-        return _dot(ag.multi_head_attention(q, k, v, None, n_heads=2, inv_scale=0.5))
-
-    assert grad_check(f, {"q": q, "k": k, "v": v}, n_coords=60) < 1e-5
+@pytest.mark.parametrize("shapes", [
+    ((3, 2, 4), (5, 4), (5, 4)),  # keys and values shared by every batch entry
+    ((3, 2, 4), (1, 5, 4), (1, 5, 4)),  # a batch axis of one, broadcast
+    ((3, 2, 4), (3, 5, 4), (2, 5, 4)),  # values of another batch
+    ((2, 4), (2, 5, 4), (2, 5, 4)),  # unbatched queries
+])
+def test_attention_rejects_differing_leading_axes(shapes):
+    q, k, v = (Tensor(np.ones(s)) for s in shapes)
+    with pytest.raises(ValueError, match="leading axes"):
+        ag.multi_head_attention(q, k, v, None, n_heads=2, inv_scale=0.5)
 
 
 def test_batched_attention_matches_per_entry_loop():

@@ -252,7 +252,7 @@ def test_eval_unknown_doc_id_fails(tmp_path, pipeline, capsys):
     rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(bad),
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "e.csv")])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}:1: predictions reference unknown document 'nope'\n"
 
 
 def test_eval_rejects_an_empty_predictions_file(tmp_path, pipeline, capsys):
@@ -263,6 +263,44 @@ def test_eval_rejects_an_empty_predictions_file(tmp_path, pipeline, capsys):
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {empty}: no predictions to score\n"
+    assert not out.exists()
+
+
+def _drop_slot_null(row):
+    del row["segments"][0]["slots"][0]["null"]
+
+
+def _drop_keyphrases(row):
+    del row["keyphrases"]
+
+
+def _add_entry_without_level(row):
+    row["keyphrases"].append({"text": "epoxy resin", "group": "present", "confidence": 0.5})
+
+
+def _keep_an_unknown_phrase(row):
+    row["levels"][0]["kept"].append("no such phrase")
+
+
+@pytest.mark.parametrize("cmd,source,spoil,message", [
+    ("eval", "preds", _drop_slot_null, "missing field 'null'"),
+    ("analyze", "portraits", _drop_keyphrases, "missing field 'keyphrases'"),
+    ("analyze", "portraits", _add_entry_without_level, "missing field 'level'"),
+    ("analyze", "portraits", _keep_an_unknown_phrase,
+     "level 1 keeps 'no such phrase', which is no keyphrase of that level"),
+])
+def test_malformed_input_names_file_and_line(tmp_path, pipeline, capsys, cmd, source, spoil,
+                                             message):
+    rows = [json.loads(line) for line in pipeline[source].read_text(encoding="utf-8").splitlines()]
+    spoil(rows[1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    flag = "--predictions" if cmd == "eval" else "--portraits"
+    out = tmp_path / "out.csv"
+    rc = main([cmd, "--config", str(pipeline["cfg"]), flag, str(bad),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setkp import autograd as ag
-from setkp.autograd import Tape
+from setkp.autograd import Tape, Tensor
 from setkp.corpus import KeywordSpan
 from setkp.assignment import k_step_predict
 from setkp.model import (
@@ -166,10 +166,10 @@ def test_encode_shapes_and_determinism():
 
 def test_encode_rejects_bad_lengths():
     model = Model.fresh(tiny_cfg(), seed=0)
-    with pytest.raises(ValueError):
-        model.encode([])
-    with pytest.raises(ValueError):
-        model.encode([1] * 65)
+    # one segment, then the same inside a batch
+    for token_ids in ([], [1] * 65, [[1, 2], []], [[1, 2], [1] * 65]):
+        with pytest.raises(ValueError):
+            model.encode(token_ids)
 
 
 def test_encoder_uses_relative_biases():
@@ -538,6 +538,31 @@ def test_padded_batch_matches_single_segment_calls(perm):
             np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
                                        k_step_predict(model, one, ctrl, 3, 1),
                                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("S", [9, 23])  # under and over 16 tokens
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+def test_batched_greedy_decode_gives_each_segment_its_own_bits(S, order):
+    # three equal-length segments decoded as one batch: each segment's
+    # distributions at every step are bit-identical to its batch-of-one
+    # decode on the same states and control rows, wherever it sits
+    cfg = tiny_cfg()
+    model = Model.fresh(cfg, seed=4)
+    rng = np.random.default_rng(S)
+    N = cfg.n_slots
+    segs = [rng.integers(1, cfg.vocab_size, size=S).tolist() for _ in range(3)]
+    keywords = [[seg[:2], None, seg[3:4], None] for seg in segs]
+    with ag.no_grad():
+        states = model.encode([segs[i] for i in order])
+        control = model.control_rows([ids for i in order for ids in keywords[i]])
+        batch = list(model.greedy_steps(control, states, 1, cfg.max_kp_len))
+        for b in range(len(order)):
+            rows = slice(b * N, (b + 1) * N)
+            one = model.greedy_steps(Tensor(control.data[rows]), Tensor(states.data[b]), 1,
+                                     cfg.max_kp_len)
+            for (probs, tokens), (p1, t1) in zip(batch, one, strict=True):
+                assert np.array_equal(probs[rows], p1)
+                assert np.array_equal(tokens[rows], t1)
 
 
 def test_padding_mask_only_for_padded_batches():
