@@ -2,15 +2,17 @@
 
 Small by design: a handful of primitives, each with a hand-derived backward
 rule, recorded on an explicit Tape and replayed in reverse. No broadcasting
-magic beyond what numpy gives us, no views into graph tensors, no GPU.
-Gradients are exact up to float64 round-off; the test suite checks every
-backward rule against central finite differences.
+magic beyond what numpy gives us, no GPU. Gradients are exact up to float64
+round-off; the test suite checks every backward rule against central finite
+differences. Gradients are summed out of place, so a gradient array may be
+shared by several tensors, or be a view of another one, and nothing ever
+writes into it.
 
-``Tape.backward(loss)`` leaves a gradient on every tensor the loss reaches.
-``Tape.backward(loss, wrt=...)`` leaves one only on the named tensors: it
-replays just the paths from them to the loss and drops each other
-gradient as soon as its node has passed it on, so a pass holds the
-gradients in flight rather than one per tensor.
+``Tape.backward(loss, wrt=...)`` leaves a gradient only on the named
+tensors (every tensor on the tape when ``wrt`` is None): it replays just
+the paths from them to the loss and drops each other gradient as soon as
+its node has passed it on, so a pass holds the gradients in flight rather
+than one per tensor.
 
 The hot path is Python overhead per node, so the primitives are coarse:
 ``matmul`` and ``linear`` run a (..., k) @ (k, m) product as one 2-D GEMM
@@ -41,9 +43,12 @@ def _active_tape() -> "Tape | None":
 class Tensor:
     """Immutable-by-convention value node.
 
-    `data` is a float64 ndarray. Intermediate tensors must never be written
-    to after creation; parameter leaves (requires_grad=True) are mutated only
-    by optimizers and finite-difference probes, never mid-graph.
+    `data` is a float64 ndarray, and it may be a view of another tensor's
+    data (``reshape`` makes one). Views are safe because no array on a
+    graph is written while that graph is in use: intermediates are never
+    written after creation, and optimizers rebind a parameter's data rather
+    than write into it. Code that writes a parameter in place, such as a
+    finite-difference probe, builds its graph again after the write.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -68,7 +73,7 @@ class Tape:
     """Ordered record of executed primitives.
 
     Each node is (output, parents, backward_fn). Backward replays the list
-    in reverse exactly once, accumulating parent gradients by summation, so
+    in reverse in one pass, summing parent gradients out of place, so
     fan-out in the DAG sums naturally. Entering a tape makes it the active
     recorder for the current thread; tapes must not be nested.
     """
@@ -91,7 +96,7 @@ class Tape:
         wrt: Iterable[Tensor] | None = None,
         seeds: Iterable[tuple[Tensor, np.ndarray]] = (),
     ) -> None:
-        """Accumulate d(loss)/d(tensor) into .grad.
+        """Store d(loss)/d(tensor) in .grad.
 
         loss must be a scalar recorded on this tape. Grads of all tensors
         touched by the tape are reset first, so repeated backward calls over
@@ -103,20 +108,19 @@ class Tape:
         any node adds to it, so a tensor whose downstream graph is gone can
         still pass on a gradient taken earlier.
 
-        Without ``wrt``, every tensor on the tape that the loss (or a seed)
-        reaches keeps its gradient.
-
-        With ``wrt``, only nodes with a parent on a path from one of those
-        tensors to the loss are replayed, and exactly the named tensors hold
-        a gradient afterwards; every other .grad is None. A replayed node's
-        output drops its gradient as soon as the node has passed it on, so
+        ``wrt`` names the tensors to differentiate; None names every tensor
+        on the tape. One pass serves both: only nodes with a parent on a
+        path from a named tensor to the loss are replayed, and the named
+        tensors that the loss (or a seed) reaches hold a gradient afterwards;
+        every other .grad is None. A replayed node's output that is not
+        named drops its gradient as soon as the node has passed it on, so
         the pass holds only the gradients still in flight, not one per
         tensor. A named tensor may be an intermediate: it gets its own exact
         gradient, and nothing upstream of it is replayed unless another
         named tensor lies there. The named tensors' gradients are
-        bit-identical to a full pass, since every pruned contribution ends
-        off those paths and no kept gradient shares memory with a dropped
-        one.
+        bit-identical to those of a pass that names every tensor, since
+        every pruned contribution ends off those paths and sums never write
+        into an array.
         """
         if loss.data.shape != ():
             raise ValueError("backward expects a scalar loss")
@@ -124,36 +128,27 @@ class Tape:
             out.grad = None
             for p in parents:
                 p.grad = None
-        named = live = replay = None
-        if wrt is not None:
+        if wrt is None:
+            named = {id(t) for out, parents, _ in self.nodes for t in (out, *parents)}
+        else:
             named = {id(t) for t in wrt}
-            live, replay = self._downstream(named)
+        live, replay = self._downstream(named)
         loss.grad = np.ones((), dtype=np.float64)
         for t, c in seeds:
             c = np.asarray(c, dtype=np.float64)
             if c.shape != t.data.shape:
                 raise ValueError(f"seed of shape {c.shape} for a tensor of shape {t.data.shape}")
-            if live is not None and id(t) not in live:
+            if id(t) not in live:
                 continue  # reaches no named tensor
             t.grad = c.copy() if t.grad is None else t.grad + c
         for out, parents, back in reversed(self.nodes):
             if out.grad is None:
                 continue
-            if replay is None or id(out) in replay:
-                gs = back(out.grad)
-                for p, g in zip(parents, gs):
-                    if g is None or not p.requires_grad:
-                        continue
-                    if live is not None and id(p) not in live:
-                        continue
-                    if p.grad is None:
-                        # a later += would write through to out.grad, a view's
-                        # base or a sibling parent's gradient; a fresh g is kept
-                        shared = g.base is not None or g is out.grad or sum(h is g for h in gs) > 1
-                        p.grad = g.copy() if shared else g
-                    else:
-                        p.grad += g
-            if named is not None and id(out) not in named:
+            if id(out) in replay:
+                for p, g in zip(parents, back(out.grad)):
+                    if g is not None and p.requires_grad and id(p) in live:
+                        p.grad = g if p.grad is None else p.grad + g
+            if id(out) not in named:
                 out.grad = None  # no earlier node reads it
 
     def _downstream(self, named: set[int]) -> tuple[set[int], set[int]]:
@@ -195,10 +190,6 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], back: Callable) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
@@ -218,7 +209,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     ash, bsh = a.data.shape, b.data.shape
     out = Tensor(a.data + b.data)
     return _record(
@@ -227,7 +217,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     out = Tensor(a.data * c)
     return _record(out, (a,), lambda g: (g * c,))
@@ -269,7 +258,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.data.shape
-    out = Tensor(a.data.reshape(shape).copy())
+    out = Tensor(a.data.reshape(shape))
     return _record(out, (a,), lambda g: (g.reshape(old),))
 
 

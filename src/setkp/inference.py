@@ -24,7 +24,6 @@ from .corpus import (
     Vocabulary,
     derive_keywords,
     parse_jsonl,
-    read_jsonl,
     tokenize,
 )
 from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
@@ -432,10 +431,6 @@ def save_predictions(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in rows:
             fh.write(json.dumps(r, sort_keys=True) + "\n")
-
-
-def load_predictions(path) -> list[dict]:
-    return [rec for _, rec in read_jsonl(path)]
 
 
 def save_portraits(path, portraits: list[Portrait]) -> None:

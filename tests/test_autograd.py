@@ -163,6 +163,7 @@ def test_reshape_grad():
     a = _param(rng, (3, 4))
     err = grad_check(lambda: _dot(ag.reshape(a, (2, 6))), {"a": a}, n_coords=12)
     assert err < 1e-6
+    assert np.shares_memory(ag.reshape(a, (2, 6)).data, a.data)  # a view, not a copy
 
 
 def test_relu_grad_away_from_kink():
@@ -631,6 +632,27 @@ def test_backward_keeps_first_gradients_apart_from_shared_arrays():
     _assert_same_bits(tape, ref)
     tape.backward(loss, wrt=[u, s])
     _assert_same_bits(tape, ref, only=[u, s])
+
+
+def _kept_slope(a: Tensor, rest: Tensor, kept: np.ndarray) -> Tensor:
+    """sum(kept * a) + rest as a loss: its backward rule returns the array
+    `kept` itself, which is a's gradient since a loss's incoming one is 1."""
+    out = Tensor(np.add.reduce(kept * a.data) + rest.data)
+    return ag._record(out, (a, rest), lambda g: (kept, g))
+
+
+def test_backward_never_writes_into_an_array_a_rule_keeps():
+    # the loss node is replayed first, so x's first gradient is `kept`
+    # itself; the softmax path recorded before it then adds to x
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    kept = np.full(3, 2.0)
+    with Tape() as tape:
+        loss = _kept_slope(x, _dot(ag.softmax(x)), kept)
+    ref = _reference_grads(tape, loss)
+    for wrt in (None, [x]):
+        tape.backward(loss, wrt=wrt)
+        np.testing.assert_array_equal(kept, np.full(3, 2.0))
+        _assert_same_bits(tape, ref, only=[x])
 
 
 def _every_primitive(emb, w, b, gain, bias, tables) -> Tensor:

@@ -11,8 +11,8 @@ from setkp import inference
 from setkp.autograd import Tape
 from setkp.cli import main
 from setkp.config import RunConfig, load_run_config, parse_config_file
-from setkp.corpus import load_jsonl
-from setkp.inference import load_portraits, load_predictions
+from setkp.corpus import load_jsonl, read_jsonl
+from setkp.inference import load_portraits
 from setkp.model import Model, ModelConfig
 from setkp.params import ParamStore, load_checkpoint, save_checkpoint
 from setkp.training import TsmtConfig
@@ -92,7 +92,7 @@ def test_train_outputs(pipeline):
 
 
 def test_generate_rows_cover_corpus(pipeline):
-    rows = load_predictions(pipeline["preds"])
+    rows = [rec for _, rec in read_jsonl(pipeline["preds"])]
     docs = load_jsonl(pipeline["corpus"], 32)
     assert [r["id"] for r in rows] == [d.doc_id for d in docs]
     for row, doc in zip(rows, docs):
@@ -253,6 +253,18 @@ def test_eval_unknown_doc_id_fails(tmp_path, pipeline, capsys):
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "e.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {bad}:1: predictions reference unknown document 'nope'\n"
+
+
+def test_eval_names_a_malformed_predictions_line(tmp_path, pipeline, capsys):
+    lines = pipeline["preds"].read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + "\n\n" + lines[1][:-1] + "\n", encoding="utf-8")  # line 3 cut short
+    out = tmp_path / "e.csv"
+    rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(bad),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:3: malformed JSON")
+    assert not out.exists()
 
 
 def test_eval_rejects_an_empty_predictions_file(tmp_path, pipeline, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from setkp import inference
 from setkp.autograd import Tensor, no_grad
-from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments
+from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments, read_jsonl
 from setkp.inference import (
     PROMPT_INFIX,
     PROMPT_PREFIX,
@@ -21,7 +21,6 @@ from setkp.inference import (
     generate_segments,
     generate_slots,
     load_portraits,
-    load_predictions,
     padding_keyword_spans,
     portrait_from_dict,
     portrait_to_dict,
@@ -453,7 +452,7 @@ def test_portrait_levels_keep_their_entries_through_save_and_load(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("load", [load_predictions, load_portraits])
+@pytest.mark.parametrize("load", [load_portraits])
 def test_bad_jsonl_line_names_file_and_line(tmp_path, load):
     path = tmp_path / "out.jsonl"
     path.write_text('{"id": "a", "keyphrases": []}\n\nnot json\n', encoding="utf-8")
@@ -475,7 +474,7 @@ def test_predictions_jsonl_roundtrip(tmp_path):
     rows = [{"id": "a", "kept": ["x y"]}, {"id": "b", "kept": []}]
     path = tmp_path / "preds.jsonl"
     save_predictions(path, rows)
-    assert load_predictions(path) == rows
+    assert [rec for _, rec in read_jsonl(path)] == rows
 
 
 def test_extract_keywords_truncates_to_encode_limit():
