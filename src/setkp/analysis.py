@@ -17,19 +17,9 @@ MODES = ("original", "pure", "augmented")
 SEPARATOR = ";"
 
 
-@dataclass(slots=True)
-class AnalysisInput:
-    mode: str
-    tokens: list[str]
-
-    @property
-    def token_count(self) -> int:
-        return len(self.tokens)
-
-
 def build_input(doc: MultiLevelDocument, portrait: Portrait | None, mode: str,
-                levels: set[int] | None = None) -> AnalysisInput:
-    """Assemble one classifier input.
+                levels: set[int] | None = None) -> list[str]:
+    """Assemble one classifier input's tokens.
 
     original: the document's own tokens at the requested levels.
     pure: portrait entries generated from those levels, ';'-separated.
@@ -42,13 +32,13 @@ def build_input(doc: MultiLevelDocument, portrait: Portrait | None, mode: str,
         if levels is None or seg.level in levels:
             original.extend(seg.tokens)
     if mode == "original":
-        return AnalysisInput(mode=mode, tokens=original)
+        return original
     if portrait is None:
         raise ValueError(f"mode {mode!r} needs a portrait for {doc.doc_id}")
     ptoks = portrait.tokens_for_levels(levels)
     if mode == "pure":
-        return AnalysisInput(mode=mode, tokens=ptoks)
-    return AnalysisInput(mode=mode, tokens=original + [SEPARATOR] + ptoks)
+        return ptoks
+    return original + [SEPARATOR] + ptoks
 
 
 class TokenCountClassifier:
@@ -150,7 +140,7 @@ def run_experiment(
             build_input(d, portraits.get(d.doc_id), mode, levels) for d in labeled
         ]
         clf = TokenCountClassifier()
-        clf.train([inputs[i].tokens for i in tr_idx], [labeled[i].label for i in tr_idx])
+        clf.train([inputs[i] for i in tr_idx], [labeled[i].label for i in tr_idx])
 
         train_labels = [labeled[i].label for i in tr_idx]
         majority = min(
@@ -158,10 +148,10 @@ def run_experiment(
             key=lambda lab: (-train_labels.count(lab), lab),
         )
         test_labels = [labeled[i].label for i in te_idx]
-        preds = [clf.classify(inputs[i].tokens) for i in te_idx]
+        preds = [clf.classify(inputs[i]) for i in te_idx]
         acc = float(np.mean([p == y for p, y in zip(preds, test_labels)]))
         maj_acc = float(np.mean([majority == y for y in test_labels]))
-        mean_tk = float(np.mean([inp.token_count for inp in inputs]))
+        mean_tk = float(np.mean([len(inp) for inp in inputs]))
         results.append(ModeResult(
             mode=mode,
             levels=tuple(sorted(levels)) if levels else (),

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import Tensor
 from .model import Model
 
 
@@ -30,14 +30,13 @@ def k_step_predict(
     enc_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy free-running distributions, shape (k, R, vocab) for the R
-    slot rows of ``control`` (arguments as for ``Model.decode_probs``).
+    slot rows of ``control`` (arguments as for ``Model.decode_probs``): all
+    ``k`` steps of ``Model.greedy_decode``, with no stop token.
 
     Runs outside any tape: assignment is a discrete decision, not a
     differentiated computation.
     """
-    with no_grad():
-        steps = model.greedy_steps(control, enc_states, bos_id, k, enc_mask)
-        return np.stack([probs for probs, _ in steps])
+    return model.greedy_decode(control, enc_states, bos_id, k, enc_mask)[0]
 
 
 def build_cost(dists: np.ndarray, targets: list[list[int]], null_id: int) -> np.ndarray:

@@ -31,7 +31,6 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(sub, "gen-corpus", "emit a synthetic corpus JSONL", seed=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-docs", type=int, help="documents to synthesize")
-    p.add_argument("--vocab-profile", choices=["default", "small"])
 
     p = _command(sub, "train", "run the staged training schedule", seed=True)
     p.add_argument("--corpus", required=True)
@@ -107,7 +106,7 @@ def _parse_levels(raw: str | None) -> set[int] | None:
 
 def cmd_gen_corpus(args) -> int:
     rc = _run_config(args)
-    docs = synth_corpus(rc.seed, rc.n_docs, rc.vocab_profile)
+    docs = synth_corpus(rc.seed, rc.n_docs)
     save_jsonl(args.out, docs)
     print(f"wrote {len(docs)} documents, {distinct_word_count(docs)} distinct words -> {args.out}")
     return 0

@@ -27,7 +27,6 @@ _ModelAndTrainKeys = make_dataclass("_ModelAndTrainKeys", [
 @dataclass
 class RunConfig(_ModelAndTrainKeys):
     n_docs: int = 64
-    vocab_profile: str = "default"
     max_segment_tokens: int = MAX_SEGMENT_TOKENS
     min_freq: int = 1
 

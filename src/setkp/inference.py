@@ -59,39 +59,28 @@ def generate_slots(
     control: Tensor,
 ) -> list[SlotPrediction]:
     """Decode every slot greedily from BOS until EOS or ``max_kp_len`` steps
-    (``Model.greedy_steps``), stopping once every slot has emitted EOS.
+    (``Model.greedy_decode``, which stops once every slot has emitted EOS).
 
-    A slot is null iff its first emitted token is the null marker; confidence
-    is the mean probability of its emitted tokens. Returns slot order.
+    A slot's output is its tokens before its first EOS. It is null iff its
+    first token is the null marker; confidence is the mean probability of
+    its tokens. Returns slot order.
     """
-    n = model.cfg.n_slots
-    done = [False] * n
-    emitted: list[list[int]] = [[] for _ in range(n)]
-    probs: list[list[float]] = [[] for _ in range(n)]
-    with no_grad():
-        steps = model.greedy_steps(control, enc_states, vocab.bos_id, model.cfg.max_kp_len)
-        for step, tokens in steps:
-            for i, tok in enumerate(tokens.tolist()):
-                if done[i]:
-                    continue  # a finished slot's later steps are discarded
-                if tok == vocab.eos_id:
-                    done[i] = True
-                else:
-                    emitted[i].append(tok)
-                    probs[i].append(float(step[i, tok]))
-            if all(done):
-                break
-
-    return [
-        SlotPrediction(
+    n, eos = model.cfg.n_slots, vocab.eos_id
+    probs, tokens = model.greedy_decode(control, enc_states, vocab.bos_id, model.cfg.max_kp_len,
+                                        stop_id=eos)
+    chosen = np.take_along_axis(probs, tokens[:, :, None], axis=2)[:, :, 0]
+    slots = []
+    for i, (col, ps) in enumerate(zip(tokens.T.tolist(), chosen.T.tolist())):
+        end = (col + [eos]).index(eos)
+        toks, ps = col[:end], ps[:end]
+        slots.append(SlotPrediction(
             tokens=[vocab.tokens[t] for t in toks if t != vocab.null_id],
             is_null=bool(toks) and toks[0] == vocab.null_id,
             group="present" if i < n // 2 else "absent",
-            confidence=float(np.add.reduce(ps) / len(ps)) if ps else 0.0,
+            confidence=float(np.add.reduce(ps) / end) if end else 0.0,
             slot=i,
-        )
-        for i, (toks, ps) in enumerate(zip(emitted, probs))
-    ]
+        ))
+    return slots
 
 
 def filter_predictions(

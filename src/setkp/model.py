@@ -10,7 +10,7 @@ row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
 same code specialize. ``decode_probs`` runs every pass on a DecodeCache of
 per-layer keys and values: teacher forcing is one pass from an empty cache,
-and ``Model.greedy_steps``, the one greedy decode loop, one step per call.
+and ``Model.greedy_decode``, the one greedy decode loop, one step per call.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class ModelConfig:
     use_keyword_control: bool = True
 
     def __post_init__(self):
+        if self.d < 2 or self.n_heads < 1:
+            raise ValueError("need d >= 2 and n_heads >= 1")
         if self.d % 2 or self.d % self.n_heads:
             raise ValueError("d must be even and divisible by n_heads")
         if self.n_slots % 2:
@@ -64,6 +66,9 @@ class ModelConfig:
             raise ValueError("n_control_keywords must be smaller than the group size")
         if self.assign_steps < 1 or self.max_kp_len < 1:
             raise ValueError("assign_steps and max_kp_len must be >= 1")
+        # the decoder's exact-offset bucket count, at least the encoder's
+        if self.rpe_buckets < 4 or self.rpe_max_distance <= self.rpe_buckets // 2:
+            raise ValueError("need rpe_buckets >= 4 and rpe_max_distance > rpe_buckets // 2")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -422,19 +427,29 @@ class Model:
         logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])
         return ag.softmax(logits, axis=-1)
 
-    def greedy_steps(self, control: Tensor, enc_states: Tensor, bos_id: int,
-                     steps: int, enc_mask: np.ndarray | None = None
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Greedy decode from BOS: yields each step's (R, vocab) distributions,
-        one row per control row, with the (R,) tokens chosen from them, which
-        are fed back in. This is the one place the greedy choice is made.
-        Arguments are as for ``decode_probs``. Callers decode under
-        ``no_grad``: a generator that suspended recording itself would leave
-        it suspended for its consumer between steps."""
+    def greedy_decode(self, control: Tensor, enc_states: Tensor, bos_id: int, steps: int,
+                      enc_mask: np.ndarray | None = None, stop_id: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy decode from BOS, each step's argmax fed back in: the one
+        greedy decode loop. Arguments are as for ``decode_probs``; it runs
+        tape-free under its own ``no_grad``, one cached step per call.
+
+        Returns the (t, R, vocab) distributions and the (t, R) tokens chosen
+        from them, one row per control row. It stops after the first step by
+        which every row has emitted ``stop_id``; with None it runs all ``steps``.
+        """
         cache = DecodeCache()
         prev = np.full((control.data.shape[0], 1), bos_id, dtype=np.intp)
-        for _ in range(steps):
-            probs = self.decode_probs(prev, control, enc_states, cache=cache, enc_mask=enc_mask).data
-            tokens = probs.argmax(axis=1)
-            yield probs, tokens
-            prev = tokens[:, None]
+        stopped = np.zeros(len(prev), dtype=bool)
+        probs, tokens = [], []
+        with ag.no_grad():
+            for _ in range(steps):
+                probs.append(self.decode_probs(prev, control, enc_states, cache=cache,
+                                               enc_mask=enc_mask).data)
+                tokens.append(probs[-1].argmax(axis=1))
+                prev = tokens[-1][:, None]
+                if stop_id is not None:
+                    stopped |= tokens[-1] == stop_id
+                    if stopped.all():
+                        break
+        return np.stack(probs), np.stack(tokens)

@@ -106,8 +106,8 @@ def _sentence(rng, plants, budget) -> list[str]:
     return toks
 
 
-def _gen_doc(rng: random.Random, topics, idx: int) -> MultiLevelDocument:
-    topic = topics[idx % len(topics)]
+def _gen_doc(rng: random.Random, idx: int) -> MultiLevelDocument:
+    topic = TOPICS[idx % len(TOPICS)]
     n_claims = rng.randint(1, 2)
     # one phrase per level, planted exactly once: phrase i is contained only
     # in segment i+1, so every segment carries a single present keyphrase and
@@ -155,16 +155,10 @@ def _gen_doc(rng: random.Random, topics, idx: int) -> MultiLevelDocument:
     return doc
 
 
-def synth_corpus(seed: int, n_docs: int, vocab_profile: str = "default") -> list[MultiLevelDocument]:
-    """Deterministic corpus; same (seed, n_docs, profile) -> same documents."""
-    if vocab_profile == "default":
-        topics = TOPICS
-    elif vocab_profile == "small":
-        topics = TOPICS[:4]
-    else:
-        raise ValueError(f"unknown vocab_profile {vocab_profile!r}")
+def synth_corpus(seed: int, n_docs: int) -> list[MultiLevelDocument]:
+    """Deterministic corpus; same (seed, n_docs) -> same documents."""
     rng = random.Random(seed)
-    return [_gen_doc(rng, topics, i) for i in range(n_docs)]
+    return [_gen_doc(rng, i) for i in range(n_docs)]
 
 
 def distinct_word_count(docs: list[MultiLevelDocument]) -> int:

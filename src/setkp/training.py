@@ -77,6 +77,8 @@ class TsmtConfig:
             raise ValueError("need 0 < e1 <= epochs")
         if self.e2 < 1:
             raise ValueError("e2 must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(slots=True)

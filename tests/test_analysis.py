@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkp.analysis import (
-    AnalysisInput,
     ModeResult,
     TokenCountClassifier,
     build_input,
@@ -91,31 +90,25 @@ def _doc():
 
 def test_build_input_original_is_segment_tokens():
     doc = _doc()
-    inp = build_input(doc, None, "original")
-    want = [t for seg in doc.segments for t in seg.tokens]
-    assert inp.tokens == want
-    assert inp.token_count == len(want)
+    assert build_input(doc, None, "original") == [t for seg in doc.segments for t in seg.tokens]
 
 
 def test_build_input_levels_restrict_original():
     doc = _doc()
-    inp = build_input(doc, None, "original", levels={2})
-    assert inp.tokens == doc.segments[1].tokens
+    assert build_input(doc, None, "original", levels={2}) == doc.segments[1].tokens
 
 
 def test_build_input_pure_uses_portrait_tokens():
     doc = _doc()
     p = _portrait(doc.doc_id, {1: ["alpha beta"], 2: ["gamma"]})
-    inp = build_input(doc, p, "pure")
-    assert inp.tokens == ["alpha", "beta", ";", "gamma"]
+    assert build_input(doc, p, "pure") == ["alpha", "beta", ";", "gamma"]
 
 
 def test_build_input_augmented_concatenates():
     doc = _doc()
     p = _portrait(doc.doc_id, {1: ["alpha"]})
-    orig = build_input(doc, None, "original").tokens
-    inp = build_input(doc, p, "augmented")
-    assert inp.tokens == orig + [";", "alpha"]
+    orig = build_input(doc, None, "original")
+    assert build_input(doc, p, "augmented") == orig + [";", "alpha"]
 
 
 def test_build_input_validation():
@@ -212,8 +205,3 @@ def test_analysis_table_format():
     lines = table.splitlines()
     assert lines[0].split() == ["mode", "levels", "acc", "majority", "#Tks"]
     assert "original" in lines[1] and "0.7500" in lines[1]
-
-
-def test_analysis_input_token_count():
-    inp = AnalysisInput(mode="pure", tokens=["a", ";", "b"])
-    assert inp.token_count == 3

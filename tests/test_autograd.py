@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from setkp import autograd as ag
 from setkp.autograd import Tape, Tensor, no_grad
+from setkp.inference import ENCODE_ROWS
 
 
 def grad_check(
@@ -108,6 +109,26 @@ def test_matmul_flat_matches_per_entry_products():
         np.testing.assert_allclose(out.data[i], a.data[i] @ b.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.grad[i], g[i] @ b.data.T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.grad, sum(a.data[i].T @ g[i] for i in range(5)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k, m", [(64, 64), (64, 256), (256, 64)])
+def test_gemm_row_blocks_have_the_bits_of_their_own_products(k, m):
+    # batched inference relies on this on the installed numpy and BLAS: in
+    # a product of at most ENCODE_ROWS rows at the default encoder widths,
+    # each S-row block has the bits of that block's own product, and the
+    # stacked (B, S, k) product equals its 2-D slices. It does not hold for
+    # every width: the (64, V) generation head breaks it for some V.
+    rng = np.random.default_rng(k + m)
+    w = rng.standard_normal((k, m))
+    for S in range(2, 40):
+        B = ENCODE_ROWS // S
+        a = rng.standard_normal((B, S, k))
+        flat = a.reshape(B * S, k) @ w
+        stacked = ag._gemm(a, w)
+        for b in range(B):
+            own = a[b] @ w
+            assert np.array_equal(flat[b * S:(b + 1) * S], own), (S, b)
+            assert np.array_equal(stacked[b], own), (S, b)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 3, 3)])

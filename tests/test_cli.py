@@ -476,7 +476,7 @@ def test_run_config_builds_model_and_train_configs():
 
 def test_config_keys_are_the_model_and_train_fields(tmp_path):
     keys = [f for f in fields(ModelConfig) if f.name != "vocab_size"] + list(fields(TsmtConfig))
-    pipeline_keys = {"n_docs", "vocab_profile", "max_segment_tokens", "min_freq"}
+    pipeline_keys = {"n_docs", "max_segment_tokens", "min_freq"}
     assert {f.name for f in fields(RunConfig)} == {f.name for f in keys} | pipeline_keys
     p = tmp_path / "c.cfg"
     for f in keys:
@@ -504,6 +504,7 @@ COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
 @pytest.mark.parametrize("line, message", [
     ("n_slots = 5", "n_slots must be even"),
     ("e1 = 0", "need 0 < e1 <= epochs"),
+    ("batch_size = 0", "batch_size must be >= 1"),
 ])
 def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cmd, line, message):
     cfg = tmp_path / "bad.cfg"

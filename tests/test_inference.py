@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setkp import inference
+from setkp.assignment import k_step_predict
 from setkp.autograd import Tensor, no_grad
 from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments, read_jsonl
 from setkp.inference import (
@@ -164,6 +165,36 @@ def test_generate_slots_matches_full_recompute(bias_out, max_len):
                                                  rel=0, abs=1e-12)
             if bias_out:
                 assert len(ids) == m
+
+
+def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monkeypatch):
+    # generate_slots decodes until every slot has emitted EOS, at most
+    # max_kp_len steps; k_step_predict always decodes all k steps
+    model, vocab, docs = setup_model()
+    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    control = model.control_rows([None] * model.cfg.n_slots)
+    calls = []
+    decode_probs = Model.decode_probs
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return decode_probs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "decode_probs", counted)
+    bias = model.store["kg.b"].data
+    bias[vocab.eos_id] = 100.0
+    slots = generate_slots(model, vocab, enc, control)
+    assert len(calls) == 1
+    assert all(s.tokens == [] and not s.is_null and s.confidence == 0.0 for s in slots)
+    calls.clear()
+    dists = k_step_predict(model, enc, control, 3, vocab.bos_id)
+    assert len(calls) == 3 and dists.shape == (3, model.cfg.n_slots, model.cfg.vocab_size)
+    assert (dists.argmax(axis=2) == vocab.eos_id).all()
+    bias[[vocab.eos_id, vocab.null_id]] = -100.0
+    calls.clear()
+    slots = generate_slots(model, vocab, enc, control)
+    assert len(calls) == model.cfg.max_kp_len
+    assert all(len(s.tokens) == model.cfg.max_kp_len for s in slots)
 
 
 def test_generate_for_tokens_returns_spans():

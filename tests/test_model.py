@@ -58,6 +58,19 @@ def test_config_rejects_bad_shapes():
         ModelConfig(vocab_size=10, max_kp_len=0)  # slots would decode nothing
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, assign_steps=0)  # every assignment cost 0
+    for bad in (dict(d=0), dict(n_heads=0), dict(n_heads=-2)):
+        with pytest.raises(ValueError, match="d >= 2 and n_heads >= 1"):
+            ModelConfig(vocab_size=10, **bad)
+    # under 4 buckets the encoder has no exact bucket; a max distance within
+    # the decoder's exact range puts buckets below 0 or divides by zero
+    for bad in (dict(rpe_buckets=1), dict(rpe_buckets=3), dict(rpe_max_distance=12),
+                dict(rpe_max_distance=16), dict(rpe_buckets=4, rpe_max_distance=2)):
+        with pytest.raises(ValueError, match="rpe_buckets"):
+            ModelConfig(vocab_size=10, **bad)
+    ModelConfig(vocab_size=10, rpe_buckets=4, rpe_max_distance=3)  # the smallest valid setting
+    for bidirectional in (True, False):
+        table = _buckets(40, 4, 3, bidirectional)
+        assert table.min() >= 0 and table.max() < 4
 
 
 def test_config_roundtrip():
@@ -392,18 +405,23 @@ def test_cached_decode_keeps_slots_isolated():
         assert not np.array_equal(ra[1], rb[1])
 
 
-def test_greedy_steps_leave_recording_to_the_caller():
-    # the generator must not switch recording off itself: under a tape its
-    # first cached step raises, under no_grad it decodes
+def test_greedy_decode_runs_tape_free_under_a_recording_tape():
+    # greedy_decode suspends recording itself: under a tape it records
+    # nothing, gives the bits it gives outside any tape, and leaves the tape
+    # recording for its caller; each step's argmax is the next step's input
     cfg = tiny_cfg()
     model, _, control, enc = _decode_setup(cfg)
-    with Tape():
-        with pytest.raises(RuntimeError):
-            next(model.greedy_steps(control, enc, 1, 4))
-        with ag.no_grad():
-            probs, tokens = next(model.greedy_steps(control, enc, 1, 4))
-    assert probs.shape == (cfg.n_slots, cfg.vocab_size)
-    assert np.array_equal(tokens, probs.argmax(axis=1))
+    probs, tokens = model.greedy_decode(control, enc, 1, 4)
+    with Tape() as tape:
+        p, t = model.greedy_decode(control, enc, 1, 4)
+        assert ag.recording()
+    assert tape.nodes == []
+    assert np.array_equal(p, probs) and np.array_equal(t, tokens)
+    assert probs.shape == (4, cfg.n_slots, cfg.vocab_size)
+    assert np.array_equal(tokens, probs.argmax(axis=2))
+    prev = np.concatenate([np.ones((cfg.n_slots, 1), dtype=np.intp), tokens[:-1].T], axis=1)
+    forced = model.decode_probs(prev, control, enc).data.reshape(cfg.n_slots, 4, -1)
+    np.testing.assert_allclose(probs, forced.transpose(1, 0, 2), rtol=0, atol=1e-12)
 
 
 def test_decode_cache_rejected_while_recording():
@@ -555,14 +573,13 @@ def test_batched_greedy_decode_gives_each_segment_its_own_bits(S, order):
     with ag.no_grad():
         states = model.encode([segs[i] for i in order])
         control = model.control_rows([ids for i in order for ids in keywords[i]])
-        batch = list(model.greedy_steps(control, states, 1, cfg.max_kp_len))
-        for b in range(len(order)):
-            rows = slice(b * N, (b + 1) * N)
-            one = model.greedy_steps(Tensor(control.data[rows]), Tensor(states.data[b]), 1,
+    probs, tokens = model.greedy_decode(control, states, 1, cfg.max_kp_len)
+    for b in range(len(order)):
+        rows = slice(b * N, (b + 1) * N)
+        p1, t1 = model.greedy_decode(Tensor(control.data[rows]), Tensor(states.data[b]), 1,
                                      cfg.max_kp_len)
-            for (probs, tokens), (p1, t1) in zip(batch, one, strict=True):
-                assert np.array_equal(probs[rows], p1)
-                assert np.array_equal(tokens[rows], t1)
+        assert np.array_equal(probs[:, rows], p1)
+        assert np.array_equal(tokens[:, rows], t1)
 
 
 def test_padding_mask_only_for_padded_batches():

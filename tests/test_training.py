@@ -285,6 +285,8 @@ def test_tsmt_config_validation():
         TsmtConfig(epochs=5, e1=6)
     with pytest.raises(ValueError):
         TsmtConfig(epochs=5, e1=2, e2=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        TsmtConfig(batch_size=0)  # no batch would hold a document
 
 
 def test_stage1_updates_encoder_only():
