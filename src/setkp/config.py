@@ -31,6 +31,8 @@ class RunConfig(_ModelAndTrainKeys):
     min_freq: int = 1
 
     def __post_init__(self):
+        if self.max_segment_tokens < MAX_SEGMENT_TOKENS:
+            raise ValueError(f"max_segment_tokens must be >= {MAX_SEGMENT_TOKENS}")
         self.model_config(0)
         self.train_config()
 
@@ -48,7 +50,6 @@ _PARSERS = {
     "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
     "int": (int, "an int"),
     "float": (float, "a float"),
-    "str": (str, "a string"),
 }
 
 

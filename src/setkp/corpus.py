@@ -241,19 +241,23 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
-def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
-    """``parse`` of every record of a JSONL file. A field that ``parse``
-    finds missing (KeyError) or a value it rejects (ValueError) fails naming
-    the file and line."""
-    out = []
+def _parsed_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
+    """(line number, ``parse`` of its record) for every record of a JSONL
+    file. A field that ``parse`` finds missing (KeyError) or a value it
+    rejects (ValueError) fails naming the file and line."""
     for lineno, rec in read_jsonl(path):
         try:
-            out.append(parse(rec))
+            item = parse(rec)
         except KeyError as e:
             raise ValueError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from e
-    return out
+        yield lineno, item
+
+
+def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` of every record of a JSONL file, failing as ``_parsed_lines``."""
+    return [item for _, item in _parsed_lines(path, parse)]
 
 
 def _strings(v) -> bool:
@@ -273,6 +277,9 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
     for f in ("present_keyphrases", "absent_keyphrases"):
         if not _strings(rec[f]):
             raise ValueError(f"{f} must be a list of strings")
+        for phrase in rec[f]:
+            if not tokenize(phrase):  # no target a slot could emit or an output could match
+                raise ValueError(f"{f}: keyphrase {phrase!r} has no tokens")
     claims = rec["claims"]
     if _strings(claims):
         claims = "; ".join(claims)
@@ -293,7 +300,15 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
 
 def load_jsonl(path: str | Path,
                max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> list[MultiLevelDocument]:
-    return parse_jsonl(path, lambda rec: _document(rec, max_segment_tokens))
+    """The documents of a corpus file; a document id may appear only once."""
+    docs, first_line = [], {}
+    for lineno, doc in _parsed_lines(path, lambda rec: _document(rec, max_segment_tokens)):
+        if doc.doc_id in first_line:
+            raise ValueError(f"{path}:{lineno}: document id {doc.doc_id!r} "
+                             f"already on line {first_line[doc.doc_id]}")
+        first_line[doc.doc_id] = lineno
+        docs.append(doc)
+    return docs
 
 
 def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:

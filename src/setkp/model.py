@@ -64,6 +64,9 @@ class ModelConfig:
             raise ValueError("n_slots must be even")
         if self.n_control_keywords >= self.n_slots // 2:
             raise ValueError("n_control_keywords must be smaller than the group size")
+        for name in ("n_enc_layers", "n_dec_layers", "ffn_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.assign_steps < 1 or self.max_kp_len < 1:
             raise ValueError("assign_steps and max_kp_len must be >= 1")
         # the decoder's exact-offset bucket count, at least the encoder's
@@ -164,6 +167,20 @@ def padding_mask(lengths: Sequence[int]) -> np.ndarray | None:
     return mask
 
 
+def padded(seqs: Sequence[Sequence[int]], fill: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows as one (R, T_max) ``intp`` array, each row filled with
+    ``fill`` past its own length, and the (R, T_max) float mask that is 1.0
+    over a row's entries and 0.0 elsewhere: the layout of every padded
+    batch array."""
+    T = max(map(len, seqs), default=0)
+    ids = np.full((len(seqs), T), fill, dtype=np.intp)
+    live = np.zeros((len(seqs), T))
+    for r, seq in enumerate(seqs):
+        ids[r, : len(seq)] = seq
+        live[r, : len(seq)] = 1.0
+    return ids, live
+
+
 @functools.lru_cache(maxsize=None)
 def _causal_mask(T: int) -> np.ndarray:
     """(T, T): 0 on and below the diagonal, -inf above it."""
@@ -241,10 +258,7 @@ class Model:
         store = ParamStore()
         init = Initializer(store, seed)
         for name, kind, shape in param_spec(cfg):
-            if kind == "projection":
-                init.projection(name, *shape)
-            else:
-                getattr(init, kind)(name, shape)
+            getattr(init, kind)(name, shape)
         return cls(cfg, store)
 
     def encoder_params(self) -> dict[str, Tensor]:
@@ -297,12 +311,9 @@ class Model:
                 raise ValueError("cannot encode an empty sequence")
             if S > cfg.max_encode_len:
                 raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
-        S = max(lengths)
-        ids = np.zeros((len(lengths), S), dtype=np.intp)
-        for b, seq in enumerate(token_ids):
-            ids[b, : len(seq)] = seq
+        ids, _ = padded(token_ids)
         mask = padding_mask(lengths)
-        buckets = _buckets(S, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
+        buckets = _buckets(ids.shape[1], cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
         bias = ag.gather_heads([self.store[f"enc.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
 
         x = ag.gather(self.store["enc.emb"], ids)
@@ -344,14 +355,8 @@ class Model:
         if R == 0 or R % cfg.n_slots:
             raise ValueError(f"need a multiple of n_slots={cfg.n_slots} keyword entries, got {R}")
         rows = ag.gather(self.store["dec.ctrl"], np.arange(R) % cfg.n_slots)
-        keywords = [ids or [] for ids in keyword_ids] if cfg.use_keyword_control else []
-        K = max(map(len, keywords), default=0)
-        if K:
-            idx = np.zeros((R, K), dtype=np.intp)
-            mask = np.zeros((R, K))
-            for r, ids in enumerate(keywords):
-                idx[r, : len(ids)] = ids
-                mask[r, : len(ids)] = 1.0
+        idx, mask = padded([ids or [] for ids in keyword_ids] if cfg.use_keyword_control else [])
+        if idx.size:
             rows = ag.add(rows, ag.gather_sum(self.store["dec.emb"], idx, mask))
         return rows
 

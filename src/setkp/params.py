@@ -67,11 +67,9 @@ class Initializer:
     def embedding(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self.store.create(name, self.rng.uniform(-0.08, 0.08, size=shape))
 
-    def projection(self, name: str, fan_in: int, fan_out: int) -> Tensor:
-        std = 1.0 / np.sqrt(fan_in)
-        return self.store.create(
-            name, self.rng.normal(0.0, std, size=(fan_in, fan_out))
-        )
+    def projection(self, name: str, shape: tuple[int, int]) -> Tensor:
+        std = 1.0 / np.sqrt(shape[0])  # shape is (fan_in, fan_out)
+        return self.store.create(name, self.rng.normal(0.0, std, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self.store.create(name, np.zeros(shape))

@@ -14,11 +14,12 @@ with those gradients instead of replaying the decoder. Each backward pass
 walks only the part of the tape that leads to what it differentiates.
 
 The batch is one leading axis through the whole step: one padded encode,
-one control-row gather, one free-running decode for assignment and one
-teacher-forced decode over all B*N slot rows, and one loss per kind over
-the batch, weighted so that it is the mean of the per-segment losses.
-Keyword tagging, target building, Hungarian assignment and the teacher
-arrays stay per segment, on slices of the batch.
+one control-row gather, one free-running decode for assignment, one set of
+teacher arrays and one teacher-forced decode over all B*N slot rows, and
+one loss per kind over the batch, weighted so that it is the mean of the
+per-segment losses. Every padded array is built by ``model.padded``.
+Keyword tagging, target building and Hungarian assignment stay per
+segment, on slices of the batch.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .corpus import (
     bio_labels,
     derive_keywords,
 )
-from .model import Model, ModelConfig, padding_mask
+from .model import Model, ModelConfig, padded, padding_mask
 from .params import AdamW, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -79,6 +80,11 @@ class TsmtConfig:
             raise ValueError("e2 must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
+        for name in ("weight_decay", "lambda_null", "lambda_kw", "lambda_g"):
+            if not getattr(self, name) >= 0:  # rejects NaN too
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(slots=True)
@@ -154,10 +160,7 @@ def kwp_build_targets(
 
 def kwe_class_weights(label_seqs: list[list[int]]) -> np.ndarray:
     """Reciprocal label counts over the batch, counts floored at one."""
-    counts = np.zeros(3)
-    for seq in label_seqs:
-        for lab in seq:
-            counts[lab] += 1
+    counts = np.bincount([lab for seq in label_seqs for lab in seq], minlength=3)
     return 1.0 / np.maximum(counts, 1.0)
 
 
@@ -165,15 +168,11 @@ def loss_kwe(tag_probs: Tensor, labels: list[int] | list[list[int]],
              class_weights: np.ndarray) -> Tensor:
     """Mean weighted token cross-entropy of one segment: (S, 3) tag
     distributions and S labels. A batch passes (B, S_max, 3) and B label
-    lists and gets the mean of its segments' losses; padding rows carry
-    weight 0."""
+    lists, padded as ``padded`` pads them, and gets the mean of its
+    segments' losses; padding rows carry weight 0."""
     seqs = labels if tag_probs.data.ndim == 3 else [labels]
-    S = tag_probs.data.shape[-2]
-    tgt = np.zeros((len(seqs), S), dtype=np.intp)
-    w = np.zeros((len(seqs), S))
-    for b, seq in enumerate(seqs):
-        tgt[b, : len(seq)] = seq
-        w[b, : len(seq)] = class_weights[np.asarray(seq)] / len(seq)
+    tgt, live = padded(seqs)
+    w = class_weights[tgt] * live / live.sum(axis=1, keepdims=True)
     nll = ag.weighted_nll(ag.reshape(tag_probs, (-1, 3)), tgt.reshape(-1), w.reshape(-1))
     return ag.scale(nll, 1.0 / len(seqs))
 
@@ -185,45 +184,22 @@ def teacher_arrays(
     vocab: Vocabulary,
     tcfg: TsmtConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Previous-token, target, and weight arrays for teacher forcing.
+    """(R, T_max) previous-token, target, and weight arrays for teacher
+    forcing, one row per entry of ``order``.
 
-    Slot n is trained on entries[order[n]] followed by EOS; rows past a
-    slot's target get weight zero. Weights: 1 for ground truth, lambda_kw
-    for padding keywords, lambda_null for nulls.
+    ``order`` indexes ``entries``: one segment's N targets, or a batch's
+    target lists laid end to end with each segment's order offset by its
+    first entry, one segment being a batch of one. Row r is trained on
+    entries[order[r]] followed by EOS; cells past a row's target hold pad_id
+    with weight zero. Weights: 1 for ground truth, lambda_kw for padding
+    keywords, lambda_null for nulls. ``cfg`` is not read.
     """
     xi = {ORIGIN_GT: 1.0, ORIGIN_KW: tcfg.lambda_kw, ORIGIN_NULL: tcfg.lambda_null}
     seqs = [entries[j].ids + [vocab.eos_id] for j in order]
-    T = max(len(s) for s in seqs)
-    N = cfg.n_slots
-    prev = np.full((N, T), vocab.pad_id, dtype=np.intp)
-    tgt = np.full((N, T), vocab.pad_id, dtype=np.intp)
-    w = np.zeros((N, T))
-    for n, seq in enumerate(seqs):
-        prev[n, 0] = vocab.bos_id
-        prev[n, 1 : len(seq)] = seq[:-1]
-        tgt[n, : len(seq)] = seq
-        w[n, : len(seq)] = xi[entries[order[n]].origin]
+    prev, _ = padded([[vocab.bos_id] + seq[:-1] for seq in seqs], vocab.pad_id)
+    tgt, live = padded(seqs, vocab.pad_id)
+    w = live * np.array([xi[entries[j].origin] for j in order])[:, None]
     return prev, tgt, w
-
-
-def _pad_teacher_arrays(
-    arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]], pad_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack per-segment ``teacher_arrays`` into (B*N, T_max) arrays; the
-    columns a segment lacks hold pad_id with weight 0."""
-    T = max(prev.shape[1] for prev, _, _ in arrays)
-    R = sum(prev.shape[0] for prev, _, _ in arrays)
-
-    def stack(i: int, fill) -> np.ndarray:
-        out = np.full((R, T), fill, dtype=arrays[0][i].dtype)
-        r = 0
-        for a in arrays:
-            n, t = a[i].shape
-            out[r : r + n, :t] = a[i]
-            r += n
-        return out
-
-    return stack(0, pad_id), stack(1, pad_id), stack(2, 0.0)
 
 
 def loss_kg(probs: Tensor, tgt: np.ndarray, w: np.ndarray) -> Tensor:
@@ -393,21 +369,23 @@ def _train_batch(
                 )
                 control_ids += control_ids_for(spans, cfg, vocab)
             control = model.control_rows(control_ids)
+            entries = [e for tl in targets for e in tl.all()]
+            N = cfg.n_slots
             wrt = list(dec_opt.params.values()) + [states]
             mark = len(tape.nodes)
             d_states = 0.0
             for _ in range(tcfg.e2):
                 dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
-                arrays = []
+                order = []
                 for b, tl in enumerate(targets):
-                    order = assign_groups(
-                        dists[:, b * cfg.n_slots : (b + 1) * cfg.n_slots],
+                    seg_order = assign_groups(
+                        dists[:, b * N : (b + 1) * N],
                         [e.ids for e in tl.present],
                         [e.ids for e in tl.absent],
                         vocab.null_id,
                     )
-                    arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
-                prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+                    order += [b * N + j for j in seg_order]
+                prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
                 probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
                 lg = loss_kg(probs, tgt, w / len(batch))
                 tape.backward(lg, wrt=wrt)

@@ -301,6 +301,7 @@ def test_jsonl_error_carries_line_number(tmp_path):
     ("abstract", None, "abstract must be a string"),
     ("claims", 7, "claims must be a string or a list of strings"),
     ("claims", ["claim one", {"x": 1}], "claims must be a string or a list of strings"),
+    ("absent_keyphrases", ["ok", "--"], "absent_keyphrases: keyphrase '--' has no tokens"),
 ])
 def test_jsonl_field_types_checked(tmp_path, field, value, message):
     rec = {"id": "a", "title": "t", "abstract": "an abstract.", "claims": "a claim.",
@@ -309,6 +310,17 @@ def test_jsonl_field_types_checked(tmp_path, field, value, message):
     path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {message}"):
+        load_jsonl(path, 32)
+
+
+def test_jsonl_repeated_document_id_names_both_lines(tmp_path):
+    rec = {"id": "doc-0000", "title": "t", "abstract": "an abstract.", "claims": "a claim.",
+           "present_keyphrases": ["claim"], "absent_keyphrases": []}
+    path = tmp_path / "dup.jsonl"
+    path.write_text("\n".join(json.dumps({**rec, "id": i}) for i in
+                              ("doc-0000", "doc-0001", "doc-0002")) + "\n\n"
+                    + json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^\S*dup\.jsonl:5: document id 'doc-0000' already on line 1$"):
         load_jsonl(path, 32)
 
 

@@ -17,6 +17,7 @@ from setkp.model import (
     _buckets,
     ape_vector,
     dope_rpe_bucket,
+    padded,
     padding_mask,
     param_spec,
 )
@@ -58,6 +59,10 @@ def test_config_rejects_bad_shapes():
         ModelConfig(vocab_size=10, max_kp_len=0)  # slots would decode nothing
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, assign_steps=0)  # every assignment cost 0
+    for name in ("ffn_width", "n_enc_layers", "n_dec_layers"):
+        for bad in (0, -3):  # an empty FFN dies in its first product; no layers trains nothing
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                ModelConfig(vocab_size=10, **{name: bad})
     for bad in (dict(d=0), dict(n_heads=0), dict(n_heads=-2)):
         with pytest.raises(ValueError, match="d >= 2 and n_heads >= 1"):
             ModelConfig(vocab_size=10, **bad)
@@ -587,6 +592,18 @@ def test_padding_mask_only_for_padded_batches():
     m = padding_mask([3, 1])
     assert m.shape == (2, 1, 1, 3)
     assert (m[0] == 0).all() and (m[1, ..., :1] == 0).all() and np.isneginf(m[1, ..., 1:]).all()
+
+
+def test_padded_fills_each_row_past_its_length():
+    ids, live = padded([[4, 5, 6], [], [7]], fill=2)
+    assert ids.dtype == np.intp and live.dtype == np.float64
+    np.testing.assert_array_equal(ids, [[4, 5, 6], [2, 2, 2], [7, 2, 2]])
+    np.testing.assert_array_equal(live, [[1, 1, 1], [0, 0, 0], [1, 0, 0]])
+    for seqs, shape in (([], (0, 0)), ([[], []], (2, 0))):
+        ids, live = padded(seqs)
+        assert ids.shape == live.shape == shape
+        assert ids.dtype == np.intp and live.dtype == np.float64
+    np.testing.assert_array_equal(padded([[1], [2, 3]])[0], [[1, 0], [2, 3]])  # fill defaults to 0
 
 
 def test_decode_probs_rejects_rows_not_matching_segments():

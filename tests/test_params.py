@@ -8,7 +8,7 @@ def _store_with(seed=0):
     store = ParamStore()
     init = Initializer(store, seed)
     init.embedding("enc.emb", (5, 3))
-    init.projection("enc.w", 3, 4)
+    init.projection("enc.w", (3, 4))
     init.ones("dec.g", (4,))
     init.zeros("dec.b", (4,))
     return store
@@ -41,7 +41,7 @@ def test_initializer_deterministic():
 def test_projection_std_scales_with_fan_in():
     store = ParamStore()
     init = Initializer(store, 0)
-    w = init.projection("w", 400, 300)
+    w = init.projection("w", (400, 300))
     assert abs(w.data.std() - 1.0 / 20.0) < 0.002
 
 

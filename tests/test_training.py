@@ -18,7 +18,6 @@ from setkp.training import (
     ORIGIN_NULL,
     TrainingDiverged,
     TsmtConfig,
-    _pad_teacher_arrays,
     _train_batch,
     build_examples,
     control_ids_for,
@@ -164,7 +163,7 @@ def test_batched_losses_are_means_of_per_segment_losses():
     entries = [kwp_build_targets(_kps(p, []), [], cfg.n_slots, vocab).all()
                for p in ([], [["polymer", "coating"]])]
     arrays = [teacher_arrays(e, [0, 1, 2, 3], cfg, vocab, tcfg) for e in entries]
-    prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+    prev, tgt, w = teacher_arrays(entries[0] + entries[1], list(range(8)), cfg, vocab, tcfg)
     assert prev.shape == tgt.shape == w.shape == (2 * cfg.n_slots, 3)
     assert (w[: cfg.n_slots, 2] == 0).all() and (tgt[: cfg.n_slots, 2] == vocab.pad_id).all()
     V = len(vocab)
@@ -243,25 +242,30 @@ def test_teacher_arrays_weights_by_origin():
     assert w[1, 1] == pytest.approx(0.7)  # EOS row keeps the origin weight
 
 
-def test_pad_teacher_arrays_pads_each_segment_in_order():
-    # three segments of target lengths 3, 5 and 2, distinct values per cell
-    rng = np.random.default_rng(6)
-    pad = 1
-    arrays = [
-        (rng.integers(2, 50, (4, T)).astype(np.intp),
-         rng.integers(2, 50, (4, T)).astype(np.intp),
-         rng.random((4, T)) + 0.5)
-        for T in (3, 5, 2)
-    ]
-    prev, tgt, w = _pad_teacher_arrays(arrays, pad)
+def test_teacher_arrays_batch_pads_each_segment_in_order():
+    # three segments whose longest targets (plus EOS) are 3, 5 and 2 tokens:
+    # a two-token phrase, a four-token keyword-padding span, nulls only
+    _, vocab, _, cfg = small_setup()
+    tcfg = TsmtConfig(epochs=1, e1=1)
+    span = KeywordSpan(tokens=["polymer", "coating", "epoxy", "resin"], start=0, confidence=0.9)
+    targets = [kwp_build_targets(_kps([["polymer", "coating"]], []), [], 4, vocab),
+               kwp_build_targets(_kps([], [["thermoset"]]), [span], 4, vocab),
+               kwp_build_targets(_kps([], []), [], 4, vocab)]
+    assert [e.origin for e in targets[1].present] == [ORIGIN_KW, ORIGIN_NULL]
+    orders = [[1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 2, 3]]
+    entries = [e for tl in targets for e in tl.all()]
+    order = [4 * b + j for b, seg_order in enumerate(orders) for j in seg_order]
+    prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
     assert prev.shape == tgt.shape == w.shape == (12, 5)
     assert prev.dtype == tgt.dtype == np.intp and w.dtype == np.float64
-    for b, (seg_prev, seg_tgt, seg_w) in enumerate(arrays):
+    for b, (tl, seg_order) in enumerate(zip(targets, orders)):
+        seg_prev, seg_tgt, seg_w = teacher_arrays(tl.all(), seg_order, cfg, vocab, tcfg)
         rows, T = slice(4 * b, 4 * b + 4), seg_prev.shape[1]
+        assert T == (3, 5, 2)[b]
         np.testing.assert_array_equal(prev[rows, :T], seg_prev)
         np.testing.assert_array_equal(tgt[rows, :T], seg_tgt)
         np.testing.assert_array_equal(w[rows, :T], seg_w)
-        assert (prev[rows, T:] == pad).all() and (tgt[rows, T:] == pad).all()
+        assert (prev[rows, T:] == vocab.pad_id).all() and (tgt[rows, T:] == vocab.pad_id).all()
         assert (w[rows, T:] == 0.0).all()
 
 
@@ -287,6 +291,14 @@ def test_tsmt_config_validation():
         TsmtConfig(epochs=5, e1=2, e2=0)
     with pytest.raises(ValueError, match="batch_size"):
         TsmtConfig(batch_size=0)  # no batch would hold a document
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="lr must be > 0"):
+            TsmtConfig(lr=bad)
+    for name in ("weight_decay", "lambda_null", "lambda_kw", "lambda_g"):
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                TsmtConfig(**{name: bad})
+        TsmtConfig(**{name: 0.0})
 
 
 def test_stage1_updates_encoder_only():
@@ -497,15 +509,16 @@ def test_batch_gradients_match_the_full_tape_formulation(monkeypatch):
             targets.append(kwp_build_targets(ex.kps, spans, N, vocab))
             control_ids += control_ids_for(spans, cfg, vocab)
         control = model.control_rows(control_ids)
+        entries = [e for tl in targets for e in tl.all()]
         ref_inner = []
         for _ in range(tcfg.e2):
             dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
-            arrays = []
+            order = []
             for b, tl in enumerate(targets):
-                order = assign_groups(dists[:, b * N : (b + 1) * N], [e.ids for e in tl.present],
-                                      [e.ids for e in tl.absent], vocab.null_id)
-                arrays.append(teacher_arrays(tl.all(), order, cfg, vocab, tcfg))
-            prev, tgt, w = _pad_teacher_arrays(arrays, vocab.pad_id)
+                order += [b * N + j for j in assign_groups(
+                    dists[:, b * N : (b + 1) * N], [e.ids for e in tl.present],
+                    [e.ids for e in tl.absent], vocab.null_id)]
+            prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
             probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
             lg = loss_kg(probs, tgt, w / len(batch))
             tape.backward(lg)
