@@ -9,7 +9,7 @@ import sys
 
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
-from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl
+from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl, write_jsonl
 from .model import Model, ModelConfig, param_spec
 from .params import load_checkpoint
 from .synth import distinct_word_count, synth_corpus
@@ -173,7 +173,7 @@ def cmd_generate(args) -> int:
     model, vocab, _ = _load_model(args.ckpt)
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
     rows = prediction_rows(model, vocab, docs)
-    inference.save_predictions(args.out, rows)
+    write_jsonl(args.out, rows)
     print(f"generated for {len(rows)} documents -> {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -241,10 +241,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
-def _parsed_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
-    """(line number, ``parse`` of its record) for every record of a JSONL
-    file. A field that ``parse`` finds missing (KeyError) or a value it
-    rejects (ValueError) fails naming the file and line."""
+def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` of every record of a JSONL file, the one record reader of
+    corpora, predictions and portraits. A field that ``parse`` finds missing
+    (KeyError), a value it rejects (ValueError) or an item whose ``doc_id``
+    an earlier line already has fails naming the file and line."""
+    items, first_line = [], {}
     for lineno, rec in read_jsonl(path):
         try:
             item = parse(rec)
@@ -252,12 +254,20 @@ def _parsed_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple
             raise ValueError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from e
-        yield lineno, item
+        if item.doc_id in first_line:
+            raise ValueError(f"{path}:{lineno}: document id {item.doc_id!r} "
+                             f"already on line {first_line[item.doc_id]}")
+        first_line[item.doc_id] = lineno
+        items.append(item)
+    return items
 
 
-def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
-    """``parse`` of every record of a JSONL file, failing as ``_parsed_lines``."""
-    return [item for _, item in _parsed_lines(path, parse)]
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, non-ASCII text as UTF-8
+    characters: the encoding of every JSONL file the program writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _strings(v) -> bool:
@@ -300,31 +310,25 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
 
 def load_jsonl(path: str | Path,
                max_segment_tokens: int = MAX_SEGMENT_TOKENS) -> list[MultiLevelDocument]:
-    """The documents of a corpus file; a document id may appear only once."""
-    docs, first_line = [], {}
-    for lineno, doc in _parsed_lines(path, lambda rec: _document(rec, max_segment_tokens)):
-        if doc.doc_id in first_line:
-            raise ValueError(f"{path}:{lineno}: document id {doc.doc_id!r} "
-                             f"already on line {first_line[doc.doc_id]}")
-        first_line[doc.doc_id] = lineno
-        docs.append(doc)
-    return docs
+    """The documents of a corpus file."""
+    return parse_jsonl(path, lambda rec: _document(rec, max_segment_tokens))
 
 
 def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            rec = {
-                "id": d.doc_id,
-                "title": d.title,
-                "abstract": d.abstract,
-                "claims": d.claims,
-                "present_keyphrases": d.present_keyphrases,
-                "absent_keyphrases": d.absent_keyphrases,
-            }
-            if d.label is not None:
-                rec["label"] = d.label
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    records = []
+    for d in docs:
+        rec = {
+            "id": d.doc_id,
+            "title": d.title,
+            "abstract": d.abstract,
+            "claims": d.claims,
+            "present_keyphrases": d.present_keyphrases,
+            "absent_keyphrases": d.absent_keyphrases,
+        }
+        if d.label is not None:
+            rec["label"] = d.label
+        records.append(rec)
+    write_jsonl(path, records)
 
 
 # ---------------------------------------------------------------- vocabulary

@@ -10,7 +10,6 @@ needs the phrases kept at the level above.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -25,6 +24,7 @@ from .corpus import (
     derive_keywords,
     parse_jsonl,
     tokenize,
+    write_jsonl,
 )
 from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
 from .model import Model
@@ -415,15 +415,8 @@ def portrait_from_dict(d: dict) -> Portrait:
     return Portrait(doc_id=d["id"], entries=entries, levels=levels)
 
 
-def save_predictions(path, rows: list[dict]) -> None:
-    """One JSON object per document (doc id, slot outputs, kept phrases)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
-
-
 def save_portraits(path, portraits: list[Portrait]) -> None:
-    save_predictions(path, [portrait_to_dict(p) for p in portraits])
+    write_jsonl(path, [portrait_to_dict(p) for p in portraits])
 
 
 def load_portraits(path) -> list[Portrait]:

@@ -316,6 +316,37 @@ def test_malformed_input_names_file_and_line(tmp_path, pipeline, capsys, cmd, so
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def outputs64(tmp_path_factory, pipeline):
+    """The tiny model's `generate` and `portrait` outputs on a 64-document corpus."""
+    root = tmp_path_factory.mktemp("pipe64")
+    paths = {k: root / f"{k}.jsonl" for k in ("corpus", "preds", "portraits")}
+    c, ckpt = str(pipeline["cfg"]), str(pipeline["ckpt"])
+    assert main(["gen-corpus", "--config", c, "--n-docs", "64", "--seed", "3",
+                 "--out", str(paths["corpus"])]) == 0
+    for cmd, out in (("generate", "preds"), ("portrait", "portraits")):
+        assert main([cmd, "--config", c, "--ckpt", ckpt, "--corpus", str(paths["corpus"]),
+                     "--out", str(paths[out])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("cmd,source", [("eval", "preds"), ("analyze", "portraits")])
+def test_repeated_document_id_names_both_lines(tmp_path, pipeline, outputs64, capsys, cmd,
+                                               source):
+    lines = outputs64[source].read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 64
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in lines + [lines[1]]), encoding="utf-8")
+    flag = "--predictions" if cmd == "eval" else "--portraits"
+    out = tmp_path / "out.csv"
+    rc = main([cmd, "--config", str(pipeline["cfg"]), flag, str(bad),
+               "--corpus", str(outputs64["corpus"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {bad}:65: document id 'doc-0001' "
+                                       "already on line 2\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["generate", "portrait"])
 def test_inference_commands_name_an_empty_segment_before_encoding(tmp_path, pipeline, capsys,
                                                                   monkeypatch, cmd):

@@ -6,7 +6,13 @@ import pytest
 from setkp import inference
 from setkp.assignment import k_step_predict
 from setkp.autograd import Tensor, no_grad
-from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments, read_jsonl
+from setkp.corpus import (
+    MultiLevelDocument,
+    Vocabulary,
+    build_segments,
+    read_jsonl,
+    write_jsonl,
+)
 from setkp.inference import (
     PROMPT_INFIX,
     PROMPT_PREFIX,
@@ -28,7 +34,6 @@ from setkp.inference import (
     portraits,
     prompt_tokens,
     save_portraits,
-    save_predictions,
 )
 from setkp.model import DecodeCache, Model, ModelConfig
 from setkp.synth import synth_corpus
@@ -504,8 +509,27 @@ def test_portrait_confidence_rounded_in_json():
 def test_predictions_jsonl_roundtrip(tmp_path):
     rows = [{"id": "a", "kept": ["x y"]}, {"id": "b", "kept": []}]
     path = tmp_path / "preds.jsonl"
-    save_predictions(path, rows)
+    write_jsonl(path, rows)
     assert [rec for _, rec in read_jsonl(path)] == rows
+
+
+def test_non_ascii_text_is_written_as_utf8_and_read_back_equal(tmp_path):
+    from setkp.inference import LevelRecord
+
+    row = {"id": "d", "segments": [{"level": 1, "kept": [
+        {"text": "größe maß", "group": "present", "confidence": 0.5}]}]}
+    entry = PortraitEntry(tokens=["größe", "maß"], level=1, group="present", confidence=0.5)
+    p = Portrait(doc_id="d", entries=[entry], levels=[
+        LevelRecord(level=1, prompt_text="straße", prompt_phrases=["größe maß"],
+                    keyword_spans=[["größe"]], kept=[entry]),
+    ])
+    for name, rec in (("preds", row), ("portraits", portrait_to_dict(p))):
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(path, [rec])
+        raw = path.read_bytes()
+        assert "größe".encode("utf-8") in raw and b"\\u" not in raw
+    assert [rec for _, rec in read_jsonl(tmp_path / "preds.jsonl")] == [row]
+    assert load_portraits(tmp_path / "portraits.jsonl") == [p]
 
 
 def test_extract_keywords_truncates_to_encode_limit():
