@@ -21,6 +21,12 @@ over the flattened leading axes, ``linear`` is a whole affine map
 relative-position bias in one node, and ``multi_head_attention`` is fused.
 Reductions call the ufunc's ``reduce`` directly, which gives the same bits
 as the ndarray methods without their Python frames.
+
+The forward formulas a tape-free caller needs are plain array functions
+(``gemm``, ``linear_array``, ``softmax_array``, ``layer_norm_array`` and
+``attention_array``). Each primitive computes its output with its array
+function, so code that runs a pass on arrays, with no Tensor or node per
+step, gets the bits the taped pass gets.
 """
 
 from __future__ import annotations
@@ -222,9 +228,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * c,))
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (..., k) @ b (k, m) as one 2-D product over the flattened leading
-    axes; numpy would otherwise loop over them, one small product each."""
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward formula of ``matmul`` on plain arrays: a (..., k) @ b
+    (k, m) as one 2-D product over the flattened leading axes; numpy would
+    otherwise loop over them, one small product each."""
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
 
 
@@ -233,11 +240,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise ValueError("matmul expects a (..., k) @ (k, m) pair")
     ad, bd = a.data, b.data
-    out = Tensor(_gemm(ad, bd))
+    out = Tensor(gemm(ad, bd))
     k, m = bd.shape
     return _record(
-        out, (a, b), lambda g: (_gemm(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, m))
+        out, (a, b), lambda g: (gemm(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, m))
     )
+
+
+def linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward formula of ``linear`` on plain arrays."""
+    y = gemm(x, w)
+    y += b
+    return y
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -245,15 +259,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim < 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise ValueError("linear expects x (..., k), w (k, m) and b (m,)")
     xd, wd = x.data, w.data
-    y = _gemm(xd, wd)
-    y += b.data
     k, m = wd.shape
 
     def back(g):
         g2 = g.reshape(-1, m)
-        return (_gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
+        return (gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
 
-    return _record(Tensor(y), (x, w, b), back)
+    return _record(Tensor(linear_array(xd, wd, b.data)), (x, w, b), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -326,10 +338,15 @@ def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
     return _record(out, tuple(tables), back)
 
 
+def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The forward formula of ``softmax`` on a plain array."""
+    e = np.exp(a - np.maximum.reduce(a, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along `axis`."""
-    e = np.exp(a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True))
-    y = e / np.add.reduce(e, axis=axis, keepdims=True)
+    y = softmax_array(a.data, axis)
     out = Tensor(y)
 
     def back(g):
@@ -339,16 +356,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), back)
 
 
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward formula of ``layer_norm`` on plain arrays: the output,
+    and the normalized rows and inverse deviations its backward reads."""
+    d = x.shape[-1]
+    # the sums np.mean / np.var compute, without their per-call overhead
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of x (…, d) to zero mean / unit variance, then affine."""
     gd = gain.data
     d = x.data.shape[-1]
-    # the sums np.mean / np.var compute, without their per-call overhead
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gd + bias.data)
+    y, xhat, inv = layer_norm_array(x.data, gd, bias.data, eps)
+    out = Tensor(y)
 
     def back(g):
         gg = g * gd
@@ -373,6 +399,34 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., H, T, dh) -> (..., T, H*dh)."""
     x = x.swapaxes(-2, -3)
     return x.reshape(*x.shape[:-2], -1)
+
+
+def attention_array(
+    qd: np.ndarray,
+    kd: np.ndarray,
+    vd: np.ndarray,
+    bias: np.ndarray | None,
+    n_heads: int,
+    inv_scale: float,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """The forward formula of ``multi_head_attention`` on plain arrays: the
+    (..., Tq, d) output, then the per-head q, k and v and the attention
+    weights its backward reads."""
+    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
+        raise ValueError(f"q, k and v leading axes differ: {qd.shape}, {kd.shape}, {vd.shape}")
+    if qd.shape[-1] % n_heads:
+        raise ValueError("width not divisible by head count")
+    qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
+
+    logits = qh @ kh.swapaxes(-1, -2)
+    if bias is not None:
+        logits += bias
+    logits *= inv_scale
+    if mask is not None:
+        logits += mask
+    A = softmax_array(logits)
+    return _merge_heads(A @ vh), qh, kh, vh, A
 
 
 def multi_head_attention(
@@ -402,22 +456,9 @@ def multi_head_attention(
     the textbook attention gradient, batched over heads, with the bias's
     gradient summed back to its shape.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
-        raise ValueError(f"q, k and v leading axes differ: {qd.shape}, {kd.shape}, {vd.shape}")
-    if qd.shape[-1] % n_heads:
-        raise ValueError("width not divisible by head count")
-    qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
-
-    logits = qh @ kh.swapaxes(-1, -2)
-    if bias is not None:
-        logits += bias.data
-    logits *= inv_scale
-    if mask is not None:
-        logits += mask
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    A = e / np.add.reduce(e, axis=-1, keepdims=True)
-    out = Tensor(_merge_heads(A @ vh))
+    y, qh, kh, vh, A = attention_array(q.data, k.data, v.data,
+                                       None if bias is None else bias.data,
+                                       n_heads, inv_scale, mask)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
 
     def back(g):
@@ -428,7 +469,7 @@ def multi_head_attention(
                  _merge_heads(A.swapaxes(-1, -2) @ gh))
         return grads if bias is None else (*grads, _unbroadcast(gs, bias.data.shape))
 
-    return _record(out, parents, back)
+    return _record(Tensor(y), parents, back)
 
 
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:

@@ -9,7 +9,7 @@ import sys
 
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
-from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl, write_jsonl
+from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl, typed, write_jsonl
 from .model import Model, ModelConfig, param_spec
 from .params import load_checkpoint
 from .synth import distinct_word_count, synth_corpus
@@ -196,14 +196,15 @@ def cmd_portrait(args) -> int:
 def _eval_record(doc, row) -> metrics.EvalRecord:
     slot_outputs = []
     merged: dict[tuple[str, ...], tuple[float, list[str]]] = {}
-    for seg in row["segments"]:
-        for s in seg["slots"]:
-            slot_outputs.append((s["text"].split(), bool(s["null"])))
-        for k in seg["kept"]:
-            toks = k["text"].split()
+    for seg in typed(row, "segments", list):
+        for s in typed(seg, "slots", list):
+            slot_outputs.append((typed(s, "text", str).split(), typed(s, "null", bool)))
+        for k in typed(seg, "kept", list):
+            toks = typed(k, "text", str).split()
+            conf = typed(k, "confidence", float)
             key = metrics.stem_tokens(toks)
-            if key not in merged or k["confidence"] > merged[key][0]:
-                merged[key] = (k["confidence"], toks)
+            if key not in merged or conf > merged[key][0]:
+                merged[key] = (conf, toks)
     ranked = [toks for _, toks in sorted(merged.values(), key=lambda cv: -cv[0])]
     preds = metrics.drop_exact(ranked, inference.padding_keyword_spans(doc))
     present, absent = doc.keyphrase_tokens()
@@ -222,7 +223,7 @@ def cmd_eval(args) -> int:
     docs = {d.doc_id: d for d in load_jsonl(args.corpus, rc.max_segment_tokens)}
 
     def record(row: dict) -> metrics.EvalRecord:
-        doc = docs.get(row["id"])
+        doc = docs.get(typed(row, "id", str))
         if doc is None:
             raise ValueError(f"predictions reference unknown document {row['id']!r}")
         return _eval_record(doc, row)

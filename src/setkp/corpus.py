@@ -274,6 +274,36 @@ def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
+_KINDS = {str: ("a string", "strings"), bool: ("true or false", "booleans"),
+          int: ("an integer", "integers"), float: ("a number", "numbers"),
+          list: ("a list", "lists"), dict: ("an object", "objects")}
+_REQUIRED = object()
+
+
+def _is(v: Any, kind: type) -> bool:
+    """A JSON value of ``kind``: ``float`` admits integers, and only
+    ``bool`` admits true and false."""
+    kinds = (int, float) if kind is float else kind
+    return isinstance(v, bool) == (kind is bool) and isinstance(v, kinds)
+
+
+def typed(rec: Any, name: str, kind: type, items: type | None = None,
+          default: Any = _REQUIRED) -> Any:
+    """Field ``name`` of a JSON record, checked to be a ``kind`` (a list of
+    ``items``, when given): a ValueError names the field and the type it
+    needs, and ``parse_jsonl`` adds the file and line. A missing field is a
+    KeyError unless a ``default`` is given."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object with field {name!r}, not {type(rec).__name__}")
+    if default is not _REQUIRED and name not in rec:
+        return default
+    v = rec[name]
+    if not _is(v, kind) or items is not None and not all(_is(x, items) for x in v):
+        raise ValueError(f"{name} must be " + (f"a list of {_KINDS[items][1]}" if items
+                                              else _KINDS[kind][0]))
+    return v
+
+
 def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
     """One corpus record as a segmented document."""
     if not isinstance(rec, dict):
@@ -282,12 +312,9 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
     if missing:
         raise ValueError(f"missing fields {missing}")
     for f in ("title", "abstract"):
-        if not isinstance(rec[f], str):
-            raise ValueError(f"{f} must be a string")
+        typed(rec, f, str)
     for f in ("present_keyphrases", "absent_keyphrases"):
-        if not _strings(rec[f]):
-            raise ValueError(f"{f} must be a list of strings")
-        for phrase in rec[f]:
+        for phrase in typed(rec, f, list, items=str):
             if not tokenize(phrase):  # no target a slot could emit or an output could match
                 raise ValueError(f"{f}: keyphrase {phrase!r} has no tokens")
     claims = rec["claims"]

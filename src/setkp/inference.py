@@ -24,6 +24,7 @@ from .corpus import (
     derive_keywords,
     parse_jsonl,
     tokenize,
+    typed,
     write_jsonl,
 )
 from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
@@ -392,10 +393,10 @@ def portrait_to_dict(p: Portrait) -> dict:
 
 def portrait_from_dict(d: dict) -> Portrait:
     entries = [
-        PortraitEntry(tokens=e["text"].split(), level=int(e["level"]),
-                      group=e.get("group", "present"),
-                      confidence=float(e.get("confidence", 0.0)))
-        for e in d["keyphrases"]
+        PortraitEntry(tokens=typed(e, "text", str).split(), level=typed(e, "level", int),
+                      group=typed(e, "group", str, default="present"),
+                      confidence=float(typed(e, "confidence", float, default=0.0)))
+        for e in typed(d, "keyphrases", list)
     ]
     # a level kept exactly the entries that carry its level number
     by_level_text = {(e.level, e.text): e for e in entries}
@@ -405,14 +406,17 @@ def portrait_from_dict(d: dict) -> Portrait:
             raise ValueError(f"level {level} keeps {text!r}, which is no keyphrase of that level")
         return by_level_text[level, text]
 
-    levels = [
-        LevelRecord(level=int(r["level"]), prompt_text=r["prompt_text"],
-                    prompt_phrases=list(r["prompt_phrases"]),
-                    keyword_spans=[list(s) for s in r["keyword_spans"]],
-                    kept=[kept(int(r["level"]), t) for t in r["kept"]])
-        for r in d.get("levels", [])
-    ]
-    return Portrait(doc_id=d["id"], entries=entries, levels=levels)
+    levels = []
+    for r in typed(d, "levels", list, default=[]):
+        level, spans = typed(r, "level", int), typed(r, "keyword_spans", list, items=list)
+        if not all(isinstance(t, str) for s in spans for t in s):
+            raise ValueError("keyword_spans must be a list of lists of strings")
+        levels.append(LevelRecord(
+            level=level, prompt_text=typed(r, "prompt_text", str),
+            prompt_phrases=list(typed(r, "prompt_phrases", list, items=str)),
+            keyword_spans=[list(s) for s in spans],
+            kept=[kept(level, t) for t in typed(r, "kept", list, items=str)]))
+    return Portrait(doc_id=typed(d, "id", str), entries=entries, levels=levels)
 
 
 def save_portraits(path, portraits: list[Portrait]) -> None:

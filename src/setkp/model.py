@@ -8,9 +8,14 @@ mask and bucket table), and every slot attends freely over the encoder
 states. Slot inputs add a sinusoidal step embedding and a per-slot control
 row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
-same code specialize. ``decode_probs`` runs every pass on a DecodeCache of
-per-layer keys and values: teacher forcing is one pass from an empty cache,
-and ``Model.greedy_decode``, the one greedy decode loop, one step per call.
+same code specialize. ``decode_probs`` has two bodies over the same
+formulas. Without a cache it is the teacher-forced pass, on Tensors, which
+training records on the tape. With a DecodeCache it is one step of
+``Model.greedy_decode``, the one greedy decode loop: the step runs on
+float64 arrays through the primitives' own array functions, with no
+Tensor or tape node per primitive, so it gets the bits those primitives
+would give it without their per-call overhead. The cache holds the loop's
+arrays: parameters, position biases, and per-layer keys and values.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -189,21 +194,27 @@ def _causal_mask(T: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class DecodeCache:
-    """Incremental decode state for one greedy decode of one encoder input:
-    a batch of B segments, one segment being a batch of one.
+    """Array state of one greedy decode loop over one encoder input: a
+    batch of B segments, one segment being a batch of one.
 
-    ``steps`` counts the positions decoded so far. ``self_kv[i]`` holds
-    decoder layer i's self-attention keys and values, each (R, steps, d)
-    for R slot rows; ``cross_kv[i]`` the layer's (B, S_max, d) encoder keys
-    and values, projected on the first call. The teacher-forced pass runs
-    on an empty cache and drops it; otherwise a cache belongs to one decode
-    loop: create it there, never share it between threads.
+    ``Model.decode_probs`` fills it on the loop's first step: ``params``
+    holds the decoder's parameter arrays, ``rpe`` its per-head position-bias
+    tables stacked to (H, rpe_buckets), and ``cross_kv[i]`` decoder layer
+    i's (B, S_max, d) encoder keys and values. ``steps`` counts the
+    positions decoded so far, and ``self_kv[i]`` holds layer i's
+    self-attention keys and values, each (R, steps, d) for R slot rows.
+    Every step of the loop runs on the parameter arrays of its first step;
+    ``AdamW`` rebinds a parameter's array and never writes into it, so
+    those stay the arrays they were. Create a cache in the decode loop it
+    serves, and never share it between threads.
     """
 
     steps: int = 0
     enc_states: Tensor | None = None
-    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    cross_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    rpe: np.ndarray | None = None
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------- the model
@@ -276,20 +287,16 @@ class Model:
         h = ag.linear(x, self.store[p + "w1"], self.store[p + "b1"])
         return ag.linear(ag.relu(h), self.store[p + "w2"], self.store[p + "b2"])
 
-    def _self_attention(self, x: Tensor, prefix: str, bias: Tensor, mask: np.ndarray | None,
-                        past: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, tuple]:
-        """Pre-LN self-attention sublayer of layer ``prefix``. Returns x plus
-        the attention output, and the (keys, values) attended over: ``past``'s
-        earlier steps, if given, then x's own, joined off the tape."""
+    def _self_attention(self, x: Tensor, prefix: str, bias: Tensor, mask: np.ndarray | None
+                        ) -> Tensor:
+        """Pre-LN self-attention sublayer of layer ``prefix``: x plus the
+        attention output."""
         h = self._ln(x, prefix + "ln1")
         q = ag.matmul(h, self.store[prefix + "wq"])
         k = ag.matmul(h, self.store[prefix + "wk"])
         v = ag.matmul(h, self.store[prefix + "wv"])
-        if past is not None:
-            k = Tensor(np.concatenate([past[0].data, k.data], axis=-2))
-            v = Tensor(np.concatenate([past[1].data, v.data], axis=-2))
         att = ag.multi_head_attention(q, k, v, bias, self.cfg.n_heads, self._inv_scale, mask=mask)
-        return ag.add(x, ag.matmul(att, self.store[prefix + "wo"])), (k, v)
+        return ag.add(x, ag.matmul(att, self.store[prefix + "wo"]))
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
         """A batch of B id lists -> (B, S_max, d) contextual states.
@@ -319,7 +326,7 @@ class Model:
         x = ag.gather(self.store["enc.emb"], ids)
         for i in range(cfg.n_enc_layers):
             p = f"enc.L{i}."
-            x, _ = self._self_attention(x, p, bias, mask)
+            x = self._self_attention(x, p, bias, mask)
             x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
         return self._ln(x, "enc.final")
 
@@ -373,17 +380,17 @@ class Model:
         enc_states is (B, S_max, d) from ``encode``, enc_mask its
         ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
         each segment's N*T queries attend only to its own states. One
-        segment's (S, d) states are a batch of one, made (1, S, d) where
-        the cache's cross-attention keys are filled.
+        segment's (S, d) states are a batch of one.
 
-        prev_ids holds the T steps after the cache's ``steps`` earlier ones;
-        their keys and values are appended to the cache, and the result is
-        (R*T, vocab) next-token distributions, row r*T + t being slot row r's
-        distribution for step ``steps`` + t + 1. Without a cache the pass
-        runs on a fresh one: that is the teacher-forced pass over steps
-        1..T, which training records on the tape, and a cached step's rows
-        equal the matching rows of it up to float round-off. A caller's
-        cache is tape-free: passing one while a Tape records raises
+        Without a cache this is the teacher-forced pass over steps 1..T,
+        which training records on the tape; the result is (R*T, vocab)
+        next-token distributions, row r*T + t being slot row r's
+        distribution for step t + 1. With a cache, prev_ids holds the T
+        steps after the cache's ``steps`` earlier ones, and the rows are
+        those of steps ``steps`` + 1 .. ``steps`` + T: the same pass, run on
+        float64 arrays by ``_decode_step``, whose rows equal the matching
+        rows of the teacher-forced pass up to float round-off. A cached
+        step is tape-free: passing a cache while a Tape records raises
         RuntimeError.
         """
         cfg = self.cfg
@@ -391,46 +398,87 @@ class Model:
         B = math.prod(enc_states.shape[:-2])
         if R != B * cfg.n_slots:
             raise ValueError(f"{R} slot rows for {B} segment(s) of {cfg.n_slots} slots")
-        if cache is None:
-            cache = DecodeCache()
-        elif ag.recording():
-            raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
-        if not cache.cross_kv:  # (B, S_max, d) keys and values
-            cache.enc_states = enc_states
-            states = (enc_states if enc_states.data.ndim == 3
-                      else ag.reshape(enc_states, (1, *enc_states.shape)))  # a batch of one
-            cache.cross_kv = [(ag.matmul(states, self.store[f"dec.L{i}.ck"]),
-                               ag.matmul(states, self.store[f"dec.L{i}.cv"]))
-                              for i in range(cfg.n_dec_layers)]
-        elif cache.enc_states is not enc_states:
-            raise ValueError("a DecodeCache serves the encoder states it was filled from")
-        t0 = cache.steps
-        L = cache.steps = t0 + T
+        if cache is not None:
+            if ag.recording():
+                raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
+            return Tensor(self._decode_step(prev_ids, control.data, enc_states, B, cache, enc_mask))
 
+        states = (enc_states if enc_states.data.ndim == 3
+                  else ag.reshape(enc_states, (1, *enc_states.shape)))  # a batch of one
+        cross_kv = [(ag.matmul(states, self.store[f"dec.L{i}.ck"]),
+                     ag.matmul(states, self.store[f"dec.L{i}.cv"]))
+                    for i in range(cfg.n_dec_layers)]
         x = ag.add(
-            ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(L, cfg.d)[t0:])),
+            ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(T, cfg.d))),
             ag.reshape(control, (R, 1, cfg.d)),
         )
-
-        # one new step's causal-mask row is all zeros: it sees every key
-        mask = _causal_mask(L)[t0:] if T > 1 else None
-        buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
+        mask = _causal_mask(T)
+        buckets = _buckets(T, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)
         bias = ag.gather_heads([self.store[f"dec.rpe.h{h}"] for h in range(cfg.n_heads)], buckets)
 
         for i in range(cfg.n_dec_layers):
             p = f"dec.L{i}."
-            x, kv = self._self_attention(x, p, bias, mask, cache.self_kv[i] if t0 else None)
-            cache.self_kv[i:i + 1] = [kv]  # replaces layer i's entry; appends it from empty
+            x = self._self_attention(x, p, bias, mask)
             # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries and back
             q = ag.reshape(ag.matmul(self._ln(x, p + "ln2"), self.store[p + "cq"]), (B, -1, cfg.d))
             catt = ag.multi_head_attention(
-                q, *cache.cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
+                q, *cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
             )
             x = ag.add(x, ag.matmul(ag.reshape(catt, (R, T, cfg.d)), self.store[p + "co"]))
             x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])
         return ag.softmax(logits, axis=-1)
+
+    def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
+                     B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
+        """``decode_probs`` on a cache, on float64 arrays: each primitive's
+        array function, with no Tensor or tape node, over the parameter
+        arrays, position-bias tables and encoder keys and values the cache
+        took on its first step."""
+        cfg = self.cfg
+        R, T = prev_ids.shape
+        d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
+        if cache.enc_states is None:
+            cache.enc_states = enc_states
+            cache.params = p = {n: t.data for n, t in self.decoder_params().items()}
+            cache.rpe = np.stack([p[f"dec.rpe.h{h}"] for h in range(H)])
+            states = enc_states.data.reshape(B, -1, d)
+            cache.cross_kv = [(ag.gemm(states, p[f"dec.L{i}.ck"]),
+                               ag.gemm(states, p[f"dec.L{i}.cv"]))
+                              for i in range(cfg.n_dec_layers)]
+        elif cache.enc_states is not enc_states:
+            raise ValueError("a DecodeCache serves the encoder states it was filled from")
+        p = cache.params
+        t0 = cache.steps
+        L = cache.steps = t0 + T
+
+        x = p["dec.emb"][prev_ids] + _ape_rows(L, d)[t0:] + control.reshape(R, 1, d)
+        # one new step's causal-mask row is all zeros: it sees every key
+        mask = _causal_mask(L)[t0:] if T > 1 else None
+        buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
+        bias = cache.rpe[:, buckets]
+
+        def ln(x: np.ndarray, name: str) -> np.ndarray:
+            return ag.layer_norm_array(x, p[name + ".g"], p[name + ".b"])[0]
+
+        for i in range(cfg.n_dec_layers):
+            pre = f"dec.L{i}."
+            h = ln(x, pre + "ln1")
+            k, v = ag.gemm(h, p[pre + "wk"]), ag.gemm(h, p[pre + "wv"])
+            if t0:
+                k = np.concatenate([cache.self_kv[i][0], k], axis=-2)
+                v = np.concatenate([cache.self_kv[i][1], v], axis=-2)
+            cache.self_kv[i:i + 1] = [(k, v)]  # replaces layer i's entry; appends it from empty
+            att = ag.attention_array(ag.gemm(h, p[pre + "wq"]), k, v, bias, H, scale, mask)[0]
+            x = x + ag.gemm(att, p[pre + "wo"])
+            q = ag.gemm(ln(x, pre + "ln2"), p[pre + "cq"]).reshape(B, -1, d)
+            catt = ag.attention_array(q, *cache.cross_kv[i], None, H, scale, enc_mask)[0]
+            x = x + ag.gemm(catt.reshape(R, T, d), p[pre + "co"])
+            h = ag.linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
+            x = x + ag.linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
+        x = ln(x, "dec.final").reshape(R * T, d)
+        return ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1)
 
     def greedy_decode(self, control: Tensor, enc_states: Tensor, bos_id: int, steps: int,
                       enc_mask: np.ndarray | None = None, stop_id: int | None = None

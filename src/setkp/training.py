@@ -180,7 +180,6 @@ def loss_kwe(tag_probs: Tensor, labels: list[int] | list[list[int]],
 def teacher_arrays(
     entries: list["TargetEntry"],
     order: list[int],
-    cfg: ModelConfig,
     vocab: Vocabulary,
     tcfg: TsmtConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,7 +191,7 @@ def teacher_arrays(
     first entry, one segment being a batch of one. Row r is trained on
     entries[order[r]] followed by EOS; cells past a row's target hold pad_id
     with weight zero. Weights: 1 for ground truth, lambda_kw for padding
-    keywords, lambda_null for nulls. ``cfg`` is not read.
+    keywords, lambda_null for nulls.
     """
     xi = {ORIGIN_GT: 1.0, ORIGIN_KW: tcfg.lambda_kw, ORIGIN_NULL: tcfg.lambda_null}
     seqs = [entries[j].ids + [vocab.eos_id] for j in order]
@@ -385,7 +384,7 @@ def _train_batch(
                         vocab.null_id,
                     )
                     order += [b * N + j for j in seg_order]
-                prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
+                prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
                 probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
                 lg = loss_kg(probs, tgt, w / len(batch))
                 tape.backward(lg, wrt=wrt)

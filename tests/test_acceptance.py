@@ -142,7 +142,7 @@ def test_02_gradients_match_finite_differences():
         return loss_kwe(model.kwe_probs(model.encode(ids)), labels, weights)
 
     tl = kwp_build_targets(kps, spans, cfg.n_slots, vocab, True)
-    prev, tgt, w = teacher_arrays(tl.all(), list(range(cfg.n_slots)), cfg, vocab, TsmtConfig())
+    prev, tgt, w = teacher_arrays(tl.all(), list(range(cfg.n_slots)), vocab, TsmtConfig())
     cids = control_ids_for(spans, cfg, vocab)
 
     def generation_loss():
@@ -320,7 +320,7 @@ def test_07_stage_freezing_contracts():
                 order = assign_groups(
                     dists, [e.ids for e in tl.present], [e.ids for e in tl.absent], vocab.null_id
                 )
-                prev, tgt, w = teacher_arrays(tl.all(), order, cfg, vocab, tcfg)
+                prev, tgt, w = teacher_arrays(tl.all(), order, vocab, tcfg)
                 per_seg.append(loss_kg(model.decode_probs(prev, control, states), tgt, w))
             lg = _mean_losses(per_seg)
             tape.backward(lg)

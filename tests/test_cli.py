@@ -294,12 +294,28 @@ def _keep_an_unknown_phrase(row):
     row["levels"][0]["kept"].append("no such phrase")
 
 
+def _slot_text_a_number(row):
+    row["segments"][0]["slots"][0]["text"] = 5
+
+
+def _id_a_list(row):
+    row["id"] = ["x"]
+
+
+def _add_entry_with_a_text_level(row):
+    row["keyphrases"].append({"text": "epoxy resin", "level": "1", "group": "present"})
+
+
 @pytest.mark.parametrize("cmd,source,spoil,message", [
     ("eval", "preds", _drop_slot_null, "missing field 'null'"),
     ("analyze", "portraits", _drop_keyphrases, "missing field 'keyphrases'"),
     ("analyze", "portraits", _add_entry_without_level, "missing field 'level'"),
     ("analyze", "portraits", _keep_an_unknown_phrase,
      "level 1 keeps 'no such phrase', which is no keyphrase of that level"),
+    ("eval", "preds", _slot_text_a_number, "text must be a string"),
+    ("eval", "preds", _id_a_list, "id must be a string"),
+    ("analyze", "portraits", _id_a_list, "id must be a string"),
+    ("analyze", "portraits", _add_entry_with_a_text_level, "level must be an integer"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, pipeline, capsys, cmd, source, spoil,
                                              message):

@@ -162,8 +162,8 @@ def test_batched_losses_are_means_of_per_segment_losses():
     # all-null targets (NULL, EOS) next to a two-token phrase (w1, w2, EOS)
     entries = [kwp_build_targets(_kps(p, []), [], cfg.n_slots, vocab).all()
                for p in ([], [["polymer", "coating"]])]
-    arrays = [teacher_arrays(e, [0, 1, 2, 3], cfg, vocab, tcfg) for e in entries]
-    prev, tgt, w = teacher_arrays(entries[0] + entries[1], list(range(8)), cfg, vocab, tcfg)
+    arrays = [teacher_arrays(e, [0, 1, 2, 3], vocab, tcfg) for e in entries]
+    prev, tgt, w = teacher_arrays(entries[0] + entries[1], list(range(8)), vocab, tcfg)
     assert prev.shape == tgt.shape == w.shape == (2 * cfg.n_slots, 3)
     assert (w[: cfg.n_slots, 2] == 0).all() and (tgt[: cfg.n_slots, 2] == vocab.pad_id).all()
     V = len(vocab)
@@ -210,12 +210,12 @@ def _entries(vocab):
 
 
 def test_teacher_arrays_layout():
-    _, vocab, _, cfg = small_setup()
+    _, vocab, _, _ = small_setup()
     tcfg = TsmtConfig(epochs=1, e1=1)
     tl = _entries(vocab)
     entries = tl.all()
     order = list(range(4))
-    prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
+    prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
     T = max(len(e.ids) for e in entries) + 1
     assert prev.shape == tgt.shape == w.shape == (4, T)
     # slot 0: BOS -> polymer -> coating, targets polymer coating EOS
@@ -229,11 +229,11 @@ def test_teacher_arrays_layout():
 
 
 def test_teacher_arrays_weights_by_origin():
-    _, vocab, _, cfg = small_setup()
+    _, vocab, _, _ = small_setup()
     tcfg = TsmtConfig(epochs=1, e1=1, lambda_kw=0.7, lambda_null=0.2)
     tl = _entries(vocab)
     entries = tl.all()
-    prev, tgt, w = teacher_arrays(entries, list(range(4)), cfg, vocab, tcfg)
+    prev, tgt, w = teacher_arrays(entries, list(range(4)), vocab, tcfg)
     assert w[0, 0] == 1.0  # ground truth
     assert w[1, 0] == pytest.approx(0.7)  # keyword padding
     assert w[2, 0] == 1.0  # absent ground truth
@@ -245,7 +245,7 @@ def test_teacher_arrays_weights_by_origin():
 def test_teacher_arrays_batch_pads_each_segment_in_order():
     # three segments whose longest targets (plus EOS) are 3, 5 and 2 tokens:
     # a two-token phrase, a four-token keyword-padding span, nulls only
-    _, vocab, _, cfg = small_setup()
+    _, vocab, _, _ = small_setup()
     tcfg = TsmtConfig(epochs=1, e1=1)
     span = KeywordSpan(tokens=["polymer", "coating", "epoxy", "resin"], start=0, confidence=0.9)
     targets = [kwp_build_targets(_kps([["polymer", "coating"]], []), [], 4, vocab),
@@ -255,11 +255,11 @@ def test_teacher_arrays_batch_pads_each_segment_in_order():
     orders = [[1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 2, 3]]
     entries = [e for tl in targets for e in tl.all()]
     order = [4 * b + j for b, seg_order in enumerate(orders) for j in seg_order]
-    prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
+    prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
     assert prev.shape == tgt.shape == w.shape == (12, 5)
     assert prev.dtype == tgt.dtype == np.intp and w.dtype == np.float64
     for b, (tl, seg_order) in enumerate(zip(targets, orders)):
-        seg_prev, seg_tgt, seg_w = teacher_arrays(tl.all(), seg_order, cfg, vocab, tcfg)
+        seg_prev, seg_tgt, seg_w = teacher_arrays(tl.all(), seg_order, vocab, tcfg)
         rows, T = slice(4 * b, 4 * b + 4), seg_prev.shape[1]
         assert T == (3, 5, 2)[b]
         np.testing.assert_array_equal(prev[rows, :T], seg_prev)
@@ -270,11 +270,11 @@ def test_teacher_arrays_batch_pads_each_segment_in_order():
 
 
 def test_teacher_arrays_order_permutes_targets():
-    _, vocab, _, cfg = small_setup()
+    _, vocab, _, _ = small_setup()
     tcfg = TsmtConfig(epochs=1, e1=1)
     tl = _entries(vocab)
     entries = tl.all()
-    prev, tgt, _ = teacher_arrays(entries, [1, 0, 3, 2], cfg, vocab, tcfg)
+    prev, tgt, _ = teacher_arrays(entries, [1, 0, 3, 2], vocab, tcfg)
     assert tgt[0, 0] == vocab.encode(["epoxy"])[0]
     assert tgt[1, 0] == vocab.encode(["polymer"])[0]
 
@@ -518,7 +518,7 @@ def test_batch_gradients_match_the_full_tape_formulation(monkeypatch):
                 order += [b * N + j for j in assign_groups(
                     dists[:, b * N : (b + 1) * N], [e.ids for e in tl.present],
                     [e.ids for e in tl.absent], vocab.null_id)]
-            prev, tgt, w = teacher_arrays(entries, order, cfg, vocab, tcfg)
+            prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
             probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
             lg = loss_kg(probs, tgt, w / len(batch))
             tape.backward(lg)
