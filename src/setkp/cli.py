@@ -162,12 +162,6 @@ def prediction_rows(model, vocab, docs) -> list[dict]:
     return rows
 
 
-def _generate_doc(model, vocab, doc) -> dict:
-    """One document's row: a batch of one through ``prediction_rows``, kept
-    for the acceptance tests."""
-    return prediction_rows(model, vocab, [doc])[0]
-
-
 def cmd_generate(args) -> int:
     rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
@@ -186,7 +180,7 @@ def cmd_portrait(args) -> int:
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
     portraits = inference.portraits(
         model, vocab, docs, max_levels=args.max_levels,
-        padding_keywords=[inference.padding_keyword_spans(d) or None for d in docs])
+        padding_keywords=[inference.padding_keyword_spans(d) for d in docs])
     inference.save_portraits(args.out, portraits)
     n = sum(len(p.entries) for p in portraits)
     print(f"built {len(portraits)} portraits ({n} keyphrases) -> {args.out}")
@@ -194,23 +188,22 @@ def cmd_portrait(args) -> int:
 
 
 def _eval_record(doc, row) -> metrics.EvalRecord:
-    slot_outputs = []
-    merged: dict[tuple[str, ...], tuple[float, list[str]]] = {}
+    """A predictions row scored against ``doc``: the kept entries of every
+    segment, in file order, ranked by ``inference.filter_predictions`` with
+    the document's padding-keyword pool, the rule ``portrait`` keeps by."""
+    slot_outputs, kept = [], []
     for seg in typed(row, "segments", list):
         for s in typed(seg, "slots", list):
             slot_outputs.append((typed(s, "text", str).split(), typed(s, "null", bool)))
         for k in typed(seg, "kept", list):
-            toks = typed(k, "text", str).split()
-            conf = typed(k, "confidence", float)
-            key = metrics.stem_tokens(toks)
-            if key not in merged or conf > merged[key][0]:
-                merged[key] = (conf, toks)
-    ranked = [toks for _, toks in sorted(merged.values(), key=lambda cv: -cv[0])]
-    preds = metrics.drop_exact(ranked, inference.padding_keyword_spans(doc))
+            kept.append(inference.SlotPrediction(
+                tokens=typed(k, "text", str).split(), is_null=False, group="",
+                confidence=typed(k, "confidence", float), slot=len(kept)))
+    ranked = inference.filter_predictions(kept, inference.padding_keyword_spans(doc))
     present, absent = doc.keyphrase_tokens()
     return metrics.EvalRecord(
         doc_id=doc.doc_id,
-        predictions=preds,
+        predictions=[s.tokens for s in ranked],
         present_targets=present,
         absent_targets=absent,
         source_tokens=doc.all_tokens(),

@@ -311,8 +311,10 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
     missing = [f for f in _FIELDS if f not in rec]
     if missing:
         raise ValueError(f"missing fields {missing}")
-    for f in ("title", "abstract"):
+    for f in ("id", "title", "abstract"):
         typed(rec, f, str)
+    if rec.get("label") is not None:
+        typed(rec, "label", str)
     for f in ("present_keyphrases", "absent_keyphrases"):
         for phrase in typed(rec, f, list, items=str):
             if not tokenize(phrase):  # no target a slot could emit or an output could match
@@ -323,7 +325,7 @@ def _document(rec: Any, max_segment_tokens: int) -> MultiLevelDocument:
     elif not isinstance(claims, str):
         raise ValueError("claims must be a string or a list of strings")
     doc = MultiLevelDocument(
-        doc_id=str(rec["id"]),
+        doc_id=rec["id"],
         title=rec["title"],
         abstract=rec["abstract"],
         claims=claims,

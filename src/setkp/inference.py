@@ -196,17 +196,6 @@ def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str]) -> list
     return spans
 
 
-def generate_for_tokens(
-    model: Model,
-    vocab: Vocabulary,
-    tokens: list[str],
-) -> tuple[list[SlotPrediction], list[KeywordSpan]]:
-    """(raw slot outputs, keyword spans) of one token stream: a batch of one
-    through ``generate_segments``. Kept for single-input callers and the
-    acceptance tests."""
-    return generate_segments(model, vocab, [tokens])[0]
-
-
 def slot_ratios(model: Model, vocab: Vocabulary,
                 segments: list[list[str]]) -> tuple[float, float]:
     """Mean per-segment (null ratio, duplication ratio) of the raw slot outputs."""

@@ -295,12 +295,6 @@ def null_ratio(slot_outputs: list[tuple[list[str], bool]]) -> float:
     return sum(1 for _, is_null in slot_outputs if is_null) / len(slot_outputs)
 
 
-def drop_exact(preds: list[list[str]], spans: list[list[str]]) -> list[list[str]]:
-    """Remove predictions token-identical to any span (padding-keyword removal)."""
-    blocked = {tuple(s) for s in spans}
-    return [p for p in preds if tuple(p) not in blocked]
-
-
 # ------------------------------------------------------------------- reports
 
 

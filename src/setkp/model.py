@@ -200,9 +200,10 @@ class DecodeCache:
     ``Model.decode_probs`` fills it on the loop's first step: ``params``
     holds the decoder's parameter arrays, ``rpe`` its per-head position-bias
     tables stacked to (H, rpe_buckets), and ``cross_kv[i]`` decoder layer
-    i's (B, S_max, d) encoder keys and values. ``steps`` counts the
-    positions decoded so far, and ``self_kv[i]`` holds layer i's
-    self-attention keys and values, each (R, steps, d) for R slot rows.
+    i's (B, S_max, d) encoder keys and values. Each ``decode_probs`` call
+    on the cache decodes one position: ``steps`` counts the positions
+    decoded so far, and ``self_kv[i]`` holds layer i's self-attention keys
+    and values, each (R, steps, d) for R slot rows.
     Every step of the loop runs on the parameter arrays of its first step;
     ``AdamW`` rebinds a parameter's array and never writes into it, so
     those stay the arrays they were. Create a cache in the decode loop it
@@ -385,13 +386,13 @@ class Model:
         Without a cache this is the teacher-forced pass over steps 1..T,
         which training records on the tape; the result is (R*T, vocab)
         next-token distributions, row r*T + t being slot row r's
-        distribution for step t + 1. With a cache, prev_ids holds the T
-        steps after the cache's ``steps`` earlier ones, and the rows are
-        those of steps ``steps`` + 1 .. ``steps`` + T: the same pass, run on
-        float64 arrays by ``_decode_step``, whose rows equal the matching
-        rows of the teacher-forced pass up to float round-off. A cached
-        step is tape-free: passing a cache while a Tape records raises
-        RuntimeError.
+        distribution for step t + 1. With a cache it is one step: prev_ids
+        is (R, 1), the token fed after the cache's ``steps`` earlier ones,
+        and the R rows are those of step ``steps`` + 1, run on float64
+        arrays by ``_decode_step`` and equal to the matching rows of the
+        teacher-forced pass up to float round-off. Any other width raises
+        ValueError. A cached step is tape-free: passing a cache while a Tape
+        records raises RuntimeError.
         """
         cfg = self.cfg
         R, T = prev_ids.shape
@@ -399,6 +400,8 @@ class Model:
         if R != B * cfg.n_slots:
             raise ValueError(f"{R} slot rows for {B} segment(s) of {cfg.n_slots} slots")
         if cache is not None:
+            if T != 1:
+                raise ValueError(f"a cached decode step feeds one position per slot row, not {T}")
             if ag.recording():
                 raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
             return Tensor(self._decode_step(prev_ids, control.data, enc_states, B, cache, enc_mask))
@@ -432,12 +435,13 @@ class Model:
 
     def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
                      B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
-        """``decode_probs`` on a cache, on float64 arrays: each primitive's
-        array function, with no Tensor or tape node, over the parameter
-        arrays, position-bias tables and encoder keys and values the cache
-        took on its first step."""
+        """One ``decode_probs`` step on a cache, on float64 arrays: each
+        primitive's array function, with no Tensor or tape node, over the
+        parameter arrays, position-bias tables and encoder keys and values
+        the cache took on its first step. A single new position sees every
+        key, so self-attention needs no causal mask."""
         cfg = self.cfg
-        R, T = prev_ids.shape
+        R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
         if cache.enc_states is None:
             cache.enc_states = enc_states
@@ -451,11 +455,9 @@ class Model:
             raise ValueError("a DecodeCache serves the encoder states it was filled from")
         p = cache.params
         t0 = cache.steps
-        L = cache.steps = t0 + T
+        L = cache.steps = t0 + 1
 
         x = p["dec.emb"][prev_ids] + _ape_rows(L, d)[t0:] + control.reshape(R, 1, d)
-        # one new step's causal-mask row is all zeros: it sees every key
-        mask = _causal_mask(L)[t0:] if T > 1 else None
         buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
         bias = cache.rpe[:, buckets]
 
@@ -470,14 +472,14 @@ class Model:
                 k = np.concatenate([cache.self_kv[i][0], k], axis=-2)
                 v = np.concatenate([cache.self_kv[i][1], v], axis=-2)
             cache.self_kv[i:i + 1] = [(k, v)]  # replaces layer i's entry; appends it from empty
-            att = ag.attention_array(ag.gemm(h, p[pre + "wq"]), k, v, bias, H, scale, mask)[0]
+            att = ag.attention_array(ag.gemm(h, p[pre + "wq"]), k, v, bias, H, scale)[0]
             x = x + ag.gemm(att, p[pre + "wo"])
             q = ag.gemm(ln(x, pre + "ln2"), p[pre + "cq"]).reshape(B, -1, d)
             catt = ag.attention_array(q, *cache.cross_kv[i], None, H, scale, enc_mask)[0]
-            x = x + ag.gemm(catt.reshape(R, T, d), p[pre + "co"])
+            x = x + ag.gemm(catt.reshape(R, 1, d), p[pre + "co"])
             h = ag.linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
             x = x + ag.linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
-        x = ln(x, "dec.final").reshape(R * T, d)
+        x = ln(x, "dec.final").reshape(R, d)
         return ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1)
 
     def greedy_decode(self, control: Tensor, enc_states: Tensor, bos_id: int, steps: int,

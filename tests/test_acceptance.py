@@ -14,7 +14,7 @@ import pytest
 from setkp import analysis, inference, metrics
 from setkp.assignment import assign_groups, brute_force, hungarian, k_step_predict
 from setkp.autograd import Tape, no_grad
-from setkp.cli import _eval_record, _generate_doc, main
+from setkp.cli import _eval_record, main, prediction_rows
 from setkp.corpus import SPECIALS, KeyphraseSet, Vocabulary, derive_keywords, bio_labels
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
@@ -170,7 +170,7 @@ def test_03_default_training_overfits_synthetic_corpus(trained64):
     assert len(vocab) <= 300
 
     t0 = time.perf_counter()
-    records = [_eval_record(d, _generate_doc(model, vocab, d)) for d in docs]
+    records = [_eval_record(d, row) for d, row in zip(docs, prediction_rows(model, vocab, docs))]
     _, macro = metrics.evaluate(records)
     dt = trained64["seconds"] + (time.perf_counter() - t0)
 
@@ -182,23 +182,13 @@ def test_03_default_training_overfits_synthetic_corpus(trained64):
     )
 
 
-def _held_out_ratios(model, vocab, docs):
-    nulls, dups = [], []
-    for d in docs:
-        for seg in d.segments:
-            slots, _ = inference.generate_for_tokens(model, vocab, seg.tokens)
-            outs = [(s.tokens, s.is_null) for s in slots]
-            nulls.append(metrics.null_ratio(outs))
-            dups.append(metrics.duplication_ratio(outs))
-    return float(np.mean(nulls)), float(np.mean(dups))
-
-
 def test_04_padding_and_control_ablations():
     kwp_wins = kcc_wins = 0
     lines = []
     for s in range(5):
         docs = synth_corpus(1000 + s, 16)
-        train, held = docs[:8], docs[8:]
+        train = docs[:8]
+        held = [seg.tokens for d in docs[8:] for seg in d.segments]
         vocab = Vocabulary.build(docs)
         mc = ModelConfig(vocab_size=len(vocab))
         mc_noctl = ModelConfig(vocab_size=len(vocab), use_keyword_control=False)
@@ -206,15 +196,15 @@ def test_04_padding_and_control_ablations():
 
         m_on = Model.fresh(mc, seed=s)
         tsmt_train(m_on, train, TsmtConfig(**budget), vocab)
-        null_on, dup_on = _held_out_ratios(m_on, vocab, held)
+        null_on, dup_on = inference.slot_ratios(m_on, vocab, held)
 
         m_nopad = Model.fresh(mc, seed=s)
         tsmt_train(m_nopad, train, TsmtConfig(**budget, use_keyword_padding=False), vocab)
-        null_off, _ = _held_out_ratios(m_nopad, vocab, held)
+        null_off, _ = inference.slot_ratios(m_nopad, vocab, held)
 
         m_noctl = Model.fresh(mc_noctl, seed=s)
         tsmt_train(m_noctl, train, TsmtConfig(**budget), vocab)
-        _, dup_off = _held_out_ratios(m_noctl, vocab, held)
+        _, dup_off = inference.slot_ratios(m_noctl, vocab, held)
 
         kwp_wins += null_on <= null_off
         kcc_wins += dup_on <= dup_off

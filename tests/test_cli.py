@@ -9,9 +9,9 @@ import pytest
 
 from setkp import inference
 from setkp.autograd import Tape
-from setkp.cli import main
+from setkp.cli import _eval_record, main
 from setkp.config import RunConfig, load_run_config, parse_config_file
-from setkp.corpus import load_jsonl, read_jsonl
+from setkp.corpus import MultiLevelDocument, build_segments, load_jsonl, read_jsonl
 from setkp.inference import load_portraits
 from setkp.model import Model, ModelConfig
 from setkp.params import ParamStore, load_checkpoint, save_checkpoint
@@ -226,6 +226,37 @@ def test_eval_csv_has_macro_row(pipeline):
     assert lines[-1].startswith("MACRO,")
     for cell in lines[-1].split(",")[1:]:
         assert 0.0 <= float(cell) <= 1.0
+
+
+def _eval_doc():
+    """A document whose padding-keyword pool is [["epoxy"], ["coating"]]."""
+    doc = MultiLevelDocument(doc_id="d", title="an epoxy resin binder",
+                             abstract="the coating cures fast.", claims="a binder with a coating.",
+                             present_keyphrases=["epoxy coating"], absent_keyphrases=[])
+    build_segments(doc, 32)
+    assert inference.padding_keyword_spans(doc) == [["epoxy"], ["coating"]]
+    return doc
+
+
+def _kept_row(*segments):
+    """A predictions row whose segments keep the given (text, confidence) entries."""
+    return {"id": "d", "segments": [
+        {"level": i + 1, "slots": [],
+         "kept": [{"text": t, "group": "present", "confidence": c} for t, c in kept]}
+        for i, kept in enumerate(segments)]}
+
+
+def test_eval_ranks_equal_confidences_in_entry_order():
+    # segment 1's low-confidence "resin" shares its stem with segment 2's
+    # "resins", which ties with "alpha" before it: the tie keeps file order
+    row = _kept_row([("resin", 0.3)], [("alpha", 0.5), ("resins", 0.5)])
+    assert _eval_record(_eval_doc(), row).predictions == [["alpha"], ["resins"]]
+
+
+def test_eval_drops_a_padding_span_before_the_stem_dedup():
+    # the top "coating" is a padding span; the same-stem "coatings" is not
+    row = _kept_row([("coating", 0.9), ("binder", 0.6)], [("coatings", 0.4)])
+    assert _eval_record(_eval_doc(), row).predictions == [["binder"], ["coatings"]]
 
 
 def test_analyze_csv_all_modes(pipeline):

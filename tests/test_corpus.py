@@ -302,6 +302,8 @@ def test_jsonl_error_carries_line_number(tmp_path):
     ("claims", 7, "claims must be a string or a list of strings"),
     ("claims", ["claim one", {"x": 1}], "claims must be a string or a list of strings"),
     ("absent_keyphrases", ["ok", "--"], "absent_keyphrases: keyphrase '--' has no tokens"),
+    ("id", ["x"], "id must be a string"),
+    ("label", 5, "label must be a string"),
 ])
 def test_jsonl_field_types_checked(tmp_path, field, value, message):
     rec = {"id": "a", "title": "t", "abstract": "an abstract.", "claims": "a claim.",

@@ -24,7 +24,6 @@ from setkp.inference import (
     encode_and_tag,
     extract_keywords,
     filter_predictions,
-    generate_for_tokens,
     generate_segments,
     generate_slots,
     load_portraits,
@@ -202,10 +201,10 @@ def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monke
     assert all(len(s.tokens) == model.cfg.max_kp_len for s in slots)
 
 
-def test_generate_for_tokens_returns_spans():
+def test_generate_segments_returns_spans():
     model, vocab, docs = setup_model()
     toks = docs[0].segments[0].tokens
-    slots, spans = generate_for_tokens(model, vocab, toks)
+    slots, spans = generate_segments(model, vocab, [toks])[0]
     assert len(slots) == model.cfg.n_slots
     assert spans == extract_keywords(model, vocab, toks)
 
@@ -251,8 +250,8 @@ def test_encode_and_tag_matches_single_encodes(order):
         assert spans == want_spans
     slots = [[(s.tokens, s.is_null, s.confidence) for s in out]
              for out, _ in generate_segments(model, vocab, segments)]
-    assert slots == [[(s.tokens, s.is_null, s.confidence) for s in generate_for_tokens(
-        model, vocab, tokens)[0]] for tokens in segments]
+    assert slots == [[(s.tokens, s.is_null, s.confidence) for s in generate_segments(
+        model, vocab, [tokens])[0][0]] for tokens in segments]
 
 
 def test_encode_and_tag_splits_groups_over_the_row_budget(monkeypatch):
@@ -308,6 +307,13 @@ def test_filter_bans_padding_keywords_exact():
         padding_keywords=[["neural"]],
     )
     assert [s.tokens for s in kept] == [["neural", "network"]]
+    # stem-equal but not token-identical to a padding span survives
+    kept = filter_predictions(
+        [_slot(["polymer"], 0.9, slot=0), _slot(["polymers"], 0.8, slot=1),
+         _slot(["coating"], 0.7, slot=2)],
+        padding_keywords=[["polymer"]],
+    )
+    assert [s.tokens for s in kept] == [["polymers"], ["coating"]]
 
 
 def test_filter_stem_dedup_keeps_highest_confidence():

@@ -11,7 +11,6 @@ from setkp import metrics
 from setkp.corpus import _contains_run
 from setkp.metrics import (
     EvalRecord,
-    drop_exact,
     duplication_ratio,
     evaluate,
     f1_at_5,
@@ -503,13 +502,6 @@ def test_split_by_source_preserves_all(preds):
     recall = {b: out[f"{b}_f1@M"] / (2 - out[f"{b}_f1@M"]) for b in ("present", "absent")}
     assert recall["present"] * len(distinct) == pytest.approx(len(distinct & in_source))
     assert recall["absent"] * len(distinct) == pytest.approx(len(distinct - in_source))
-
-
-def test_drop_exact_token_identical_only():
-    preds = [["polymer"], ["polymers"], ["coating"]]
-    kept = drop_exact(preds, [["polymer"]])
-    # stem-equal but not token-identical survives
-    assert kept == [["polymers"], ["coating"]]
 
 
 # -------------------------------------------------------------------- reports

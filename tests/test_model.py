@@ -374,9 +374,9 @@ def test_decode_causal_within_slot():
 
 @pytest.mark.parametrize("lengths", [[5], [5, 3]], ids=["one_segment", "padded_batch"])
 def test_cached_decode_matches_full_recompute(lengths):
-    # feeding the steps one (or two) at a time through a cache gives the rows
-    # of the teacher-forced pass over the whole prefix: for one segment, and
-    # for a padded batch of two segments of unequal lengths under its mask
+    # feeding the steps one at a time through a cache gives the rows of the
+    # teacher-forced pass over the whole prefix: for one segment, and for a
+    # padded batch of two segments of unequal lengths under its mask
     cfg = tiny_cfg()
     model = Model.fresh(cfg, seed=0)
     R = cfg.n_slots * len(lengths)
@@ -387,19 +387,15 @@ def test_cached_decode_matches_full_recompute(lengths):
     assert (mask is None) == (len(lengths) == 1)
     prev = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(R, 5))
     full = model.decode_probs(prev, control, enc, enc_mask=mask).data.reshape(R, 5, -1)
-    for chunks in ([1, 1, 1, 1, 1], [2, 1, 2]):
-        cache = DecodeCache()
-        t0 = 0
-        for c in chunks:
-            rows = model.decode_probs(prev[:, t0:t0 + c], control, enc, cache=cache,
-                                      enc_mask=mask).data
-            assert rows.shape == (R * c, cfg.vocab_size)
-            np.testing.assert_allclose(
-                rows.reshape(R, c, -1), full[:, t0:t0 + c], rtol=0, atol=1e-12
-            )
-            t0 += c
-        assert cache.steps == 5
-        assert all(k.shape == (R, 5, cfg.d) for kv in cache.self_kv for k in kv)
+    cache = DecodeCache()
+    for t in range(5):
+        rows = model.decode_probs(prev[:, t:t + 1], control, enc, cache=cache, enc_mask=mask).data
+        assert rows.shape == (R, cfg.vocab_size)
+        np.testing.assert_allclose(rows, full[:, t], rtol=0, atol=1e-12)
+    assert cache.steps == 5
+    assert all(k.shape == (R, 5, cfg.d) for kv in cache.self_kv for k in kv)
+    with pytest.raises(ValueError, match="one position per slot row, not 2"):
+        model.decode_probs(prev[:, :2], control, enc, cache=DecodeCache(), enc_mask=mask)
 
 
 def test_cached_decode_keeps_slots_isolated():
