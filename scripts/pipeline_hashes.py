@@ -1,9 +1,10 @@
 """Run the whole CLI pipeline and print the SHA-256 of every artifact.
 
-Usage: python scripts/pipeline_hashes.py [--seeds 0 2] [--n-docs 64] [--epochs 3] [--e1 1]
+Usage: python scripts/pipeline_hashes.py [--seeds 0 2] [--n-docs 64]
 
-For each seed, in a fresh temporary directory: `gen-corpus --seed S`, `train`,
-`generate`, `portrait`, `eval` and `analyze`, each through `setkp.cli.main`.
+For each seed, in a fresh temporary directory: `gen-corpus --seed S`,
+`train --epochs 3 --e1 1`, `generate`, `portrait`, `eval` and `analyze`, each
+through `setkp.cli.main`.
 Prints one `seed <S> <file> <sha256>` line per artifact, so that two trees can
 be compared byte for byte by diffing this script's output.
 """
@@ -27,7 +28,7 @@ def commands(args, seed: int, workdir: Path) -> list[list[str]]:
     return [
         ["gen-corpus", "--seed", str(seed), "--n-docs", str(args.n_docs), "--out", corpus],
         ["train", "--corpus", corpus, "--out-ckpt", ckpt, "--loss-csv", loss,
-         "--epochs", str(args.epochs), "--e1", str(args.e1)],
+         "--epochs", "3", "--e1", "1"],
         ["generate", "--ckpt", ckpt, "--corpus", corpus, "--out", preds],
         ["portrait", "--ckpt", ckpt, "--corpus", corpus, "--out", portraits],
         ["eval", "--predictions", preds, "--corpus", corpus, "--out", scores],
@@ -48,8 +49,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 2], help="corpus seeds")
     ap.add_argument("--n-docs", type=int, default=64)
-    ap.add_argument("--epochs", type=int, default=3)
-    ap.add_argument("--e1", type=int, default=1)
     args = ap.parse_args()
 
     for seed in args.seeds:

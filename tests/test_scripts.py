@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, summary", [
     ("overfit_curve.py", ["--n-docs", "4", "--epochs", "2", "--e1", "1", "--every", "1"],
      "final presentF1="),
-    ("pipeline_hashes.py", ["--seeds", "0", "--n-docs", "4", "--epochs", "2", "--e1", "1"],
+    ("pipeline_hashes.py", ["--seeds", "0", "--n-docs", "4"],
      "seed 0 report.csv "),
 ])
 def test_script_runs(script, args, summary):
