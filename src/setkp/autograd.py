@@ -24,9 +24,10 @@ as the ndarray methods without their Python frames.
 
 The forward formulas a tape-free caller needs are plain array functions
 (``gemm``, ``linear_array``, ``softmax_array``, ``layer_norm_array`` and
-``attention_array``). Each primitive computes its output with its array
-function, so code that runs a pass on arrays, with no Tensor or node per
-step, gets the bits the taped pass gets.
+``attention_array``, which splits heads and runs ``attention_heads``). Each
+primitive computes its output with its array function, so code that runs a
+pass on arrays, with no Tensor or node per step, gets the bits the taped
+pass gets.
 """
 
 from __future__ import annotations
@@ -389,7 +390,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), back)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., T, d) -> (..., H, T, d/H)."""
     *lead, T, d = x.shape
     return x.reshape(*lead, T, n_heads, d // n_heads).swapaxes(-2, -3)
@@ -399,6 +400,28 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., H, T, dh) -> (..., T, H*dh)."""
     x = x.swapaxes(-2, -3)
     return x.reshape(*x.shape[:-2], -1)
+
+
+def attention_heads(
+    qh: np.ndarray,
+    kh: np.ndarray,
+    vh: np.ndarray,
+    bias: np.ndarray | None,
+    inv_scale: float,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The head-level formula of attention on (..., H, T, d/H) arrays: the
+    merged (..., Tq, d) output and the (..., H, Tq, Tk) attention weights.
+    A caller that holds its keys and values split into heads already, such
+    as a cached decode step, calls it directly."""
+    logits = qh @ kh.swapaxes(-1, -2)
+    if bias is not None:
+        logits += bias
+    logits *= inv_scale
+    if mask is not None:
+        logits += mask
+    A = softmax_array(logits)
+    return _merge_heads(A @ vh), A
 
 
 def attention_array(
@@ -417,16 +440,9 @@ def attention_array(
         raise ValueError(f"q, k and v leading axes differ: {qd.shape}, {kd.shape}, {vd.shape}")
     if qd.shape[-1] % n_heads:
         raise ValueError("width not divisible by head count")
-    qh, kh, vh = (_split_heads(x, n_heads) for x in (qd, kd, vd))
-
-    logits = qh @ kh.swapaxes(-1, -2)
-    if bias is not None:
-        logits += bias
-    logits *= inv_scale
-    if mask is not None:
-        logits += mask
-    A = softmax_array(logits)
-    return _merge_heads(A @ vh), qh, kh, vh, A
+    qh, kh, vh = (split_heads(x, n_heads) for x in (qd, kd, vd))
+    y, A = attention_heads(qh, kh, vh, bias, inv_scale, mask)
+    return y, qh, kh, vh, A
 
 
 def multi_head_attention(
@@ -462,7 +478,7 @@ def multi_head_attention(
     parents = (q, k, v) if bias is None else (q, k, v, bias)
 
     def back(g):
-        gh = _split_heads(g, n_heads)
+        gh = split_heads(g, n_heads)
         gA = gh @ vh.swapaxes(-1, -2)
         gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
         grads = (_merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh),

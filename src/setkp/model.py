@@ -15,7 +15,8 @@ training records on the tape. With a DecodeCache it is one step of
 float64 arrays through the primitives' own array functions, with no
 Tensor or tape node per primitive, so it gets the bits those primitives
 would give it without their per-call overhead. The cache holds the loop's
-arrays: parameters, position biases, and per-layer keys and values.
+arrays: parameters, position biases, and per-layer keys and values split
+into heads, the slot rows' own in buffers sized for the loop's steps.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -41,6 +42,9 @@ from .corpus import KeywordSpan, spans_from_bio
 
 ENCODER_PREFIXES = ("enc.", "kwe.")
 DECODER_PREFIXES = ("dec.", "kg.")
+# a decoder layer's parameters in the order ``Model._decode_step`` unpacks them
+_STEP_LAYER_PARAMS = ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b", "cq", "co",
+                      "ln3.g", "ln3.b", "w1", "b1", "w2", "b2")
 
 
 @dataclass(slots=True)
@@ -197,23 +201,28 @@ class DecodeCache:
     """Array state of one greedy decode loop over one encoder input: a
     batch of B segments, one segment being a batch of one.
 
-    ``Model.decode_probs`` fills it on the loop's first step: ``params``
-    holds the decoder's parameter arrays, ``rpe`` its per-head position-bias
-    tables stacked to (H, rpe_buckets), and ``cross_kv[i]`` decoder layer
-    i's (B, S_max, d) encoder keys and values. Each ``decode_probs`` call
-    on the cache decodes one position: ``steps`` counts the positions
-    decoded so far, and ``self_kv[i]`` holds layer i's self-attention keys
-    and values, each (R, steps, d) for R slot rows.
+    ``capacity`` is the number of positions the loop may decode, and each
+    ``decode_probs`` call on the cache decodes one of them: ``steps``
+    counts the positions decoded so far, and a step past the capacity
+    raises ValueError. ``Model.decode_probs`` fills the rest on the loop's
+    first step, all in head layout (H heads of width d/H):
+    ``params`` holds the step's parameter arrays (``Model._step_names``),
+    ``bias`` the (H, capacity, capacity) self-attention position biases,
+    ``cross_kv[i]`` decoder layer i's (B, H, S_max, d/H) encoder keys and
+    values, and ``self_kv[i]`` its (R, H, capacity, d/H) self-attention key
+    and value buffers for R slot rows, of which each step writes position
+    ``steps`` and reads the first ``steps``.
     Every step of the loop runs on the parameter arrays of its first step;
     ``AdamW`` rebinds a parameter's array and never writes into it, so
     those stay the arrays they were. Create a cache in the decode loop it
     serves, and never share it between threads.
     """
 
+    capacity: int
     steps: int = 0
     enc_states: Tensor | None = None
-    params: dict[str, np.ndarray] = field(default_factory=dict)
-    rpe: np.ndarray | None = None
+    params: list[list[np.ndarray]] = field(default_factory=list)
+    bias: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
@@ -263,6 +272,10 @@ class Model:
         self.cfg = cfg
         self.store = store
         self._inv_scale = 1.0 / math.sqrt(cfg.d)
+        # the cached step's parameters: the embedding and output head, then each layer's
+        self._step_names = (("dec.emb", "dec.final.g", "dec.final.b", "kg.w", "kg.b"),
+                            *(tuple(f"dec.L{i}.{n}" for n in _STEP_LAYER_PARAMS)
+                              for i in range(cfg.n_dec_layers)))
 
     @classmethod
     def fresh(cls, cfg: ModelConfig, seed: int) -> "Model":
@@ -390,9 +403,10 @@ class Model:
         is (R, 1), the token fed after the cache's ``steps`` earlier ones,
         and the R rows are those of step ``steps`` + 1, run on float64
         arrays by ``_decode_step`` and equal to the matching rows of the
-        teacher-forced pass up to float round-off. Any other width raises
-        ValueError. A cached step is tape-free: passing a cache while a Tape
-        records raises RuntimeError.
+        teacher-forced pass up to float round-off. Any other width, or a
+        step past the cache's ``capacity``, raises ValueError. A cached step
+        is tape-free: passing a cache while a Tape records raises
+        RuntimeError.
         """
         cfg = self.cfg
         R, T = prev_ids.shape
@@ -404,6 +418,8 @@ class Model:
                 raise ValueError(f"a cached decode step feeds one position per slot row, not {T}")
             if ag.recording():
                 raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
+            if cache.steps == cache.capacity:
+                raise ValueError(f"all {cache.capacity} positions of the DecodeCache are decoded")
             return Tensor(self._decode_step(prev_ids, control.data, enc_states, B, cache, enc_mask))
 
         states = (enc_states if enc_states.data.ndim == 3
@@ -435,65 +451,80 @@ class Model:
 
     def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
                      B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
-        """One ``decode_probs`` step on a cache, on float64 arrays: each
-        primitive's array function, with no Tensor or tape node, over the
-        parameter arrays, position-bias tables and encoder keys and values
-        the cache took on its first step. A single new position sees every
-        key, so self-attention needs no causal mask."""
+        """One ``decode_probs`` step on a cache, on float64 arrays: the
+        primitives' array functions, with no Tensor or tape node, over the
+        (R, d) slot rows of the one new position and the arrays the cache
+        took on its first step. The position's keys and values go into the
+        cache's buffers by one slice write each; its queries attend, through
+        ``ag.attention_heads``, over the buffers' filled positions and over
+        the encoder heads. A single new position sees every key, so
+        self-attention needs no causal mask. On (R, d) rows a ``gemm`` is a
+        plain ``@``."""
         cfg = self.cfg
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
         if cache.enc_states is None:
-            cache.enc_states = enc_states
-            cache.params = p = {n: t.data for n, t in self.decoder_params().items()}
-            cache.rpe = np.stack([p[f"dec.rpe.h{h}"] for h in range(H)])
-            states = enc_states.data.reshape(B, -1, d)
-            cache.cross_kv = [(ag.gemm(states, p[f"dec.L{i}.ck"]),
-                               ag.gemm(states, p[f"dec.L{i}.cv"]))
-                              for i in range(cfg.n_dec_layers)]
+            self._fill_cache(cache, enc_states, R, B)
         elif cache.enc_states is not enc_states:
             raise ValueError("a DecodeCache serves the encoder states it was filled from")
-        p = cache.params
         t0 = cache.steps
         L = cache.steps = t0 + 1
+        (emb, final_g, final_b, head_w, head_b), *layers = cache.params
+        bias = cache.bias[:, t0:L, :L]
 
-        x = p["dec.emb"][prev_ids] + _ape_rows(L, d)[t0:] + control.reshape(R, 1, d)
-        buckets = _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]
-        bias = cache.rpe[:, buckets]
+        x = emb[prev_ids[:, 0]] + _ape_rows(cache.capacity, d)[t0] + control
+        for (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, cq, co, ln3_g, ln3_b, w1, b1, w2, b2
+             ), (kb, vb), (ck, cv) in zip(layers, cache.self_kv, cache.cross_kv):
+            h = ag.layer_norm_array(x, ln1_g, ln1_b)[0]
+            kb[:, :, t0] = (h @ wk).reshape(R, H, -1)
+            vb[:, :, t0] = (h @ wv).reshape(R, H, -1)
+            att = ag.attention_heads((h @ wq).reshape(R, H, 1, -1), kb[:, :, :L], vb[:, :, :L],
+                                     bias, scale)[0]
+            x = x + att.reshape(R, d) @ wo
+            # (B*N, d) slot rows -> (B, H, N, d/H) per-segment query heads and back
+            q = ag.split_heads((ag.layer_norm_array(x, ln2_g, ln2_b)[0] @ cq).reshape(B, -1, d), H)
+            catt = ag.attention_heads(q, ck, cv, None, scale, enc_mask)[0]
+            x = x + catt.reshape(R, d) @ co
+            h = ag.linear_array(ag.layer_norm_array(x, ln3_g, ln3_b)[0], w1, b1)
+            x = x + ag.linear_array(np.maximum(h, 0.0), w2, b2)
+        x = ag.layer_norm_array(x, final_g, final_b)[0]
+        return ag.softmax_array(ag.linear_array(x, head_w, head_b), axis=-1)
 
-        def ln(x: np.ndarray, name: str) -> np.ndarray:
-            return ag.layer_norm_array(x, p[name + ".g"], p[name + ".b"])[0]
-
-        for i in range(cfg.n_dec_layers):
-            pre = f"dec.L{i}."
-            h = ln(x, pre + "ln1")
-            k, v = ag.gemm(h, p[pre + "wk"]), ag.gemm(h, p[pre + "wv"])
-            if t0:
-                k = np.concatenate([cache.self_kv[i][0], k], axis=-2)
-                v = np.concatenate([cache.self_kv[i][1], v], axis=-2)
-            cache.self_kv[i:i + 1] = [(k, v)]  # replaces layer i's entry; appends it from empty
-            att = ag.attention_array(ag.gemm(h, p[pre + "wq"]), k, v, bias, H, scale)[0]
-            x = x + ag.gemm(att, p[pre + "wo"])
-            q = ag.gemm(ln(x, pre + "ln2"), p[pre + "cq"]).reshape(B, -1, d)
-            catt = ag.attention_array(q, *cache.cross_kv[i], None, H, scale, enc_mask)[0]
-            x = x + ag.gemm(catt.reshape(R, 1, d), p[pre + "co"])
-            h = ag.linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
-            x = x + ag.linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
-        x = ln(x, "dec.final").reshape(R, d)
-        return ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1)
+    def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:
+        """A cache's first step: take the step's parameter arrays, the
+        position biases of its ``capacity`` positions, each layer's encoder
+        keys and values split into heads, and allocate each layer's
+        self-attention key and value buffers for R slot rows."""
+        cfg = self.cfg
+        d, H = cfg.d, cfg.n_heads
+        store = self.store
+        cache.enc_states = enc_states
+        # lists: a tuple built from a generator is grown to its size, and the
+        # interpreter keeps such freed tuples for reuse that never comes (~0.5 MB)
+        cache.params = [[store[n].data for n in names] for names in self._step_names]
+        rpe = np.stack([store[f"dec.rpe.h{h}"].data for h in range(H)])
+        cache.bias = rpe[:, _buckets(cache.capacity, cfg.rpe_buckets, cfg.rpe_max_distance,
+                                     bidirectional=False)]
+        states = enc_states.data.reshape(B, -1, d)
+        cache.cross_kv = [(ag.split_heads(ag.gemm(states, store[f"dec.L{i}.ck"].data), H),
+                           ag.split_heads(ag.gemm(states, store[f"dec.L{i}.cv"].data), H))
+                          for i in range(cfg.n_dec_layers)]
+        shape = (R, H, cache.capacity, d // H)
+        cache.self_kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_dec_layers)]
 
     def greedy_decode(self, control: Tensor, enc_states: Tensor, bos_id: int, steps: int,
                       enc_mask: np.ndarray | None = None, stop_id: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Greedy decode from BOS, each step's argmax fed back in: the one
         greedy decode loop. Arguments are as for ``decode_probs``; it runs
-        tape-free under its own ``no_grad``, one cached step per call.
+        tape-free under its own ``no_grad``, one cached step per call, on a
+        DecodeCache of ``steps`` positions.
 
         Returns the (t, R, vocab) distributions and the (t, R) tokens chosen
         from them, one row per control row. It stops after the first step by
         which every row has emitted ``stop_id``; with None it runs all ``steps``.
         """
-        cache = DecodeCache()
+        cache = DecodeCache(steps)
         prev = np.full((control.data.shape[0], 1), bos_id, dtype=np.intp)
         stopped = np.zeros(len(prev), dtype=bool)
         probs, tokens = [], []

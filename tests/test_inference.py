@@ -127,7 +127,7 @@ def _greedy_full_recompute(model, vocab, enc, control, m):
     against a cache stepped along the same path."""
     n = model.cfg.n_slots
     prev = np.full((n, 1), vocab.bos_id, dtype=np.intp)
-    cache = DecodeCache()
+    cache = DecodeCache(m)
     done = np.zeros(n, dtype=bool)
     emitted = [[] for _ in range(n)]
     probs = [[] for _ in range(n)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from setkp import autograd as ag
+from setkp import model as model_module
 from setkp.autograd import Tape, Tensor
 from setkp.corpus import KeywordSpan
 from setkp.assignment import k_step_predict
@@ -387,15 +388,17 @@ def test_cached_decode_matches_full_recompute(lengths):
     assert (mask is None) == (len(lengths) == 1)
     prev = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(R, 5))
     full = model.decode_probs(prev, control, enc, enc_mask=mask).data.reshape(R, 5, -1)
-    cache = DecodeCache()
+    cache = DecodeCache(5)
     for t in range(5):
         rows = model.decode_probs(prev[:, t:t + 1], control, enc, cache=cache, enc_mask=mask).data
         assert rows.shape == (R, cfg.vocab_size)
         np.testing.assert_allclose(rows, full[:, t], rtol=0, atol=1e-12)
     assert cache.steps == 5
-    assert all(k.shape == (R, 5, cfg.d) for kv in cache.self_kv for k in kv)
+    head_layout = (R, cfg.n_heads, 5, cfg.d // cfg.n_heads)
+    assert len(cache.self_kv) == cfg.n_dec_layers
+    assert all(buf.shape == head_layout for kv in cache.self_kv for buf in kv)
     with pytest.raises(ValueError, match="one position per slot row, not 2"):
-        model.decode_probs(prev[:, :2], control, enc, cache=DecodeCache(), enc_mask=mask)
+        model.decode_probs(prev[:, :2], control, enc, cache=DecodeCache(5), enc_mask=mask)
 
 
 def test_cached_decode_keeps_slots_isolated():
@@ -406,7 +409,7 @@ def test_cached_decode_keeps_slots_isolated():
     prev = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(cfg.n_slots, 6))
     other = prev.copy()
     other[1] = (other[1] + 7) % cfg.vocab_size
-    a, b = DecodeCache(), DecodeCache()
+    a, b = DecodeCache(prev.shape[1]), DecodeCache(prev.shape[1])
     keep = [n for n in range(cfg.n_slots) if n != 1]
     for t in range(prev.shape[1]):
         ra = model.decode_probs(prev[:, t:t + 1], control, enc, cache=a).data
@@ -439,18 +442,111 @@ def test_decode_cache_rejected_while_recording():
     model, prev, control, enc = _decode_setup(cfg)
     with Tape():
         with pytest.raises(RuntimeError):
-            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache())
+            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache(1))
         with ag.no_grad():
-            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache())
+            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache(1))
 
 
 def test_decode_cache_bound_to_its_encoder_states():
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    cache = DecodeCache()
+    cache = DecodeCache(2)
     model.decode_probs(prev[:, :1], control, enc, cache=cache)
     with pytest.raises(ValueError):
         model.decode_probs(prev[:, 1:2], control, model.encode([1, 2, 3]), cache=cache)
+
+
+def test_decode_cache_holds_its_capacity(monkeypatch):
+    # a cache decodes the positions it was made for and refuses one more;
+    # k_step_predict's loop makes one cache of exactly k positions
+    cfg = tiny_cfg()
+    model, prev, control, enc = _decode_setup(cfg)
+    cache = DecodeCache(2)
+    for t in range(2):
+        model.decode_probs(prev[:, t:t + 1], control, enc, cache=cache)
+    with pytest.raises(ValueError, match="all 2 positions of the DecodeCache are decoded"):
+        model.decode_probs(prev[:, 2:3], control, enc, cache=cache)
+    assert cache.steps == 2
+
+    made = []
+
+    def recorded(capacity):
+        made.append(DecodeCache(capacity))
+        return made[-1]
+
+    monkeypatch.setattr(model_module, "DecodeCache", recorded)
+    k = 3
+    k_step_predict(model, enc, control, k, 1)
+    assert len(made) == 1
+    assert made[0].capacity == made[0].steps == k
+    head_layout = (cfg.n_slots, cfg.n_heads, k, cfg.d // cfg.n_heads)
+    assert all(buf.shape == head_layout for kv in made[0].self_kv for buf in kv)
+
+
+def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None):
+    """The greedy loop with the cached step as it was before head-layout
+    buffers: each step concatenates its keys and values onto those of every
+    earlier step and runs ``ag.attention_array`` on (R, 1, d) slot rows."""
+    cfg = model.cfg
+    p = {n: t.data for n, t in model.store.items()}
+    d, H, scale = cfg.d, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
+    R = control.shape[0]
+    B = R // cfg.n_slots
+    rpe = np.stack([p[f"dec.rpe.h{h}"] for h in range(H)])
+    states = enc.data.reshape(B, -1, d)
+    cross_kv = [(ag.gemm(states, p[f"dec.L{i}.ck"]), ag.gemm(states, p[f"dec.L{i}.cv"]))
+                for i in range(cfg.n_dec_layers)]
+    self_kv = [None] * cfg.n_dec_layers
+
+    def ln(x, name):
+        return ag.layer_norm_array(x, p[name + ".g"], p[name + ".b"])[0]
+
+    prev = np.full((R, 1), bos_id, dtype=np.intp)
+    probs, tokens = [], []
+    for t0 in range(steps):
+        L = t0 + 1
+        x = p["dec.emb"][prev] + _ape_rows(L, d)[t0:] + control.data.reshape(R, 1, d)
+        bias = rpe[:, _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]]
+        for i in range(cfg.n_dec_layers):
+            pre = f"dec.L{i}."
+            h = ln(x, pre + "ln1")
+            k, v = ag.gemm(h, p[pre + "wk"]), ag.gemm(h, p[pre + "wv"])
+            if t0:
+                k = np.concatenate([self_kv[i][0], k], axis=-2)
+                v = np.concatenate([self_kv[i][1], v], axis=-2)
+            self_kv[i] = (k, v)
+            att = ag.attention_array(ag.gemm(h, p[pre + "wq"]), k, v, bias, H, scale)[0]
+            x = x + ag.gemm(att, p[pre + "wo"])
+            q = ag.gemm(ln(x, pre + "ln2"), p[pre + "cq"]).reshape(B, -1, d)
+            catt = ag.attention_array(q, *cross_kv[i], None, H, scale, enc_mask)[0]
+            x = x + ag.gemm(catt.reshape(R, 1, d), p[pre + "co"])
+            h = ag.linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
+            x = x + ag.linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
+        x = ln(x, "dec.final").reshape(R, d)
+        probs.append(ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1))
+        tokens.append(probs[-1].argmax(axis=1))
+        prev = tokens[-1][:, None]
+    return np.stack(probs), np.stack(tokens)
+
+
+@pytest.mark.parametrize("d", [64, 20])
+@pytest.mark.parametrize("lengths", [[7], [7, 4]], ids=["one_segment", "padded_batch"])
+def test_greedy_decode_has_the_bits_of_the_concatenating_step(d, lengths):
+    # the head-layout cache changes where keys and values live, not one bit
+    # of any step's distributions or tokens
+    cfg = ModelConfig(vocab_size=41, d=d, n_heads=4, max_kp_len=8)
+    model = Model.fresh(cfg, seed=7)
+    rng = np.random.default_rng(d)
+    segs = [rng.integers(3, cfg.vocab_size, size=n).tolist() for n in lengths]
+    enc = model.encode(segs[0] if len(segs) == 1 else segs)
+    mask = padding_mask(lengths)
+    keywords = [seg[:2] if n % 3 == 0 else None for seg in segs for n in range(cfg.n_slots)]
+    control = model.control_rows(keywords)
+    probs, tokens = model.greedy_decode(control, enc, 1, cfg.max_kp_len, enc_mask=mask)
+    want_probs, want_tokens = _greedy_decode_oracle(model, control, enc, 1, cfg.max_kp_len, mask)
+    assert probs.shape == (8, cfg.n_slots * len(lengths), cfg.vocab_size)
+    assert np.array_equal(probs, want_probs)
+    assert np.array_equal(tokens, want_tokens)
 
 
 def test_decode_grads_flow_to_decoder_params():
