@@ -15,19 +15,25 @@ its node has passed it on, so a pass holds the gradients in flight rather
 than one per tensor.
 
 The hot path is Python overhead per node, so the primitives are coarse:
-``matmul`` and ``linear`` run a (..., k) @ (k, m) product as one 2-D GEMM
-over the flattened leading axes, ``linear`` is a whole affine map
-``x @ w + b`` in one node, ``gather_heads`` looks up every head's
-relative-position bias in one node, and ``multi_head_attention`` is fused.
-Reductions call the ufunc's ``reduce`` directly, which gives the same bits
-as the ndarray methods without their Python frames.
+every (..., k) @ (k, m) product runs as one 2-D GEMM over the flattened
+leading axes, ``gather_heads`` looks up every head's relative-position bias
+in one node, and ``multi_head_attention`` is fused. Three nodes fuse a
+transformer's remaining sublayers: ``ffn`` (a residual feed-forward block),
+``residual_matmul`` (a residual projection) and ``softmax_head`` (an output
+head). Each runs exactly the operations of the composition it replaces, so
+its bits are that composition's, and its backward keeps only the arrays
+its rule reads: the training tape holds no pre-activation, logit or
+pre-residual product. Reductions call the ufunc's ``reduce`` directly,
+which gives the same bits as the ndarray methods without their Python
+frames.
 
 The forward formulas a tape-free caller needs are plain array functions
-(``gemm``, ``linear_array``, ``softmax_array``, ``layer_norm_array`` and
-``attention_array``, which splits heads and runs ``attention_heads``). Each
-primitive computes its output with its array function, so code that runs a
-pass on arrays, with no Tensor or node per step, gets the bits the taped
-pass gets.
+(``gemm``, ``linear_array``, ``softmax_array``, ``residual_matmul_array``,
+``ffn_array``, ``softmax_head_array``, ``layer_norm_array`` and
+``attention_array``, which splits heads and runs ``attention_heads``).
+Each primitive computes its output with its array function, so code that
+runs a pass on arrays, with no Tensor or node per step, gets the bits the
+taped pass gets.
 """
 
 from __future__ import annotations
@@ -249,36 +255,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forward formula of ``linear`` on plain arrays."""
+    """An affine map x (..., k) @ w (k, m) + b (m,) on plain arrays."""
     y = gemm(x, w)
     y += b
     return y
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x (..., k) @ w (k, m) + b (m,) -> (..., m) as one node."""
-    if x.data.ndim < 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
-        raise ValueError("linear expects x (..., k), w (k, m) and b (m,)")
-    xd, wd = x.data, w.data
+def residual_matmul_array(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The forward formula of ``residual_matmul`` on plain arrays."""
+    return x + gemm(a, w)
+
+
+def residual_matmul(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
+    """x + a (..., k) @ w (k, m) as one node: a residual projection, such as
+    an attention output's. Backward keeps only a and w."""
+    ad, wd = a.data, w.data
     k, m = wd.shape
+    return _record(Tensor(residual_matmul_array(x.data, ad, wd)), (x, a, w),
+                   lambda g: (g, gemm(g, wd.T), ad.reshape(-1, k).T @ g.reshape(-1, m)))
+
+
+def ffn_array(r: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+              w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward formula of ``ffn`` on plain arrays: the output, and the
+    post-ReLU activation its backward reads (the ReLU runs in place)."""
+    h = linear_array(x, w1, b1)
+    np.maximum(h, 0.0, out=h)
+    return r + linear_array(h, w2, b2), h
+
+
+def ffn(r: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A residual feed-forward block r + relu(x @ w1 + b1) @ w2 + b2 as one
+    node, x (..., k), w1 (k, f), w2 (f, k) and r shaped like the output.
+    Backward keeps x, the activation and the two weight matrices, not the
+    pre-activation or the block's output before the residual sum."""
+    xd, wd1, wd2 = x.data, w1.data, w2.data
+    y, h = ffn_array(r.data, xd, wd1, b1.data, wd2, b2.data)
+    k, f = wd1.shape
 
     def back(g):
-        g2 = g.reshape(-1, m)
-        return (gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
+        g2 = g.reshape(-1, k)
+        gh = gemm(g, wd2.T) * (h > 0.0)
+        gh2 = gh.reshape(-1, f)
+        return (g, gemm(gh, wd1.T), xd.reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0),
+                h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
 
-    return _record(Tensor(linear_array(xd, wd, b.data)), (x, w, b), back)
+    return _record(Tensor(y), (r, x, w1, b1, w2, b2), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.data.shape
     out = Tensor(a.data.reshape(shape))
     return _record(out, (a,), lambda g: (g.reshape(old),))
-
-
-def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = Tensor(np.maximum(ad, 0.0))
-    return _record(out, (a,), lambda g: (g * (ad > 0.0),))
 
 
 def gather(a: Tensor, idx) -> Tensor:
@@ -340,21 +368,29 @@ def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
 
 
 def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The forward formula of ``softmax`` on a plain array."""
+    """Shift-invariant softmax of a plain array along ``axis``."""
     e = np.exp(a - np.maximum.reduce(a, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along `axis`."""
-    y = softmax_array(a.data, axis)
-    out = Tensor(y)
+def softmax_head_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward formula of ``softmax_head`` on plain arrays."""
+    return softmax_array(linear_array(x, w, b))
+
+
+def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """An output head softmax(x (..., k) @ w (k, m) + b (m,)) over its last
+    axis as one node. Backward keeps x, w and the output, not the logits."""
+    xd, wd = x.data, w.data
+    k, m = wd.shape
+    y = softmax_head_array(xd, wd, b.data)
 
     def back(g):
-        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gz = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
+        gz2 = gz.reshape(-1, m)
+        return (gemm(gz, wd.T), xd.reshape(-1, k).T @ gz2, np.add.reduce(gz2, axis=0))
 
-    return _record(out, (a,), back)
+    return _record(Tensor(y), (x, w, b), back)
 
 
 def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5

@@ -205,7 +205,9 @@ def porter_stem(word: str) -> str:
 
 
 def stem_tokens(tokens: list[str]) -> tuple[str, ...]:
-    return tuple(porter_stem(t) for t in tokens)
+    # from a list: a tuple built from a generator is grown to its size, and
+    # freed keys of that size pile up on the interpreter's tuple free list
+    return tuple([porter_stem(t) for t in tokens])
 
 
 def first_wins(items: Iterable[T], key: Callable[[T], Hashable],

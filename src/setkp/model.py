@@ -297,9 +297,11 @@ class Model:
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return ag.layer_norm(x, self.store[prefix + ".g"], self.store[prefix + ".b"])
 
-    def _ffn(self, x: Tensor, p: str) -> Tensor:
-        h = ag.linear(x, self.store[p + "w1"], self.store[p + "b1"])
-        return ag.linear(ag.relu(h), self.store[p + "w2"], self.store[p + "b2"])
+    def _ffn(self, x: Tensor, p: str, ln: str) -> Tensor:
+        """Pre-LN feed-forward sublayer of layer ``p`` under its norm ``ln``:
+        x plus the FFN of the normed x, as one node."""
+        w1, b1, w2, b2 = (self.store[p + n] for n in ("w1", "b1", "w2", "b2"))
+        return ag.ffn(x, self._ln(x, p + ln), w1, b1, w2, b2)
 
     def _self_attention(self, x: Tensor, prefix: str, bias: Tensor, mask: np.ndarray | None
                         ) -> Tensor:
@@ -310,7 +312,7 @@ class Model:
         k = ag.matmul(h, self.store[prefix + "wk"])
         v = ag.matmul(h, self.store[prefix + "wv"])
         att = ag.multi_head_attention(q, k, v, bias, self.cfg.n_heads, self._inv_scale, mask=mask)
-        return ag.add(x, ag.matmul(att, self.store[prefix + "wo"]))
+        return ag.residual_matmul(x, att, self.store[prefix + "wo"])
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
         """A batch of B id lists -> (B, S_max, d) contextual states.
@@ -341,13 +343,12 @@ class Model:
         for i in range(cfg.n_enc_layers):
             p = f"enc.L{i}."
             x = self._self_attention(x, p, bias, mask)
-            x = ag.add(x, self._ffn(self._ln(x, p + "ln2"), p))
+            x = self._ffn(x, p, "ln2")
         return self._ln(x, "enc.final")
 
     def kwe_probs(self, states: Tensor) -> Tensor:
         """(..., S, d) -> (..., S, 3) tag distribution (O/B/I) per token."""
-        logits = ag.linear(states, self.store["kwe.w"], self.store["kwe.b"])
-        return ag.softmax(logits, axis=-1)
+        return ag.softmax_head(states, self.store["kwe.w"], self.store["kwe.b"])
 
     def predict_keywords(self, tag_probs: np.ndarray, segment: list[str]) -> list[KeywordSpan]:
         """Greedy tag decode to spans; confidence is the mean winning-tag
@@ -443,11 +444,10 @@ class Model:
             catt = ag.multi_head_attention(
                 q, *cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
             )
-            x = ag.add(x, ag.matmul(ag.reshape(catt, (R, T, cfg.d)), self.store[p + "co"]))
-            x = ag.add(x, self._ffn(self._ln(x, p + "ln3"), p))
+            x = ag.residual_matmul(x, ag.reshape(catt, (R, T, cfg.d)), self.store[p + "co"])
+            x = self._ffn(x, p, "ln3")
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
-        logits = ag.linear(x, self.store["kg.w"], self.store["kg.b"])
-        return ag.softmax(logits, axis=-1)
+        return ag.softmax_head(x, self.store["kg.w"], self.store["kg.b"])
 
     def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
                      B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
@@ -480,15 +480,13 @@ class Model:
             vb[:, :, t0] = (h @ wv).reshape(R, H, -1)
             att = ag.attention_heads((h @ wq).reshape(R, H, 1, -1), kb[:, :, :L], vb[:, :, :L],
                                      bias, scale)[0]
-            x = x + att.reshape(R, d) @ wo
+            x = ag.residual_matmul_array(x, att.reshape(R, d), wo)
             # (B*N, d) slot rows -> (B, H, N, d/H) per-segment query heads and back
             q = ag.split_heads((ag.layer_norm_array(x, ln2_g, ln2_b)[0] @ cq).reshape(B, -1, d), H)
             catt = ag.attention_heads(q, ck, cv, None, scale, enc_mask)[0]
-            x = x + catt.reshape(R, d) @ co
-            h = ag.linear_array(ag.layer_norm_array(x, ln3_g, ln3_b)[0], w1, b1)
-            x = x + ag.linear_array(np.maximum(h, 0.0), w2, b2)
-        x = ag.layer_norm_array(x, final_g, final_b)[0]
-        return ag.softmax_array(ag.linear_array(x, head_w, head_b), axis=-1)
+            x = ag.residual_matmul_array(x, catt.reshape(R, d), co)
+            x = ag.ffn_array(x, ag.layer_norm_array(x, ln3_g, ln3_b)[0], w1, b1, w2, b2)[0]
+        return ag.softmax_head_array(ag.layer_norm_array(x, final_g, final_b)[0], head_w, head_b)
 
     def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:
         """A cache's first step: take the step's parameter arrays, the

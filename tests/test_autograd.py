@@ -70,6 +70,37 @@ def _dot(t: Tensor) -> Tensor:
     return ag.reshape(ag.matmul(ag.reshape(t, (1, n)), r), ())
 
 
+# Test-local nodes: a softmax, a ReLU and an affine map, each recorded with
+# ``ag._record``. The tape-mechanics tests use the softmax as a generic
+# nonlinearity, and the three together are the unfused reference the fused
+# ``ffn`` and ``softmax_head`` nodes must match bit for bit.
+
+
+def _softmax(a: Tensor) -> Tensor:
+    y = ag.softmax_array(a.data)
+
+    def back(g):
+        return (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),)
+
+    return ag._record(Tensor(y), (a,), back)
+
+
+def _relu(a: Tensor) -> Tensor:
+    ad = a.data
+    return ag._record(Tensor(np.maximum(ad, 0.0)), (a,), lambda g: (g * (ad > 0.0),))
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    xd, wd = x.data, w.data
+    k, m = wd.shape
+
+    def back(g):
+        g2 = g.reshape(-1, m)
+        return (ag.gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
+
+    return ag._record(Tensor(ag.linear_array(xd, wd, b.data)), (x, w, b), back)
+
+
 # ----------------------------------------------------------- FD battery
 
 
@@ -77,7 +108,7 @@ def test_add_broadcast_grad():
     rng = np.random.default_rng(0)
     a = _param(rng, (3, 4))
     b = _param(rng, (4,))
-    err = grad_check(lambda: _dot(ag.softmax(ag.add(a, b))), {"a": a, "b": b}, n_coords=16)
+    err = grad_check(lambda: _dot(_softmax(ag.add(a, b))), {"a": a, "b": b}, n_coords=16)
     assert err < 1e-6
 
 
@@ -131,27 +162,99 @@ def test_gemm_row_blocks_have_the_bits_of_their_own_products(k, m):
             assert np.array_equal(stacked[b], own), (S, b)
 
 
-@pytest.mark.parametrize("shape", [(4, 3), (2, 3, 3)])
-def test_linear_grad(shape):
+def _away_from_kink(rng, shape, w1, b1, margin=0.05):
+    """An FFN input whose pre-activations x @ w1 + b1 all lie at least
+    ``margin`` from the ReLU kink, so central differences see one slope."""
+    while True:
+        x = rng.standard_normal(shape)
+        if np.abs(ag.linear_array(x, w1.data, b1.data)).min() >= margin:
+            return Tensor(x, requires_grad=True)
+
+
+def test_ffn_grad():
     rng = np.random.default_rng(17)
-    x = _param(rng, shape)
-    w = _param(rng, (3, 5))
-    b = _param(rng, (5,))
-    params = {"x": x, "w": w, "b": b}
-    assert grad_check(lambda: _dot(ag.linear(x, w, b)), params, n_coords=40) < 1e-6
-    # the bias gradient is the readout summed over every leading position
-    with Tape() as tape:
-        loss = _dot(ag.linear(x, w, b))
-    tape.backward(loss)
-    r = _readout(x.data.size // 3 * 5).reshape(-1, 5)
-    np.testing.assert_allclose(b.grad, r.sum(axis=0), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(ag.linear(x, w, b).data,
-                                  ag.add(ag.matmul(x, w), b).data)
+    w1, b1, w2, b2 = _param(rng, (3, 5)), _param(rng, (5,)), _param(rng, (5, 3)), _param(rng, (3,))
+    x, r = _away_from_kink(rng, (2, 2, 3), w1, b1), _param(rng, (2, 2, 3))
+    h = ag.linear_array(x.data, w1.data, b1.data)
+    assert (h > 0).any() and (h < 0).any()  # both ReLU slopes are checked
+    params = {"r": r, "x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    assert grad_check(lambda: _dot(ag.ffn(r, x, w1, b1, w2, b2)), params, n_coords=60) < 1e-6
 
 
-def test_linear_rejects_mismatched_bias():
-    with pytest.raises(ValueError):
-        ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+def test_residual_matmul_grad():
+    rng = np.random.default_rng(24)
+    x, a, w = _param(rng, (2, 3, 4)), _param(rng, (2, 3, 5)), _param(rng, (5, 4))
+    err = grad_check(lambda: _dot(ag.residual_matmul(x, a, w)), {"x": x, "a": a, "w": w},
+                     n_coords=40)
+    assert err < 1e-6
+
+
+def test_softmax_head_grad():
+    rng = np.random.default_rng(25)
+    x, w, b = _param(rng, (2, 3, 4)), _param(rng, (4, 5)), _param(rng, (5,))
+    err = grad_check(lambda: _dot(ag.softmax_head(x, w, b)), {"x": x, "w": w, "b": b},
+                     n_coords=40)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("node", ["ffn", "residual_matmul"])
+def test_residual_input_that_feeds_other_nodes(node):
+    # the residual input r also feeds the block through a layer norm and a
+    # third node, so its gradient sums three contributions
+    rng = np.random.default_rng(26)
+    x0, w0 = _param(rng, (2, 3, 4)), _param(rng, (4, 4))
+    gain, bias = _param(rng, (4,)), _param(rng, (4,))
+    w1, b1, w2, b2 = _param(rng, (4, 6)), _param(rng, (6,)), _param(rng, (6, 4)), _param(rng, (4,))
+    params = {"x0": x0, "w0": w0, "gain": gain, "bias": bias, "w1": w1, "w2": w2}
+    if node == "ffn":
+        params.update(b1=b1, b2=b2)
+
+    def f():
+        r = ag.matmul(x0, w0)
+        x = ag.layer_norm(r, gain, bias)
+        out = (ag.ffn(r, x, w1, b1, w2, b2) if node == "ffn"
+               else ag.residual_matmul(r, ag.matmul(x, w1), w2))
+        return _dot(ag.add(out, ag.scale(r, 0.5)))
+
+    if node == "ffn":
+        x = ag.layer_norm(ag.matmul(x0, w0), gain, bias).data
+        assert np.abs(ag.linear_array(x, w1.data, b1.data)).min() >= 1e-3  # away from the kink
+    assert grad_check(f, params, n_coords=80) < 1e-6
+
+
+def _fused_and_unfused(node: str, d: int, rng):
+    """Parent tensors of one fused node with a (3, 8) batch lead, and two
+    builders over them: the fused node and the unfused composition."""
+    lead = (3, 8)
+    if node == "ffn":
+        f = 4 * d
+        parents = [_param(rng, (*lead, d)), _param(rng, (*lead, d)), _param(rng, (d, f)),
+                   _param(rng, (f,)), _param(rng, (f, d)), _param(rng, (d,))]
+        return parents, lambda *p: ag.ffn(*p), lambda r, x, w1, b1, w2, b2: ag.add(
+            r, _linear(_relu(_linear(x, w1, b1)), w2, b2))
+    if node == "residual_matmul":
+        parents = [_param(rng, (*lead, d)), _param(rng, (*lead, d)), _param(rng, (d, d))]
+        return parents, lambda *p: ag.residual_matmul(*p), lambda x, a, w: ag.add(
+            x, ag.matmul(a, w))
+    parents = [_param(rng, (*lead, d)), _param(rng, (d, 37)), _param(rng, (37,))]
+    return parents, lambda *p: ag.softmax_head(*p), lambda x, w, b: _softmax(_linear(x, w, b))
+
+
+@pytest.mark.parametrize("d", [64, 20])
+@pytest.mark.parametrize("node", ["ffn", "residual_matmul", "softmax_head"])
+def test_fused_node_has_the_bits_of_its_composition(node, d):
+    parents, fused, unfused = _fused_and_unfused(node, d, np.random.default_rng(d))
+    results = []
+    for build in (fused, unfused):
+        with Tape() as tape:
+            out = build(*parents)
+            loss = _dot(out)
+        tape.backward(loss, wrt=parents)
+        results.append((out.data, [p.grad for p in parents]))
+    (y, grads), (y_ref, grads_ref) = results
+    assert np.array_equal(y, y_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
 
 
 def test_gather_heads_grad_per_head_tables():
@@ -165,7 +268,7 @@ def test_gather_heads_grad_per_head_tables():
     for h, t in enumerate(tables):
         np.testing.assert_array_equal(out.data[h], t.data[idx])
     params = {f"h{h}": t for h, t in enumerate(tables)}
-    assert grad_check(lambda: _dot(ag.softmax(ag.gather_heads(tables, idx))), params,
+    assert grad_check(lambda: _dot(_softmax(ag.gather_heads(tables, idx))), params,
                       n_coords=15) < 1e-6
 
     with Tape() as tape:
@@ -185,14 +288,6 @@ def test_reshape_grad():
     err = grad_check(lambda: _dot(ag.reshape(a, (2, 6))), {"a": a}, n_coords=12)
     assert err < 1e-6
     assert np.shares_memory(ag.reshape(a, (2, 6)).data, a.data)  # a view, not a copy
-
-
-def test_relu_grad_away_from_kink():
-    rng = np.random.default_rng(4)
-    a = Tensor(rng.standard_normal((4, 4)) + np.sign(rng.standard_normal((4, 4))) * 0.5,
-               requires_grad=True)
-    err = grad_check(lambda: _dot(ag.relu(a)), {"a": a}, n_coords=16)
-    assert err < 1e-6
 
 
 def test_gather_grad_accumulates_repeats():
@@ -225,7 +320,7 @@ def test_gather_sum_values_and_grad():
     np.testing.assert_array_equal(out[1], a.data[2])
     np.testing.assert_array_equal(out[2], np.zeros(4))
     np.testing.assert_array_equal(out[3], a.data[5] + a.data[3])
-    err = grad_check(lambda: _dot(ag.softmax(ag.gather_sum(a, idx, mask))), {"a": a}, n_coords=24)
+    err = grad_check(lambda: _dot(_softmax(ag.gather_sum(a, idx, mask))), {"a": a}, n_coords=24)
     assert err < 1e-6
 
     with Tape() as tape:
@@ -264,13 +359,6 @@ def test_attention_grad_with_key_padding_mask():
             Tensor(bias.data[:, :n, :n]), n_heads=2, inv_scale=0.5,
         )
         np.testing.assert_allclose(out.data[b, :n], one.data, rtol=0, atol=1e-12)
-
-
-def test_softmax_grad():
-    rng = np.random.default_rng(6)
-    a = _param(rng, (3, 5))
-    err = grad_check(lambda: _dot(ag.softmax(a)), {"a": a}, n_coords=15)
-    assert err < 1e-6
 
 
 def test_layer_norm_grad():
@@ -470,7 +558,7 @@ def test_fanout_accumulates():
 def test_backward_twice_resets_grads():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        loss = _dot(ag.softmax(ag.add(x, x)))
+        loss = _dot(_softmax(ag.add(x, x)))
     tape.backward(loss)
     first = x.grad.copy()
     tape.backward(loss)
@@ -535,7 +623,7 @@ def test_seeded_backward_matches_finite_differences():
 
     def forward():
         h = ag.layer_norm(ag.matmul(x, w), gain, bias)
-        return _dot(ag.softmax(h)), h, ag.matmul(x, w2)
+        return _dot(_softmax(h)), h, ag.matmul(x, w2)
 
     def value() -> float:
         loss, h, z = forward()
@@ -577,7 +665,7 @@ def test_backward_wrt_intermediate_gives_its_exact_gradient():
     x, w = _param(rng, (3, 4)), _param(rng, (4, 4))
     with Tape() as tape:
         h = ag.matmul(x, w)  # the intermediate; its node is tape.nodes[0]
-        loss = ag.add(_dot(ag.softmax(h)), _dot(ag.relu(h)))  # h fans out
+        loss = ag.add(_dot(_softmax(h)), _dot(ag.scale(h, 0.5)))  # h fans out
     producer = [0]  # counts replays of h's node
     out, parents, back = tape.nodes[0]
 
@@ -668,7 +756,7 @@ def test_backward_never_writes_into_an_array_a_rule_keeps():
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
     kept = np.full(3, 2.0)
     with Tape() as tape:
-        loss = _kept_slope(x, _dot(ag.softmax(x)), kept)
+        loss = _kept_slope(x, _dot(_softmax(x)), kept)
     ref = _reference_grads(tape, loss)
     for wrt in (None, [x]):
         tape.backward(loss, wrt=wrt)
@@ -678,12 +766,12 @@ def test_backward_never_writes_into_an_array_a_rule_keeps():
 
 def _every_primitive(emb, w, b, gain, bias, tables) -> Tensor:
     x = ag.gather(emb, [[0, 1, 1], [4, 2, 0]])  # (2, 3, 4)
-    h = ag.layer_norm(ag.linear(x, w, b), gain, bias)
+    h = ag.layer_norm(ag.ffn(x, x, w, b, w, b), gain, bias)  # x, w and b twice in one node
     rel = ag.gather_heads(tables, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    a = ag.multi_head_attention(h, h, x, rel, 2, 0.5)  # h and x fan out
-    y = ag.add(ag.relu(a), ag.scale(h, 0.5))
+    a = ag.multi_head_attention(h, ag.matmul(h, w), x, rel, 2, 0.5)  # h and x fan out
+    y = ag.add(ag.residual_matmul(a, h, w), ag.scale(h, 0.5))
     s = ag.gather_sum(ag.reshape(y, (6, 4)), [[0, 5, 2], [2, 2, 1]], [[1, 1, 0], [1, 1, 1]])
-    probs = ag.softmax(ag.matmul(s, w))
+    probs = ag.softmax_head(s, w, b)
     return ag.weighted_nll(probs, [1, 3], [0.5, 2.0]), h
 
 
@@ -775,7 +863,7 @@ def test_wrt_pass_frees_the_gradients_it_was_not_asked_for():
 @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**31 - 1))
 def test_softmax_rows_sum_to_one(n, m, seed):
     x = np.random.default_rng(seed).standard_normal((n, m)) * 5
-    y = ag.softmax(Tensor(x)).data
+    y = ag.softmax_array(x)
     np.testing.assert_allclose(y.sum(axis=1), np.ones(n), atol=1e-12)
     assert (y >= 0).all()
 
@@ -784,8 +872,8 @@ def test_softmax_rows_sum_to_one(n, m, seed):
 @given(st.integers(2, 5), st.floats(-50, 50), st.integers(0, 2**31 - 1))
 def test_softmax_shift_invariant(n, shift, seed):
     x = np.random.default_rng(seed).standard_normal(n)
-    a = ag.softmax(Tensor(x)).data
-    b = ag.softmax(Tensor(x + shift)).data
+    a = ag.softmax_array(x)
+    b = ag.softmax_array(x + shift)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -795,6 +883,6 @@ def test_add_grad_matches_fd_random_shapes(n, m, seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((n, m)), requires_grad=True)
     b = Tensor(rng.standard_normal((m,)), requires_grad=True)
-    err = grad_check(lambda: _dot(ag.softmax(ag.add(a, b))), {"a": a, "b": b},
+    err = grad_check(lambda: _dot(_softmax(ag.add(a, b))), {"a": a, "b": b},
                      n_coords=8, seed=seed)
     assert err < 1e-5
