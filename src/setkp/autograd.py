@@ -16,24 +16,30 @@ than one per tensor.
 
 The hot path is Python overhead per node, so the primitives are coarse:
 every (..., k) @ (k, m) product runs as one 2-D GEMM over the flattened
-leading axes, ``gather_heads`` looks up every head's relative-position bias
-in one node, and ``multi_head_attention`` is fused. Three nodes fuse a
-transformer's remaining sublayers: ``ffn`` (a residual feed-forward block),
-``residual_matmul`` (a residual projection) and ``softmax_head`` (an output
-head). Each runs exactly the operations of the composition it replaces, so
-its bits are that composition's, and its backward keeps only the arrays
-its rule reads: the training tape holds no pre-activation, logit or
-pre-residual product. Reductions call the ufunc's ``reduce`` directly,
-which gives the same bits as the ndarray methods without their Python
-frames.
+leading axes, and ``gather_heads`` looks up every head's relative-position
+bias in one node. Each pre-LN transformer sublayer is one node:
+``self_attention``, ``cross_attention`` and ``ffn`` each run the sublayer's
+layer norm, its projections and attention or feed-forward block, and its
+residual sum; ``softmax_head`` is an output head. Each runs exactly the
+operations of the composition it replaces and sums its gradients in the
+order a tape of that composition sums them, so its bits are that
+composition's. Its backward keeps only the arrays its rule reads: of the
+norm, the normalized rows and inverse deviations, from which it rebuilds the
+normed rows as xhat * gain + bias (the forward's own two elementwise
+operations, with no reduction run again). So the training tape holds no
+normed activation, pre-activation, logit or pre-residual product.
+``layer_norm`` stays a node for a stack's final norm. Reductions call the
+ufunc's ``reduce`` directly, which gives the same bits as the ndarray
+methods without their Python frames.
 
-The forward formulas a tape-free caller needs are plain array functions
-(``gemm``, ``linear_array``, ``softmax_array``, ``residual_matmul_array``,
-``ffn_array``, ``softmax_head_array``, ``layer_norm_array`` and
-``attention_array``, which splits heads and runs ``attention_heads``).
-Each primitive computes its output with its array function, so code that
-runs a pass on arrays, with no Tensor or node per step, gets the bits the
-taped pass gets.
+The formulas a tape-free caller or more than one node needs are plain
+array functions: the forwards ``gemm``, ``linear_array``, ``softmax_array``,
+``residual_matmul_array``, ``ffn_array``, ``cross_attention_array``,
+``softmax_head_array``, ``layer_norm_array`` and ``attention_array`` (which
+splits heads and runs ``attention_heads``), and the backwards
+``layer_norm_backward`` and ``attention_backward``. The primitives compute
+their outputs with these functions, so code that runs a pass on arrays,
+with no Tensor or node per step, gets the bits the taped pass gets.
 """
 
 from __future__ import annotations
@@ -262,45 +268,45 @@ def linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def residual_matmul_array(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The forward formula of ``residual_matmul`` on plain arrays."""
+    """A residual projection x + a (..., k) @ w (k, m) on plain arrays."""
     return x + gemm(a, w)
 
 
-def residual_matmul(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
-    """x + a (..., k) @ w (k, m) as one node: a residual projection, such as
-    an attention output's. Backward keeps only a and w."""
-    ad, wd = a.data, w.data
-    k, m = wd.shape
-    return _record(Tensor(residual_matmul_array(x.data, ad, wd)), (x, a, w),
-                   lambda g: (g, gemm(g, wd.T), ad.reshape(-1, k).T @ g.reshape(-1, m)))
-
-
-def ffn_array(r: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-              w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward formula of ``ffn`` on plain arrays: the output, and the
-    post-ReLU activation its backward reads (the ReLU runs in place)."""
-    h = linear_array(x, w1, b1)
+def ffn_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+              w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The forward formula of ``ffn`` on plain arrays: the output, then the
+    post-ReLU activation and the norm's normalized rows and inverse
+    deviations, which its backward reads (the ReLU runs in place)."""
+    n, xhat, inv = layer_norm_array(x, gain, bias)
+    h = linear_array(n, w1, b1)
     np.maximum(h, 0.0, out=h)
-    return r + linear_array(h, w2, b2), h
+    return x + linear_array(h, w2, b2), h, xhat, inv
 
 
-def ffn(r: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """A residual feed-forward block r + relu(x @ w1 + b1) @ w2 + b2 as one
-    node, x (..., k), w1 (k, f), w2 (f, k) and r shaped like the output.
-    Backward keeps x, the activation and the two weight matrices, not the
-    pre-activation or the block's output before the residual sum."""
-    xd, wd1, wd2 = x.data, w1.data, w2.data
-    y, h = ffn_array(r.data, xd, wd1, b1.data, wd2, b2.data)
+def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+        ) -> Tensor:
+    """A pre-LN residual feed-forward sublayer
+    x + relu(layer_norm(x, gain, bias) @ w1 + b1) @ w2 + b2 as one node,
+    x (..., k), w1 (k, f) and w2 (f, k). Backward keeps the norm's xhat and
+    inv, the activation and the weight matrices; it rebuilds the normed rows
+    as xhat * gain + bias, the forward's own two operations. x's gradient is
+    the residual's plus the norm's, the sum a tape of the unfused nodes
+    makes."""
+    gd, bd, wd1, wd2 = gain.data, bias.data, w1.data, w2.data
+    y, h, xhat, inv = ffn_array(x.data, gd, bd, wd1, b1.data, wd2, b2.data)
     k, f = wd1.shape
 
     def back(g):
         g2 = g.reshape(-1, k)
         gh = gemm(g, wd2.T) * (h > 0.0)
         gh2 = gh.reshape(-1, f)
-        return (g, gemm(gh, wd1.T), xd.reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0),
-                h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
+        gw1, gb1 = (xhat * gd + bd).reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0)
+        gn = gemm(gh, wd1.T)
+        del gh, gh2  # the widest arrays go before the norm's backward runs
+        gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
+        return (g + gx, ggain, gbias, gw1, gb1, h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
 
-    return _record(Tensor(y), (r, x, w1, b1, w2, b2), back)
+    return _record(Tensor(y), (x, gain, bias, w1, b1, w2, b2), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -406,24 +412,27 @@ def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: flo
     return xhat * gain + bias, xhat, inv
 
 
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The backward formula of ``layer_norm`` on plain arrays: the gradients
+    of x, gain and bias from the output's gradient g and the normalized rows
+    and inverse deviations of ``layer_norm_array``."""
+    d = g.shape[-1]
+    gg = g * gain
+    gx = inv * (
+        gg
+        - np.add.reduce(gg, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d)
+    )
+    axes = tuple(range(g.ndim - 1))
+    return gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of x (…, d) to zero mean / unit variance, then affine."""
     gd = gain.data
-    d = x.data.shape[-1]
     y, xhat, inv = layer_norm_array(x.data, gd, bias.data, eps)
-    out = Tensor(y)
-
-    def back(g):
-        gg = g * gd
-        gx = inv * (
-            gg
-            - np.add.reduce(gg, axis=-1, keepdims=True) / d
-            - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d)
-        )
-        axes = tuple(range(g.ndim - 1))
-        return (gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes))
-
-    return _record(out, (x, gain, bias), back)
+    return _record(Tensor(y), (x, gain, bias), lambda g: layer_norm_backward(g, xhat, inv, gd))
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -469,9 +478,22 @@ def attention_array(
     inv_scale: float,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """The forward formula of ``multi_head_attention`` on plain arrays: the
+    """Multi-head attention on plain arrays with leading batch axes: the
     (..., Tq, d) output, then the per-head q, k and v and the attention
-    weights its backward reads."""
+    weights that ``attention_backward`` reads.
+
+    q (..., Tq, d), k/v (..., Tk, d), all three with the same leading axes
+    (ValueError otherwise). Head h uses columns [h*dh:(h+1)*dh], and all
+    heads are computed at once as (..., H, Tq, Tk)
+    logits = (q_h k_h^T + bias[h]) * inv_scale + mask, softmaxed over keys,
+    with the head outputs concatenated back to (..., Tq, d). `bias` is an
+    (H, Tq, Tk) array (a learned relative-position term) or None; it is
+    added to the logits in place, so it must not be larger than them.
+    `mask` is an additive constant (0 / -inf) broadcastable to the logits:
+    a (Tq, Tk) causal mask shared by every batch entry and head, or a
+    (B, 1, 1, Tk) key-padding mask. Every query row must keep one finite
+    key.
+    """
     if not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]:
         raise ValueError(f"q, k and v leading axes differ: {qd.shape}, {kd.shape}, {vd.shape}")
     if qd.shape[-1] % n_heads:
@@ -481,47 +503,132 @@ def attention_array(
     return y, qh, kh, vh, A
 
 
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    bias: Tensor | None,
+def attention_backward(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
+                       A: np.ndarray, n_heads: int, inv_scale: float) -> tuple[np.ndarray, ...]:
+    """The backward formula of attention on plain arrays, the textbook
+    attention gradient batched over heads: from the merged output's gradient
+    g and the per-head q, k, v and weights A of the forward, the merged
+    gradients of q, k and v, then the (..., H, Tq, Tk) gradient of a
+    position bias before it is summed back to the bias's shape."""
+    gh = split_heads(g, n_heads)
+    gA = gh @ vh.swapaxes(-1, -2)
+    gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
+    return (_merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh),
+            _merge_heads(A.swapaxes(-1, -2) @ gh), gs)
+
+
+def self_attention(
+    x: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    pos_bias: Tensor,
     n_heads: int,
     inv_scale: float,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Fused multi-head attention with leading batch axes.
+    """A pre-LN self-attention sublayer as one node: x (..., T, d) plus
+    ``attention_array`` over the normed rows' projections by wq, wk and wv,
+    projected by wo. `pos_bias` is the (H, T, T) position bias (from
+    ``gather_heads``) and `mask` is as for ``attention_array``.
 
-    q (..., Tq, d), k/v (..., Tk, d), all three with the same leading axes
-    (ValueError otherwise). Head h uses columns [h*dh:(h+1)*dh], and all
-    heads are computed at once as (..., H, Tq, Tk)
-    logits = (q_h k_h^T + bias[h]) * inv_scale + mask, softmaxed over keys,
-    with the head outputs concatenated back to (..., Tq, d). `bias` is one
-    (H, Tq, Tk) tensor (the learned relative-position term, from
-    ``gather_heads``) or None; it is added to the logits in place, so it
-    must not be larger than them. `mask` is an additive constant (0 / -inf)
-    broadcastable to the (..., H, Tq, Tk) logits: a (Tq, Tk) causal mask
-    shared by every batch entry and head, or a (B, 1, 1, Tk) key-padding
-    mask. Every query row must keep one finite key. The weights are not
-    returned; value rows that are one-hot within each head's block make the
-    output show them. Fusing keeps the tape short; the backward below is
-    the textbook attention gradient, batched over heads, with the bias's
-    gradient summed back to its shape.
+    Backward keeps the norm's xhat and inv, the per-head q, k and v, the
+    attention weights and the merged attention output; it rebuilds the
+    normed rows as xhat * gain + bias, the forward's own two operations.
+    Gradients are summed as a tape of the unfused nodes sums them: the
+    normed rows' as (v + k) + q, x's as the residual's plus the norm's.
     """
-    y, qh, kh, vh, A = attention_array(q.data, k.data, v.data,
-                                       None if bias is None else bias.data,
-                                       n_heads, inv_scale, mask)
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    xd, gd, bd = x.data, gain.data, bias.data
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
+    d = xd.shape[-1]
+    n, xhat, inv = layer_norm_array(xd, gd, bd)
+    q, k, v = gemm(n, wqd), gemm(n, wkd), gemm(n, wvd)
+    del n  # backward rebuilds the normed rows
+    att, qh, kh, vh, A = attention_array(q, k, v, pos_bias.data, n_heads, inv_scale, mask)
+    shape = pos_bias.data.shape
 
     def back(g):
-        gh = split_heads(g, n_heads)
-        gA = gh @ vh.swapaxes(-1, -2)
-        gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
-        grads = (_merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh),
-                 _merge_heads(A.swapaxes(-1, -2) @ gh))
-        return grads if bias is None else (*grads, _unbroadcast(gs, bias.data.shape))
+        gq, gk, gv, gs = attention_backward(gemm(g, wod.T), qh, kh, vh, A, n_heads, inv_scale)
+        gpos = _unbroadcast(gs, shape)
+        del gs
+        n2 = (xhat * gd + bd).reshape(-1, d)
+        # each projection's gradients in the order the unfused tape replays
+        # them, its incoming gradient dropped as soon as it is read
+        gwv, gn = n2.T @ gv.reshape(-1, d), gemm(gv, wvd.T)
+        del gv
+        gwk, gn = n2.T @ gk.reshape(-1, d), gn + gemm(gk, wkd.T)
+        del gk
+        gwq, gn = n2.T @ gq.reshape(-1, d), gn + gemm(gq, wqd.T)
+        del gq, n2
+        gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
+        return (g + gx, ggain, gbias, gwq, gwk, gwv, att.reshape(-1, d).T @ g.reshape(-1, d), gpos)
 
-    return _record(Tensor(y), parents, back)
+    return _record(Tensor(residual_matmul_array(xd, att, wod)),
+                   (x, gain, bias, wq, wk, wv, wo, pos_bias), back)
+
+
+def cross_attention_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, wq: np.ndarray,
+                          kh: np.ndarray, vh: np.ndarray, wo: np.ndarray, n_heads: int,
+                          inv_scale: float, mask: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, ...]:
+    """The forward formula of ``cross_attention`` on plain arrays, over keys
+    and values already split into (B, H, S, d/H) heads: the output, then the
+    norm's normalized rows and inverse deviations, the query heads, the
+    attention weights and the (..., T, d) attention output that its backward
+    reads."""
+    n, xhat, inv = layer_norm_array(x, gain, bias)
+    q = gemm(n, wq)
+    del n  # backward rebuilds the normed rows
+    # (..., T, d) rows -> (B, rows per segment, d) per-segment queries and back
+    qh = split_heads(q.reshape(*kh.shape[:-3], -1, q.shape[-1]), n_heads)
+    att, A = attention_heads(qh, kh, vh, None, inv_scale, mask)
+    att = att.reshape(x.shape)
+    return residual_matmul_array(x, att, wo), xhat, inv, qh, A, att
+
+
+def cross_attention(
+    x: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    wq: Tensor,
+    k: Tensor,
+    v: Tensor,
+    wo: Tensor,
+    n_heads: int,
+    inv_scale: float,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """A pre-LN cross-attention sublayer as one node: x (..., T, d) plus
+    the attention of the normed rows' wq projections over the keys and
+    values k, v (B, S, d), projected by wo. x's rows regroup into B equal
+    blocks in order, one per segment, and block b attends over k[b] and
+    v[b] only; `mask` is a (B, 1, 1, S) key-padding mask or None.
+
+    Backward keeps the norm's xhat and inv, the query heads, the attention
+    weights and the attention output (the key and value heads are views of
+    k and v); it rebuilds the normed rows as xhat * gain + bias. x's
+    gradient is the residual's plus the norm's, the sum a tape of the
+    unfused nodes makes.
+    """
+    xd, gd, bd, wqd, wod = x.data, gain.data, bias.data, wq.data, wo.data
+    d = xd.shape[-1]
+    kh, vh = split_heads(k.data, n_heads), split_heads(v.data, n_heads)
+    y, xhat, inv, qh, A, att = cross_attention_array(xd, gd, bd, wqd, kh, vh, wod, n_heads,
+                                                     inv_scale, mask)
+
+    def back(g):
+        gq, gk, gv = attention_backward(gemm(g, wod.T).reshape(*kh.shape[:-3], -1, d),
+                                        qh, kh, vh, A, n_heads, inv_scale)[:3]
+        gq = gq.reshape(g.shape)
+        gwq, gn = (xhat * gd + bd).reshape(-1, d).T @ gq.reshape(-1, d), gemm(gq, wqd.T)
+        del gq
+        gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
+        return (g + gx, ggain, gbias, gwq, gk, gv, att.reshape(-1, d).T @ g.reshape(-1, d))
+
+    return _record(Tensor(y), (x, gain, bias, wq, k, v, wo), back)
 
 
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:

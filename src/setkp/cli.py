@@ -7,6 +7,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
 from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl, typed, write_jsonl
@@ -89,6 +91,9 @@ def _load_model(ckpt_path: str) -> tuple[Model, Vocabulary, dict]:
         if want.get(name) != have.get(name):
             raise ValueError(f"{ckpt_path}: parameter {name!r}: checkpoint has shape "
                              f"{have.get(name, 'none')}, the model config needs {want.get(name, 'none')}")
+    for name, t in store.items():
+        if not np.isfinite(t.data).all():
+            raise ValueError(f"{ckpt_path}: parameter {name!r} holds a non-finite value")
     return Model(cfg, store), vocab, meta
 
 

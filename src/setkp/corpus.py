@@ -264,10 +264,11 @@ def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted, non-ASCII text as UTF-8
-    characters: the encoding of every JSONL file the program writes."""
+    characters: the encoding of every JSONL file the program writes. A NaN
+    or infinite number, which JSON cannot hold, raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _strings(v) -> bool:

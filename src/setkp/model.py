@@ -227,6 +227,26 @@ class DecodeCache:
     cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
+def _step_self_attention(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, wq: np.ndarray,
+                         wk: np.ndarray, wv: np.ndarray, wo: np.ndarray, kb: np.ndarray,
+                         vb: np.ndarray, t0: int, pos_bias: np.ndarray, inv_scale: float
+                         ) -> np.ndarray:
+    """The self-attention sublayer of a cached step over (R, d) slot rows at
+    position t0: the position's keys and values go into the (R, H,
+    capacity, d/H) buffers kb and vb by one slice write each, and its
+    queries attend, through ``ag.attention_heads``, over the buffers' first
+    t0 + 1 positions under the (H, 1, t0 + 1) position bias. A single new
+    position sees every key, so it needs no causal mask. On (R, d) rows a
+    ``gemm`` is a plain ``@``."""
+    R, H = len(x), kb.shape[1]
+    h = ag.layer_norm_array(x, gain, bias)[0]
+    kb[:, :, t0] = (h @ wk).reshape(R, H, -1)
+    vb[:, :, t0] = (h @ wv).reshape(R, H, -1)
+    att = ag.attention_heads((h @ wq).reshape(R, H, 1, -1), kb[:, :, :t0 + 1], vb[:, :, :t0 + 1],
+                             pos_bias, inv_scale)[0]
+    return ag.residual_matmul_array(x, att.reshape(x.shape), wo)
+
+
 # ---------------------------------------------------------------- the model
 
 
@@ -300,19 +320,16 @@ class Model:
     def _ffn(self, x: Tensor, p: str, ln: str) -> Tensor:
         """Pre-LN feed-forward sublayer of layer ``p`` under its norm ``ln``:
         x plus the FFN of the normed x, as one node."""
-        w1, b1, w2, b2 = (self.store[p + n] for n in ("w1", "b1", "w2", "b2"))
-        return ag.ffn(x, self._ln(x, p + ln), w1, b1, w2, b2)
+        return ag.ffn(x, *(self.store[p + n]
+                           for n in (ln + ".g", ln + ".b", "w1", "b1", "w2", "b2")))
 
     def _self_attention(self, x: Tensor, prefix: str, bias: Tensor, mask: np.ndarray | None
                         ) -> Tensor:
         """Pre-LN self-attention sublayer of layer ``prefix``: x plus the
-        attention output."""
-        h = self._ln(x, prefix + "ln1")
-        q = ag.matmul(h, self.store[prefix + "wq"])
-        k = ag.matmul(h, self.store[prefix + "wk"])
-        v = ag.matmul(h, self.store[prefix + "wv"])
-        att = ag.multi_head_attention(q, k, v, bias, self.cfg.n_heads, self._inv_scale, mask=mask)
-        return ag.residual_matmul(x, att, self.store[prefix + "wo"])
+        attention output, as one node."""
+        return ag.self_attention(
+            x, *(self.store[prefix + n] for n in ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo")),
+            bias, self.cfg.n_heads, self._inv_scale, mask=mask)
 
     def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
         """A batch of B id lists -> (B, S_max, d) contextual states.
@@ -439,12 +456,10 @@ class Model:
         for i in range(cfg.n_dec_layers):
             p = f"dec.L{i}."
             x = self._self_attention(x, p, bias, mask)
-            # (B*N, T, d) slot rows -> (B, N*T, d) per-segment queries and back
-            q = ag.reshape(ag.matmul(self._ln(x, p + "ln2"), self.store[p + "cq"]), (B, -1, cfg.d))
-            catt = ag.multi_head_attention(
-                q, *cross_kv[i], None, cfg.n_heads, self._inv_scale, mask=enc_mask,
-            )
-            x = ag.residual_matmul(x, ag.reshape(catt, (R, T, cfg.d)), self.store[p + "co"])
+            # each segment's N slot rows attend over its own states
+            x = ag.cross_attention(
+                x, *(self.store[p + n] for n in ("ln2.g", "ln2.b", "cq")), *cross_kv[i],
+                self.store[p + "co"], cfg.n_heads, self._inv_scale, mask=enc_mask)
             x = self._ffn(x, p, "ln3")
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         return ag.softmax_head(x, self.store["kg.w"], self.store["kg.b"])
@@ -454,12 +469,9 @@ class Model:
         """One ``decode_probs`` step on a cache, on float64 arrays: the
         primitives' array functions, with no Tensor or tape node, over the
         (R, d) slot rows of the one new position and the arrays the cache
-        took on its first step. The position's keys and values go into the
-        cache's buffers by one slice write each; its queries attend, through
-        ``ag.attention_heads``, over the buffers' filled positions and over
-        the encoder heads. A single new position sees every key, so
-        self-attention needs no causal mask. On (R, d) rows a ``gemm`` is a
-        plain ``@``."""
+        took on its first step, one call per sublayer. Self-attention
+        (``_step_self_attention``) reads and writes the cache's key and value
+        buffers; cross-attention runs over the encoder heads."""
         cfg = self.cfg
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
@@ -475,17 +487,9 @@ class Model:
         x = emb[prev_ids[:, 0]] + _ape_rows(cache.capacity, d)[t0] + control
         for (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, cq, co, ln3_g, ln3_b, w1, b1, w2, b2
              ), (kb, vb), (ck, cv) in zip(layers, cache.self_kv, cache.cross_kv):
-            h = ag.layer_norm_array(x, ln1_g, ln1_b)[0]
-            kb[:, :, t0] = (h @ wk).reshape(R, H, -1)
-            vb[:, :, t0] = (h @ wv).reshape(R, H, -1)
-            att = ag.attention_heads((h @ wq).reshape(R, H, 1, -1), kb[:, :, :L], vb[:, :, :L],
-                                     bias, scale)[0]
-            x = ag.residual_matmul_array(x, att.reshape(R, d), wo)
-            # (B*N, d) slot rows -> (B, H, N, d/H) per-segment query heads and back
-            q = ag.split_heads((ag.layer_norm_array(x, ln2_g, ln2_b)[0] @ cq).reshape(B, -1, d), H)
-            catt = ag.attention_heads(q, ck, cv, None, scale, enc_mask)[0]
-            x = ag.residual_matmul_array(x, catt.reshape(R, d), co)
-            x = ag.ffn_array(x, ag.layer_norm_array(x, ln3_g, ln3_b)[0], w1, b1, w2, b2)[0]
+            x = _step_self_attention(x, ln1_g, ln1_b, wq, wk, wv, wo, kb, vb, t0, bias, scale)
+            x = ag.cross_attention_array(x, ln2_g, ln2_b, cq, ck, cv, co, H, scale, enc_mask)[0]
+            x = ag.ffn_array(x, ln3_g, ln3_b, w1, b1, w2, b2)[0]
         return ag.softmax_head_array(ag.layer_norm_array(x, final_g, final_b)[0], head_w, head_b)
 
     def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:

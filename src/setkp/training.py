@@ -384,6 +384,7 @@ def _train_batch(
                         vocab.null_id,
                     )
                     order += [b * N + j for j in seg_order]
+                del dists  # nothing reads the round's distributions after assignment
                 prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
                 probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
                 lg = loss_kg(probs, tgt, w / len(batch))

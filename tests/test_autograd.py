@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from setkp import autograd as ag
 from setkp.autograd import Tape, Tensor, no_grad
 from setkp.inference import ENCODE_ROWS
+from setkp.model import padding_mask
 
 
 def grad_check(
@@ -70,10 +71,13 @@ def _dot(t: Tensor) -> Tensor:
     return ag.reshape(ag.matmul(ag.reshape(t, (1, n)), r), ())
 
 
-# Test-local nodes: a softmax, a ReLU and an affine map, each recorded with
-# ``ag._record``. The tape-mechanics tests use the softmax as a generic
-# nonlinearity, and the three together are the unfused reference the fused
-# ``ffn`` and ``softmax_head`` nodes must match bit for bit.
+# Test-local nodes: a softmax, a ReLU, an affine map and multi-head
+# attention, each recorded with ``ag._record``. The tape-mechanics tests use
+# the softmax as a generic nonlinearity; the attention node runs the shared
+# ``attention_array`` and ``attention_backward`` formulas, which the
+# attention tests check; and with ``layer_norm`` and ``matmul`` they are the
+# unfused reference that the fused sublayer and head nodes must match bit
+# for bit.
 
 
 def _softmax(a: Tensor) -> Tensor:
@@ -99,6 +103,20 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (ag.gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
 
     return ag._record(Tensor(ag.linear_array(xd, wd, b.data)), (x, w, b), back)
+
+
+def _attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, n_heads: int,
+               inv_scale: float, mask: np.ndarray | None = None) -> Tensor:
+    y, qh, kh, vh, A = ag.attention_array(q.data, k.data, v.data,
+                                          None if bias is None else bias.data,
+                                          n_heads, inv_scale, mask)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+
+    def back(g):
+        gq, gk, gv, gs = ag.attention_backward(g, qh, kh, vh, A, n_heads, inv_scale)
+        return (gq, gk, gv) if bias is None else (gq, gk, gv, ag._unbroadcast(gs, bias.shape))
+
+    return ag._record(Tensor(y), parents, back)
 
 
 # ----------------------------------------------------------- FD battery
@@ -162,31 +180,78 @@ def test_gemm_row_blocks_have_the_bits_of_their_own_products(k, m):
             assert np.array_equal(stacked[b], own), (S, b)
 
 
-def _away_from_kink(rng, shape, w1, b1, margin=0.05):
-    """An FFN input whose pre-activations x @ w1 + b1 all lie at least
-    ``margin`` from the ReLU kink, so central differences see one slope."""
+def _away_from_kink(rng, shape, gain, bias, w1, b1, margin=0.05):
+    """An FFN sublayer input whose pre-activations
+    layer_norm(x) @ w1 + b1 all lie at least ``margin`` from the ReLU kink,
+    so central differences see one slope."""
     while True:
         x = rng.standard_normal(shape)
-        if np.abs(ag.linear_array(x, w1.data, b1.data)).min() >= margin:
+        if np.abs(_pre_activations(x, gain, bias, w1, b1)).min() >= margin:
             return Tensor(x, requires_grad=True)
+
+
+def _pre_activations(x, gain, bias, w1, b1):
+    n = ag.layer_norm_array(x, gain.data, bias.data)[0]
+    return ag.linear_array(n, w1.data, b1.data)
 
 
 def test_ffn_grad():
     rng = np.random.default_rng(17)
+    gain, bias = Tensor(rng.standard_normal(3) + 2.0, requires_grad=True), _param(rng, (3,))
     w1, b1, w2, b2 = _param(rng, (3, 5)), _param(rng, (5,)), _param(rng, (5, 3)), _param(rng, (3,))
-    x, r = _away_from_kink(rng, (2, 2, 3), w1, b1), _param(rng, (2, 2, 3))
-    h = ag.linear_array(x.data, w1.data, b1.data)
+    x = _away_from_kink(rng, (2, 2, 3), gain, bias, w1, b1)
+    h = _pre_activations(x.data, gain, bias, w1, b1)
     assert (h > 0).any() and (h < 0).any()  # both ReLU slopes are checked
-    params = {"r": r, "x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    assert grad_check(lambda: _dot(ag.ffn(r, x, w1, b1, w2, b2)), params, n_coords=60) < 1e-6
+    params = {"x": x, "gain": gain, "bias": bias, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    assert grad_check(lambda: _dot(ag.ffn(x, gain, bias, w1, b1, w2, b2)), params,
+                      n_coords=70) < 1e-6
 
 
-def test_residual_matmul_grad():
+def _projection(rng, d):
+    """A (d, d) weight that keeps attention logits O(1), so no softmax
+    saturates and central differences resolve every gradient."""
+    return Tensor(rng.standard_normal((d, d)) / np.sqrt(d), requires_grad=True)
+
+
+def _self_attention_parents(rng, lead, d, H):
+    T = lead[-1]
+    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0, requires_grad=True),
+            _param(rng, (d,)), *(_projection(rng, d) for _ in range(4)), _param(rng, (H, T, T))]
+
+
+def _cross_attention_parents(rng, lead, d, B, S):
+    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0, requires_grad=True),
+            _param(rng, (d,)), _projection(rng, d), _param(rng, (B, S, d)), _param(rng, (B, S, d)),
+            _projection(rng, d)]
+
+
+def test_self_attention_grad():
+    # two batch entries of four positions under a causal mask, two heads
     rng = np.random.default_rng(24)
-    x, a, w = _param(rng, (2, 3, 4)), _param(rng, (2, 3, 5)), _param(rng, (5, 4))
-    err = grad_check(lambda: _dot(ag.residual_matmul(x, a, w)), {"x": x, "a": a, "w": w},
-                     n_coords=40)
-    assert err < 1e-6
+    parents = _self_attention_parents(rng, (2, 4), 6, 2)
+    mask = np.triu(np.full((4, 4), -np.inf), k=1)
+    names = ("x", "gain", "bias", "wq", "wk", "wv", "wo", "pos")
+    err = grad_check(lambda: _dot(ag.self_attention(*parents, 2, 0.5, mask=mask)),
+                     dict(zip(names, parents)), n_coords=120)
+    assert err < 1e-5
+
+
+def test_cross_attention_grad():
+    # six slot rows of two steps in three segments of two rows each, over
+    # states of lengths 3, 2 and 3 padded to 3, two heads
+    rng = np.random.default_rng(27)
+    parents = _cross_attention_parents(rng, (6, 2), 6, 3, 3)
+    mask = padding_mask([3, 2, 3])
+    names = ("x", "gain", "bias", "wq", "k", "v", "wo")
+    err = grad_check(lambda: _dot(ag.cross_attention(*parents, 2, 0.5, mask=mask)),
+                     dict(zip(names, parents)), n_coords=120)
+    assert err < 1e-5
+    with Tape() as tape:
+        loss = _dot(ag.cross_attention(*parents, 2, 0.5, mask=mask))
+    tape.backward(loss)
+    k, v = parents[4], parents[5]
+    assert not k.grad[1, 2:].any() and not v.grad[1, 2:].any()  # padding gets no gradient
+    assert k.grad[1, :2].any() and v.grad[1, :2].any()
 
 
 def test_softmax_head_grad():
@@ -197,51 +262,79 @@ def test_softmax_head_grad():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("node", ["ffn", "residual_matmul"])
+@pytest.mark.parametrize("node", ["ffn", "self_attention", "cross_attention"])
 def test_residual_input_that_feeds_other_nodes(node):
-    # the residual input r also feeds the block through a layer norm and a
-    # third node, so its gradient sums three contributions
+    # the sublayer's input r feeds its residual sum and its layer norm, and
+    # a third node too, so its gradient sums three contributions
     rng = np.random.default_rng(26)
     x0, w0 = _param(rng, (2, 3, 4)), _param(rng, (4, 4))
     gain, bias = _param(rng, (4,)), _param(rng, (4,))
     w1, b1, w2, b2 = _param(rng, (4, 6)), _param(rng, (6,)), _param(rng, (6, 4)), _param(rng, (4,))
-    params = {"x0": x0, "w0": w0, "gain": gain, "bias": bias, "w1": w1, "w2": w2}
+    wq, wk, wv, wo = (_param(rng, (4, 4)) for _ in range(4))
+    pos, kv = _param(rng, (2, 3, 3)), _param(rng, (1, 5, 4))
+    params = {"x0": x0, "w0": w0, "gain": gain, "bias": bias}
     if node == "ffn":
-        params.update(b1=b1, b2=b2)
+        params.update(w1=w1, b1=b1, w2=w2, b2=b2)
+    elif node == "self_attention":
+        params.update(wq=wq, wk=wk, wv=wv, wo=wo, pos=pos)
+    else:
+        params.update(wq=wq, kv=kv, wo=wo)
 
     def f():
         r = ag.matmul(x0, w0)
-        x = ag.layer_norm(r, gain, bias)
-        out = (ag.ffn(r, x, w1, b1, w2, b2) if node == "ffn"
-               else ag.residual_matmul(r, ag.matmul(x, w1), w2))
+        if node == "ffn":
+            out = ag.ffn(r, gain, bias, w1, b1, w2, b2)
+        elif node == "self_attention":
+            out = ag.self_attention(r, gain, bias, wq, wk, wv, wo, pos, 2, 0.5)
+        else:  # both batch entries attend over one segment's states
+            out = ag.cross_attention(r, gain, bias, wq, kv, kv, wo, 2, 0.5)
         return _dot(ag.add(out, ag.scale(r, 0.5)))
 
     if node == "ffn":
-        x = ag.layer_norm(ag.matmul(x0, w0), gain, bias).data
-        assert np.abs(ag.linear_array(x, w1.data, b1.data)).min() >= 1e-3  # away from the kink
+        pre = _pre_activations(x0.data @ w0.data, gain, bias, w1, b1)
+        assert np.abs(pre).min() >= 1e-3  # away from the kink
     assert grad_check(f, params, n_coords=80) < 1e-6
 
 
 def _fused_and_unfused(node: str, d: int, rng):
     """Parent tensors of one fused node with a (3, 8) batch lead, and two
-    builders over them: the fused node and the unfused composition."""
-    lead = (3, 8)
+    functions of them: the fused node and the unfused composition, in which
+    a residual projection is ``add`` over ``matmul``."""
+    lead, H = (3, 8), 4
     if node == "ffn":
         f = 4 * d
-        parents = [_param(rng, (*lead, d)), _param(rng, (*lead, d)), _param(rng, (d, f)),
-                   _param(rng, (f,)), _param(rng, (f, d)), _param(rng, (d,))]
-        return parents, lambda *p: ag.ffn(*p), lambda r, x, w1, b1, w2, b2: ag.add(
-            r, _linear(_relu(_linear(x, w1, b1)), w2, b2))
-    if node == "residual_matmul":
-        parents = [_param(rng, (*lead, d)), _param(rng, (*lead, d)), _param(rng, (d, d))]
-        return parents, lambda *p: ag.residual_matmul(*p), lambda x, a, w: ag.add(
-            x, ag.matmul(a, w))
+        parents = [_param(rng, (*lead, d)), _param(rng, (d,)), _param(rng, (d,)),
+                   _param(rng, (d, f)), _param(rng, (f,)), _param(rng, (f, d)), _param(rng, (d,))]
+        return parents, lambda *p: ag.ffn(*p), lambda x, gain, bias, w1, b1, w2, b2: ag.add(
+            x, _linear(_relu(_linear(ag.layer_norm(x, gain, bias), w1, b1)), w2, b2))
+    if node == "self_attention":
+        mask = np.triu(np.full((8, 8), -np.inf), k=1)
+
+        def unfused(x, gain, bias, wq, wk, wv, wo, pos):
+            h = ag.layer_norm(x, gain, bias)
+            att = _attention(ag.matmul(h, wq), ag.matmul(h, wk), ag.matmul(h, wv), pos, H, 0.125,
+                             mask=mask)
+            return ag.add(x, ag.matmul(att, wo))
+
+        return (_self_attention_parents(rng, lead, d, H),
+                lambda *p: ag.self_attention(*p, H, 0.125, mask=mask), unfused)
+    if node == "cross_attention":
+        # 3 segments of one (8, d) slot row each, over states of 5, 3 and 4 of 5 positions
+        mask = padding_mask([5, 3, 4])
+
+        def unfused(x, gain, bias, wq, k, v, wo):
+            q = ag.reshape(ag.matmul(ag.layer_norm(x, gain, bias), wq), (3, -1, d))
+            att = ag.reshape(_attention(q, k, v, None, H, 0.125, mask=mask), x.shape)
+            return ag.add(x, ag.matmul(att, wo))
+
+        return (_cross_attention_parents(rng, lead, d, 3, 5),
+                lambda *p: ag.cross_attention(*p, H, 0.125, mask=mask), unfused)
     parents = [_param(rng, (*lead, d)), _param(rng, (d, 37)), _param(rng, (37,))]
     return parents, lambda *p: ag.softmax_head(*p), lambda x, w, b: _softmax(_linear(x, w, b))
 
 
 @pytest.mark.parametrize("d", [64, 20])
-@pytest.mark.parametrize("node", ["ffn", "residual_matmul", "softmax_head"])
+@pytest.mark.parametrize("node", ["ffn", "self_attention", "cross_attention", "softmax_head"])
 def test_fused_node_has_the_bits_of_its_composition(node, d):
     parents, fused, unfused = _fused_and_unfused(node, d, np.random.default_rng(d))
     results = []
@@ -254,7 +347,7 @@ def test_fused_node_has_the_bits_of_its_composition(node, d):
     (y, grads), (y_ref, grads_ref) = results
     assert np.array_equal(y, y_ref)
     for g, g_ref in zip(grads, grads_ref):
-        assert np.array_equal(g, g_ref)
+        assert g is not None and np.array_equal(g, g_ref)
 
 
 def test_gather_heads_grad_per_head_tables():
@@ -343,7 +436,7 @@ def test_attention_grad_with_key_padding_mask():
         mask[b, ..., n:] = -np.inf
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
     params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=100) < 1e-5
@@ -351,13 +444,11 @@ def test_attention_grad_with_key_padding_mask():
     with Tape() as tape:
         loss = f()
     tape.backward(loss)
-    out = ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
+    out = _attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
     for b, n in enumerate(lengths):
         assert not k.grad[b, n:].any() and not v.grad[b, n:].any()
-        one = ag.multi_head_attention(
-            Tensor(q.data[b, :n]), Tensor(k.data[b, :n]), Tensor(v.data[b, :n]),
-            Tensor(bias.data[:, :n, :n]), n_heads=2, inv_scale=0.5,
-        )
+        one = _attention(Tensor(q.data[b, :n]), Tensor(k.data[b, :n]), Tensor(v.data[b, :n]),
+                         Tensor(bias.data[:, :n, :n]), n_heads=2, inv_scale=0.5)
         np.testing.assert_allclose(out.data[b, :n], one.data, rtol=0, atol=1e-12)
 
 
@@ -389,7 +480,7 @@ def test_attention_grad_with_bias_and_mask():
     mask[0, 4] = -np.inf
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
     params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=60) < 1e-5
@@ -406,7 +497,7 @@ def test_batched_attention_grad_with_bias_and_causal_mask():
     mask = np.triu(np.full((4, 4), -np.inf), k=1)
 
     def f():
-        return _dot(ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
+        return _dot(_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask))
 
     params = {"q": q, "k": k, "v": v, "bias": bias}
     assert grad_check(f, params, n_coords=80) < 1e-5
@@ -421,7 +512,7 @@ def test_batched_attention_grad_with_bias_and_causal_mask():
 def test_attention_rejects_differing_leading_axes(shapes):
     q, k, v = (Tensor(np.ones(s)) for s in shapes)
     with pytest.raises(ValueError, match="leading axes"):
-        ag.multi_head_attention(q, k, v, None, n_heads=2, inv_scale=0.5)
+        _attention(q, k, v, None, n_heads=2, inv_scale=0.5)
 
 
 def test_batched_attention_matches_per_entry_loop():
@@ -431,10 +522,10 @@ def test_batched_attention_matches_per_entry_loop():
     v = Tensor(rng.standard_normal((3, 4, 6)))
     bias = Tensor(rng.standard_normal((2, 4, 4)))
     mask = np.triu(np.full((4, 4), -np.inf), k=1)
-    out = ag.multi_head_attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
+    out = _attention(q, k, v, bias, n_heads=2, inv_scale=0.5, mask=mask)
     for b in range(3):
-        one = ag.multi_head_attention(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b]),
-                                      bias, n_heads=2, inv_scale=0.5, mask=mask)
+        one = _attention(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b]),
+                         bias, n_heads=2, inv_scale=0.5, mask=mask)
         np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
 
 
@@ -450,7 +541,7 @@ def test_attention_head_bias_matches_per_head_logits(masking):
     else:
         mask = np.zeros((B, 1, 1, T))
         mask[1, ..., 2:] = -np.inf
-    out = ag.multi_head_attention(q, k, v, bias, n_heads=H, inv_scale=0.5, mask=mask)
+    out = _attention(q, k, v, bias, n_heads=H, inv_scale=0.5, mask=mask)
     dh = d // H
     full = np.broadcast_to(mask, (B, H, T, T))
     for b in range(B):
@@ -482,7 +573,7 @@ def test_attention_rows_stochastic_and_mask_zeroes():
     v = Tensor(np.tile(np.eye(Tk), (1, H)))
     mask = np.zeros((Tq, Tk))
     mask[1, 2] = -np.inf
-    out = ag.multi_head_attention(q, k, v, None, n_heads=H, inv_scale=0.5, mask=mask)
+    out = _attention(q, k, v, None, n_heads=H, inv_scale=0.5, mask=mask)
     for h in range(H):
         A = out.data[:, h * Tk:(h + 1) * Tk]
         np.testing.assert_allclose(A.sum(axis=1), np.ones(Tq), atol=1e-12)
@@ -497,7 +588,7 @@ def test_attention_matches_manual_single_head():
     v = Tensor(rng.standard_normal((4, 3)))
     bias = Tensor(rng.standard_normal((1, 2, 4)))
     inv_scale = 1.0 / np.sqrt(3.0)
-    out = ag.multi_head_attention(q, k, v, bias, n_heads=1, inv_scale=inv_scale)
+    out = _attention(q, k, v, bias, n_heads=1, inv_scale=inv_scale)
 
     logits = (q.data @ k.data.T + bias.data[0]) * inv_scale
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -766,10 +857,11 @@ def test_backward_never_writes_into_an_array_a_rule_keeps():
 
 def _every_primitive(emb, w, b, gain, bias, tables) -> Tensor:
     x = ag.gather(emb, [[0, 1, 1], [4, 2, 0]])  # (2, 3, 4)
-    h = ag.layer_norm(ag.ffn(x, x, w, b, w, b), gain, bias)  # x, w and b twice in one node
+    h = ag.layer_norm(ag.ffn(x, gain, bias, w, b, w, b), gain, bias)  # w, b, gain and bias twice
     rel = ag.gather_heads(tables, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    a = ag.multi_head_attention(h, ag.matmul(h, w), x, rel, 2, 0.5)  # h and x fan out
-    y = ag.add(ag.residual_matmul(a, h, w), ag.scale(h, 0.5))
+    a = ag.self_attention(h, gain, bias, w, w, w, w, rel, 2, 0.5)  # w four times in one node
+    c = ag.cross_attention(a, gain, bias, w, ag.matmul(h, w), x, w, 2, 0.5)  # h and x fan out
+    y = ag.add(c, ag.scale(h, 0.5))
     s = ag.gather_sum(ag.reshape(y, (6, 4)), [[0, 5, 2], [2, 2, 1]], [[1, 1, 0], [1, 1, 1]])
     probs = ag.softmax_head(s, w, b)
     return ag.weighted_nll(probs, [1, 3], [0.5, 2.0]), h

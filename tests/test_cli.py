@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from setkp import inference
@@ -177,6 +178,28 @@ def test_import_pins_openblas_unless_a_thread_count_is_set(preset, want):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(want)
+
+
+_NUMPY_OPENBLAS = sorted(
+    (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"))
+
+
+@pytest.mark.skipif(not _NUMPY_OPENBLAS, reason="numpy does not bundle OpenBLAS")
+@pytest.mark.parametrize("preset, want", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_import_after_numpy_pins_the_loaded_openblas(preset, want):
+    # numpy is loaded, and its OpenBLAS has read the environment, before
+    # setkp is imported; a thread count the user sets still wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import ctypes, sys, numpy, setkp\n"
+            "lib = ctypes.CDLL(sys.argv[1])\n"
+            "get = getattr(lib, 'scipy_openblas_get_num_threads64_', None) "
+            "or lib.openblas_get_num_threads\n"
+            "print(get())")
+    proc = subprocess.run([sys.executable, "-c", code, str(_NUMPY_OPENBLAS[0])], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == want
 
 
 def test_corpus_and_training_commands_load_no_scipy(tmp_path, pipeline):
@@ -455,12 +478,12 @@ def test_portrait_rejects_max_levels_below_one(tmp_path, pipeline, capsys, value
     assert not out.exists()
 
 
-def _rewrite_checkpoint(src, dst, edit_meta=None, drop=None):
+def _rewrite_checkpoint(src, dst, edit_meta=None, drop=None, edit_param=None):
     store, meta = load_checkpoint(src)
     kept = ParamStore()
     for name, t in store.items():
         if name != drop:
-            kept.create(name, t.data)
+            kept.create(name, edit_param(name, t.data.copy()) if edit_param else t.data)
     save_checkpoint(dst, kept, edit_meta(meta) if edit_meta else meta)
     return dst
 
@@ -481,6 +504,34 @@ def test_inconsistent_checkpoint_rejected_at_load(tmp_path, pipeline, capsys,
     assert rc == 1
     assert f"{ckpt}: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected_at_load(tmp_path, pipeline, capsys, value):
+    def poison(name, data):
+        if name == "kg.w":
+            data[3, 5] = value
+        return data
+
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.ckpt", edit_param=poison)
+    out = tmp_path / "p.jsonl"
+    rc = main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out)])
+    assert rc == 1
+    assert f"{ckpt}: parameter 'kg.w' holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_large_finite_parameters_load(tmp_path, pipeline):
+    # the benchmark's fresh decode checkpoint holds -100 in kg.b
+    def bias_out(name, data):
+        if name == "kg.b":
+            data[:2] = -100.0
+        return data
+
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "biased.ckpt", edit_param=bias_out)
+    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+                 "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "p.jsonl")]) == 0
 
 
 def test_checkpoint_load_draws_no_model(tmp_path, pipeline, monkeypatch):

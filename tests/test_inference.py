@@ -519,6 +519,13 @@ def test_predictions_jsonl_roundtrip(tmp_path):
     assert [rec for _, rec in read_jsonl(path)] == rows
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_jsonl_rejects_non_finite_numbers(tmp_path, value):
+    # JSON has no NaN or infinity; no command writes a record it cannot read back
+    with pytest.raises(ValueError):
+        write_jsonl(tmp_path / "preds.jsonl", [{"id": "a", "confidence": value}])
+
+
 def test_non_ascii_text_is_written_as_utf8_and_read_back_equal(tmp_path):
     from setkp.inference import LevelRecord
 

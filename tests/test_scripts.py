@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
      "final presentF1="),
     ("pipeline_hashes.py", ["--seeds", "0", "--n-docs", "4"],
      "seed 0 report.csv "),
+    ("pipeline_hashes.py", ["--seeds", "0", "--n-docs", "4"],
+     "seed 0 trained/report.csv "),
 ])
 def test_script_runs(script, args, summary):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -539,3 +539,35 @@ def test_batch_gradients_match_the_full_tape_formulation(monkeypatch):
         for name in ref:
             np.testing.assert_allclose(mine[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
     assert "enc.emb" in got[-1] and "kwe.w" in got[-1]
+
+
+def test_joint_batch_tape_has_one_node_per_sublayer(monkeypatch):
+    # one joint batch on a 1-encoder-layer, 2-decoder-layer model: each
+    # pre-LN sublayer is one node, and the only norm nodes are the two
+    # stacks' final norms
+    model, vocab, docs, _ = small_setup(n_enc_layers=1, n_dec_layers=2)
+    entries = []
+    backward = Tape.backward
+
+    def recording(self, loss, *args, **kwargs):
+        entries.append(Counter(back.__qualname__.split(".")[0] for _, _, back in self.nodes))
+        return backward(self, loss, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    tcfg = TsmtConfig(epochs=2, e1=1, e2=2, batch_size=4, probe_docs=0)
+    batch = build_examples(docs, vocab)[:4]
+    _train_batch(model, batch, True, tcfg, vocab, AdamW(model.encoder_params()),
+                 AdamW(model.decoder_params()))
+    # encoder: position bias, embedding, 1 x (self_attention, ffn), final norm;
+    # tag head; control rows: gather, gather_sum, add
+    shared = {"gather_heads": 1, "gather": 2, "self_attention": 1, "ffn": 1, "layer_norm": 1,
+              "softmax_head": 1, "gather_sum": 1, "add": 1}
+    # decoder: cross keys and values, slot inputs, position bias,
+    # 2 x (self_attention, cross_attention, ffn), final norm, head, loss
+    decoder = {"matmul": 4, "gather": 1, "add": 2, "reshape": 2, "gather_heads": 1,
+               "self_attention": 2, "cross_attention": 2, "ffn": 2, "layer_norm": 1,
+               "softmax_head": 1, "weighted_nll": 1}
+    round_ = Counter(shared) + Counter(decoder)
+    encoder_step = Counter(shared) + Counter({"reshape": 1, "weighted_nll": 1, "scale": 1})
+    assert entries == [round_, round_, encoder_step]
+    assert sum(round_.values()) == 28
