@@ -4,12 +4,15 @@ Usage: python scripts/pipeline_hashes.py [--seeds 0 2] [--n-docs 64]
 
 For each seed and each of two training schedules, in a fresh temporary
 directory: `gen-corpus --seed S`, `train`, `generate`, `portrait`, `eval` and
-`analyze`, each through `setkp.cli.main`. The default schedule trains with
-`--epochs 3 --e1 1`; its model keeps few keyphrases (none at seed 0). The
-`trained` schedule is the benchmark's `infer` set-up (`lr = 0.003`,
-`batch_size = 4`, `probe_docs = 0`, `--epochs 4 --e1 1`), whose model keeps
-keyphrases, so its lines also cover filtering, ranking, stem dedup,
-deeper-level prompts and the classifier's keyphrase input.
+`analyze`, each through `setkp.cli.main` with the schedule's config file. The
+default schedule's config is empty and it trains with `--epochs 3 --e1 1`;
+its model keeps few keyphrases (none at seed 0). The `trained` schedule is
+the benchmark's `infer` set-up (`lr = 0.003`, `batch_size = 4`,
+`probe_docs = 0`, `--epochs 4 --e1 1`), whose model keeps keyphrases, so its
+lines also cover filtering, ranking, stem dedup, deeper-level prompts and the
+classifier's keyphrase input. Only `train` reads those keys. `run_pipeline`
+is the one definition of the pipeline's argv: acceptance criterion 09 runs
+it with its own config.
 Prints one `seed <S> <file> <sha256>` line per artifact of the default
 schedule, then one `seed <S> trained/<file> <sha256>` line per artifact of
 the trained one, so that two trees can be compared byte for byte by diffing
@@ -23,39 +26,50 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from setkp.cli import main as setkp
 
 FILES = ("corpus.jsonl", "model.ckpt", "loss.csv", "predictions.jsonl", "portraits.jsonl",
          "eval.csv", "report.csv")
-# line prefix -> (train config file, train options)
+# line prefix -> (config file text, train options)
 SCHEDULES = {
     "": ("", ["--epochs", "3", "--e1", "1"]),
     "trained/": ("lr = 0.003\nbatch_size = 4\nprobe_docs = 0\n", ["--epochs", "4", "--e1", "1"]),
 }
 
 
-def commands(args, seed: int, workdir: Path, schedule: str = "") -> list[list[str]]:
+def commands(workdir: Path, config: Path, corpus_options: Sequence[str] = (),
+             train_options: Sequence[str] = ()) -> list[list[str]]:
+    """The six commands' argv, each with ``--config config``, writing
+    ``FILES`` into workdir."""
     corpus, ckpt, loss, preds, portraits, scores, report = (str(workdir / f) for f in FILES)
+    c = ["--config", str(config)]
     return [
-        ["gen-corpus", "--seed", str(seed), "--n-docs", str(args.n_docs), "--out", corpus],
-        ["train", "--config", str(workdir / "train.cfg"), "--corpus", corpus, "--out-ckpt", ckpt,
-         "--loss-csv", loss, *SCHEDULES[schedule][1]],
-        ["generate", "--ckpt", ckpt, "--corpus", corpus, "--out", preds],
-        ["portrait", "--ckpt", ckpt, "--corpus", corpus, "--out", portraits],
-        ["eval", "--predictions", preds, "--corpus", corpus, "--out", scores],
-        ["analyze", "--portraits", portraits, "--corpus", corpus, "--out", report],
+        ["gen-corpus", *c, *corpus_options, "--out", corpus],
+        ["train", *c, "--corpus", corpus, "--out-ckpt", ckpt, "--loss-csv", loss, *train_options],
+        ["generate", *c, "--ckpt", ckpt, "--corpus", corpus, "--out", preds],
+        ["portrait", *c, "--ckpt", ckpt, "--corpus", corpus, "--out", portraits],
+        ["eval", *c, "--predictions", preds, "--corpus", corpus, "--out", scores],
+        ["analyze", *c, "--portraits", portraits, "--corpus", corpus, "--out", report],
     ]
 
 
-def run_pipeline(args, seed: int, workdir: Path, schedule: str = "") -> None:
-    (workdir / "train.cfg").write_text(SCHEDULES[schedule][0], encoding="utf-8")
-    for argv in commands(args, seed, workdir, schedule):
+def run_pipeline(workdir: Path, config_text: str, corpus_options: Sequence[str] = (),
+                 train_options: Sequence[str] = ()) -> dict[str, bytes]:
+    """Write ``config_text`` to workdir/run.cfg, run the six commands in
+    workdir with it, and return each of ``FILES`` by name with its bytes.
+    The commands' output is swallowed; one that exits non-zero raises
+    RuntimeError with its error line."""
+    config = workdir / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    for argv in commands(workdir, config, corpus_options, train_options):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = setkp(argv)
         if code != 0:
-            sys.exit(f"seed {seed}: setkp {argv[0]} exited {code}: {err.getvalue().strip()}")
+            raise RuntimeError(f"setkp {argv[0]} exited {code}: {err.getvalue().strip()}")
+    return {name: (workdir / name).read_bytes() for name in FILES}
 
 
 def main():
@@ -65,12 +79,16 @@ def main():
     args = ap.parse_args()
 
     for seed in args.seeds:
-        for schedule in SCHEDULES:
+        for schedule, (config_text, train_options) in SCHEDULES.items():
             with tempfile.TemporaryDirectory() as tmp:
-                run_pipeline(args, seed, Path(tmp), schedule)
-                for name in FILES:
-                    digest = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
-                    print(f"seed {seed} {schedule}{name} {digest}", flush=True)
+                try:
+                    artifacts = run_pipeline(Path(tmp), config_text,
+                                             ["--seed", str(seed), "--n-docs", str(args.n_docs)],
+                                             train_options)
+                except RuntimeError as e:
+                    sys.exit(f"seed {seed}: {e}")
+            for name, data in artifacts.items():
+                print(f"seed {seed} {schedule}{name} {hashlib.sha256(data).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

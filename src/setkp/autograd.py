@@ -32,14 +32,18 @@ normed activation, pre-activation, logit or pre-residual product.
 ufunc's ``reduce`` directly, which gives the same bits as the ndarray
 methods without their Python frames.
 
-The formulas a tape-free caller or more than one node needs are plain
-array functions: the forwards ``gemm``, ``linear_array``, ``softmax_array``,
-``residual_matmul_array``, ``ffn_array``, ``cross_attention_array``,
-``softmax_head_array``, ``layer_norm_array`` and ``attention_array`` (which
-splits heads and runs ``attention_heads``), and the backwards
-``layer_norm_backward`` and ``attention_backward``. The primitives compute
-their outputs with these functions, so code that runs a pass on arrays,
-with no Tensor or node per step, gets the bits the taped pass gets.
+The formulas that more than one node, or a node and its tests, need are
+plain array functions: the forwards ``gemm``, ``linear_array``,
+``softmax_array``, ``residual_matmul_array``, ``ffn_array``,
+``cross_attention_array``, ``softmax_head_array``, ``layer_norm_array`` and
+``attention_array`` (which splits heads and runs ``attention_heads``), and
+the backwards ``layer_norm_backward`` and ``attention_backward``. The
+primitives compute their outputs with these functions. The cached decode
+step (``model.Model._decode_step``) does not call them: it runs the same
+operations in the same order as plain numpy, keeping none of the
+intermediates a backward rule reads, and
+``tests/test_model.py::test_greedy_decode_has_the_bits_of_the_concatenating_step``
+pins its bits to a greedy loop built from these functions.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 LOG_FLOOR = 1e-12  # probability floor inside weighted_nll
+LN_EPS = 1e-5  # variance floor of every layer norm
 
 _tls = threading.local()
 
@@ -399,7 +404,7 @@ def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(y), (x, w, b), back)
 
 
-def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward formula of ``layer_norm`` on plain arrays: the output,
     and the normalized rows and inverse deviations its backward reads."""
@@ -428,7 +433,7 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: 
     return gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalize each row of x (…, d) to zero mean / unit variance, then affine."""
     gd = gain.data
     y, xhat, inv = layer_norm_array(x.data, gd, bias.data, eps)
@@ -458,7 +463,7 @@ def attention_heads(
     """The head-level formula of attention on (..., H, T, d/H) arrays: the
     merged (..., Tq, d) output and the (..., H, Tq, Tk) attention weights.
     A caller that holds its keys and values split into heads already, such
-    as a cached decode step, calls it directly."""
+    as ``cross_attention_array``, calls it directly."""
     logits = qh @ kh.swapaxes(-1, -2)
     if bias is not None:
         logits += bias

@@ -264,11 +264,20 @@ def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted, non-ASCII text as UTF-8
-    characters: the encoding of every JSONL file the program writes. A NaN
-    or infinite number, which JSON cannot hold, raises ValueError."""
+    characters: the encoding of every JSONL file the program writes. Every
+    record is encoded before the file is opened, so a record JSON cannot
+    hold, such as one with a NaN or infinite number, raises ValueError
+    naming the path and the 1-based record number, and leaves the path as
+    it was."""
+    lines = []
+    for i, rec in enumerate(records, 1):
+        try:
+            lines.append(json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False)
+                         + "\n")
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: record {i}: {e}") from e
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
+        fh.writelines(lines)
 
 
 def _strings(v) -> bool:

@@ -11,12 +11,13 @@ embeddings of its guidance keyword, which is what lets two slots with the
 same code specialize. ``decode_probs`` has two bodies over the same
 formulas. Without a cache it is the teacher-forced pass, on Tensors, which
 training records on the tape. With a DecodeCache it is one step of
-``Model.greedy_decode``, the one greedy decode loop: the step runs on
-float64 arrays through the primitives' own array functions, with no
-Tensor or tape node per primitive, so it gets the bits those primitives
-would give it without their per-call overhead. The cache holds the loop's
-arrays: parameters, position biases, and per-layer keys and values split
-into heads, the slot rows' own in buffers sized for the loop's steps.
+``Model.greedy_decode``, the one greedy decode loop: ``_decode_step`` runs
+the whole step as one function of plain numpy on float64 arrays, with no
+Tensor or tape node, the operations of the taped nodes' array forwards in
+their order, so it gets the bits those nodes would give it without their
+per-call overhead. The cache holds the loop's arrays: parameters, position
+biases, and per-layer keys and values split into heads, the slot rows' own
+in buffers sized for the loop's steps.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -211,7 +212,8 @@ class DecodeCache:
     ``cross_kv[i]`` decoder layer i's (B, H, S_max, d/H) encoder keys and
     values, and ``self_kv[i]`` its (R, H, capacity, d/H) self-attention key
     and value buffers for R slot rows, of which each step writes position
-    ``steps`` and reads the first ``steps``.
+    ``steps`` and reads the first ``steps``. A step writes nothing else
+    here: its in-place work is on arrays it made itself.
     Every step of the loop runs on the parameter arrays of its first step;
     ``AdamW`` rebinds a parameter's array and never writes into it, so
     those stay the arrays they were. Create a cache in the decode loop it
@@ -227,24 +229,28 @@ class DecodeCache:
     cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _step_self_attention(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, wq: np.ndarray,
-                         wk: np.ndarray, wv: np.ndarray, wo: np.ndarray, kb: np.ndarray,
-                         vb: np.ndarray, t0: int, pos_bias: np.ndarray, inv_scale: float
-                         ) -> np.ndarray:
-    """The self-attention sublayer of a cached step over (R, d) slot rows at
-    position t0: the position's keys and values go into the (R, H,
-    capacity, d/H) buffers kb and vb by one slice write each, and its
-    queries attend, through ``ag.attention_heads``, over the buffers' first
-    t0 + 1 positions under the (H, 1, t0 + 1) position bias. A single new
-    position sees every key, so it needs no causal mask. On (R, d) rows a
-    ``gemm`` is a plain ``@``."""
-    R, H = len(x), kb.shape[1]
-    h = ag.layer_norm_array(x, gain, bias)[0]
-    kb[:, :, t0] = (h @ wk).reshape(R, H, -1)
-    vb[:, :, t0] = (h @ wv).reshape(R, H, -1)
-    att = ag.attention_heads((h @ wq).reshape(R, H, 1, -1), kb[:, :, :t0 + 1], vb[:, :, :t0 + 1],
-                             pos_bias, inv_scale)[0]
-    return ag.residual_matmul_array(x, att.reshape(x.shape), wo)
+def _norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``ag.layer_norm_array``'s output for (R, d) rows, computed in place on
+    the centred rows and the (R, 1) deviations this call makes: the same
+    operations on the same operands, so the same bits."""
+    d = x.shape[1]
+    n = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    inv = np.add.reduce(n * n, axis=1, keepdims=True) / d
+    inv += ag.LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    n *= inv
+    n *= gain
+    n += bias
+    return n
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """``ag.softmax_array`` over the last axis, computed in place on z."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 # ---------------------------------------------------------------- the model
@@ -419,11 +425,12 @@ class Model:
         next-token distributions, row r*T + t being slot row r's
         distribution for step t + 1. With a cache it is one step: prev_ids
         is (R, 1), the token fed after the cache's ``steps`` earlier ones,
-        and the R rows are those of step ``steps`` + 1, run on float64
-        arrays by ``_decode_step`` and equal to the matching rows of the
-        teacher-forced pass up to float round-off. Any other width, or a
-        step past the cache's ``capacity``, raises ValueError. A cached step
-        is tape-free: passing a cache while a Tape records raises
+        and the R rows are those of step ``steps`` + 1, computed by
+        ``_decode_step`` as plain numpy on the cache's arrays, with the bits
+        of the taped nodes' array forwards, and equal to the matching rows
+        of the teacher-forced pass up to float round-off. Any other width,
+        or a step past the cache's ``capacity``, raises ValueError. A cached
+        step is tape-free: passing a cache while a Tape records raises
         RuntimeError.
         """
         cfg = self.cfg
@@ -466,15 +473,31 @@ class Model:
 
     def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
                      B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
-        """One ``decode_probs`` step on a cache, on float64 arrays: the
-        primitives' array functions, with no Tensor or tape node, over the
-        (R, d) slot rows of the one new position and the arrays the cache
-        took on its first step, one call per sublayer. Self-attention
-        (``_step_self_attention``) reads and writes the cache's key and value
-        buffers; cross-attention runs over the encoder heads."""
+        """One ``decode_probs`` step on a cache, as plain numpy over the (R, d)
+        slot rows of the one new position and the arrays the cache took on
+        its first step. Per layer: the self-attention sublayer, which writes
+        the position's keys and values into the cache's head-layout buffers
+        and attends over their first ``steps`` positions under the position
+        bias (a single new position sees every key, so it needs no causal
+        mask); the cross-attention sublayer, whose R rows split into B
+        blocks of N, each attending over its own segment's encoder heads
+        under ``enc_mask``; and the FFN sublayer. Then the final norm and
+        the softmax head.
+
+        It runs the operations of the taped nodes' forwards (those of
+        ``ag.self_attention``, ``ag.cross_attention_array``, ``ag.ffn_array``,
+        ``ag.layer_norm_array`` and ``ag.softmax_head_array``) on the same
+        operands in the same order, so every distribution has their bits; on
+        (R, d) rows a ``gemm`` is a plain ``@``. It keeps none of the
+        intermediates their backward rules read, and normalizes, softmaxes
+        and sums residuals in place, but only on arrays it made itself,
+        never on a cache buffer or a parameter. ``tests/test_model.py``'s
+        greedy-decode oracle, built from those array functions, pins the
+        bits."""
         cfg = self.cfg
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
+        dh = d // H
         if cache.enc_states is None:
             self._fill_cache(cache, enc_states, R, B)
         elif cache.enc_states is not enc_states:
@@ -482,15 +505,38 @@ class Model:
         t0 = cache.steps
         L = cache.steps = t0 + 1
         (emb, final_g, final_b, head_w, head_b), *layers = cache.params
-        bias = cache.bias[:, t0:L, :L]
+        pos_bias = cache.bias[:, t0:L, :L]
 
-        x = emb[prev_ids[:, 0]] + _ape_rows(cache.capacity, d)[t0] + control
+        x = emb[prev_ids[:, 0]]
+        x += _ape_rows(cache.capacity, d)[t0]
+        x += control
         for (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, cq, co, ln3_g, ln3_b, w1, b1, w2, b2
              ), (kb, vb), (ck, cv) in zip(layers, cache.self_kv, cache.cross_kv):
-            x = _step_self_attention(x, ln1_g, ln1_b, wq, wk, wv, wo, kb, vb, t0, bias, scale)
-            x = ag.cross_attention_array(x, ln2_g, ln2_b, cq, ck, cv, co, H, scale, enc_mask)[0]
-            x = ag.ffn_array(x, ln3_g, ln3_b, w1, b1, w2, b2)[0]
-        return ag.softmax_head_array(ag.layer_norm_array(x, final_g, final_b)[0], head_w, head_b)
+            h = _norm_rows(x, ln1_g, ln1_b)
+            kb[:, :, t0] = (h @ wk).reshape(R, H, dh)
+            vb[:, :, t0] = (h @ wv).reshape(R, H, dh)
+            a = (h @ wq).reshape(R, H, 1, dh) @ kb[:, :, :L].swapaxes(-1, -2)
+            a += pos_bias
+            a *= scale
+            # (R, H, 1, dh) heads are laid out as their merged (R, d) rows
+            x += (_softmax_rows(a) @ vb[:, :, :L]).reshape(R, d) @ wo
+
+            q = _norm_rows(x, ln2_g, ln2_b) @ cq
+            a = q.reshape(B, -1, H, dh).swapaxes(1, 2) @ ck.swapaxes(-1, -2)
+            a *= scale
+            if enc_mask is not None:
+                a += enc_mask
+            x += (_softmax_rows(a) @ cv).swapaxes(1, 2).reshape(R, d) @ co
+
+            h = _norm_rows(x, ln3_g, ln3_b) @ w1
+            h += b1
+            np.maximum(h, 0.0, out=h)
+            h = h @ w2
+            h += b2
+            x += h
+        z = _norm_rows(x, final_g, final_b) @ head_w
+        z += head_b
+        return _softmax_rows(z)
 
     def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:
         """A cache's first step: take the step's parameter arrays, the

@@ -5,8 +5,10 @@ on the bundled synthetic corpus once, and checks 06 and 10 reuse it.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from setkp import analysis, inference, metrics
 from setkp.assignment import assign_groups, brute_force, hungarian, k_step_predict
 from setkp.autograd import Tape, no_grad
-from setkp.cli import _eval_record, main, prediction_rows
+from setkp.cli import _eval_record, prediction_rows
 from setkp.corpus import SPECIALS, KeyphraseSet, Vocabulary, derive_keywords, bio_labels
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
@@ -33,6 +35,12 @@ from setkp.training import (
     teacher_arrays,
     tsmt_train,
 )
+
+# criterion 09 runs the pipeline through the script's one copy of its argv
+_spec = importlib.util.spec_from_file_location(
+    "pipeline_hashes", Path(__file__).resolve().parents[1] / "scripts" / "pipeline_hashes.py")
+pipeline_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pipeline_hashes)
 
 ENC_PREFIXES = ("enc.", "kwe.")
 DEC_PREFIXES = ("dec.", "kg.")
@@ -394,45 +402,13 @@ probe_docs = 2
 """
 
 
-def _run_pipeline(root) -> dict[str, bytes]:
-    cfg = root / "run.cfg"
-    cfg.write_text(_PIPELINE_CFG, encoding="utf-8")
-    c = ["--config", str(cfg)]
-    paths = {
-        "corpus": root / "corpus.jsonl",
-        "ckpt": root / "model.ckpt",
-        "train_csv": root / "train.csv",
-        "preds": root / "preds.jsonl",
-        "portraits": root / "portraits.jsonl",
-        "eval_csv": root / "eval.csv",
-        "analysis_csv": root / "analysis.csv",
-    }
-    steps = [
-        ["gen-corpus", *c, "--out", str(paths["corpus"])],
-        ["train", *c, "--corpus", str(paths["corpus"]), "--out-ckpt", str(paths["ckpt"]),
-         "--loss-csv", str(paths["train_csv"])],
-        ["generate", *c, "--ckpt", str(paths["ckpt"]), "--corpus", str(paths["corpus"]),
-         "--out", str(paths["preds"])],
-        ["portrait", *c, "--ckpt", str(paths["ckpt"]), "--corpus", str(paths["corpus"]),
-         "--out", str(paths["portraits"])],
-        ["eval", *c, "--corpus", str(paths["corpus"]), "--predictions", str(paths["preds"]),
-         "--out", str(paths["eval_csv"])],
-        ["analyze", *c, "--corpus", str(paths["corpus"]), "--portraits", str(paths["portraits"]),
-         "--out", str(paths["analysis_csv"])],
-    ]
-    for argv in steps:
-        assert main(argv) == 0, argv[0]
-    return {k: p.read_bytes() for k, p in paths.items()}
-
-
-def test_09_cli_pipeline_byte_determinism(tmp_path, capsys):
+def test_09_cli_pipeline_byte_determinism(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    first = _run_pipeline(a)
-    second = _run_pipeline(b)
-    capsys.readouterr()
+    first = pipeline_hashes.run_pipeline(a, _PIPELINE_CFG)
+    second = pipeline_hashes.run_pipeline(b, _PIPELINE_CFG)
     same = [k for k in first if first[k] == second[k]]
     _verdict(
         9,

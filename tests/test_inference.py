@@ -526,6 +526,21 @@ def test_write_jsonl_rejects_non_finite_numbers(tmp_path, value):
         write_jsonl(tmp_path / "preds.jsonl", [{"id": "a", "confidence": value}])
 
 
+@pytest.mark.parametrize("bad", [{"b": float("nan")}, {"b": object()}], ids=["nan", "object"])
+def test_write_jsonl_encodes_every_record_before_writing(tmp_path, bad):
+    # a record that cannot be encoded names the file and its record number,
+    # and the file keeps the bytes it had: no truncated output is left
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b'{"old": 1}\n')
+    with pytest.raises(ValueError, match=rf"preds\.jsonl: record 2: "):
+        write_jsonl(path, [{"a": 1}, bad, {"c": 3}])
+    assert path.read_bytes() == b'{"old": 1}\n'
+    missing = tmp_path / "new.jsonl"
+    with pytest.raises(ValueError, match="record 1"):
+        write_jsonl(missing, iter([bad]))
+    assert not missing.exists()
+
+
 def test_non_ascii_text_is_written_as_utf8_and_read_back_equal(tmp_path):
     from setkp.inference import LevelRecord
 

@@ -483,10 +483,13 @@ def test_decode_cache_holds_its_capacity(monkeypatch):
     assert all(buf.shape == head_layout for kv in made[0].self_kv for buf in kv)
 
 
-def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None):
+def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, stop_id=None):
     """The greedy loop with the cached step as it was before head-layout
-    buffers: each step concatenates its keys and values onto those of every
-    earlier step and runs ``ag.attention_array`` on (R, 1, d) slot rows."""
+    buffers, built from the taped nodes' array functions: each step
+    concatenates its keys and values onto those of every earlier step and
+    runs ``ag.attention_array`` on (R, 1, d) slot rows. It stops as
+    ``Model.greedy_decode`` does, after the first step by which every row
+    has emitted ``stop_id``."""
     cfg = model.cfg
     p = {n: t.data for n, t in model.store.items()}
     d, H, scale = cfg.d, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
@@ -502,6 +505,7 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None):
         return ag.layer_norm_array(x, p[name + ".g"], p[name + ".b"])[0]
 
     prev = np.full((R, 1), bos_id, dtype=np.intp)
+    stopped = np.zeros(R, dtype=bool)
     probs, tokens = [], []
     for t0 in range(steps):
         L = t0 + 1
@@ -526,25 +530,47 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None):
         probs.append(ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1))
         tokens.append(probs[-1].argmax(axis=1))
         prev = tokens[-1][:, None]
+        if stop_id is not None:
+            stopped |= tokens[-1] == stop_id
+            if stopped.all():
+                break
     return np.stack(probs), np.stack(tokens)
 
 
 @pytest.mark.parametrize("d", [64, 20])
-@pytest.mark.parametrize("lengths", [[7], [7, 4]], ids=["one_segment", "padded_batch"])
-def test_greedy_decode_has_the_bits_of_the_concatenating_step(d, lengths):
-    # the head-layout cache changes where keys and values live, not one bit
-    # of any step's distributions or tokens
+@pytest.mark.parametrize("lengths, seed, stop_ids", [
+    ([7], 7, None),
+    ([7, 4], 7, None),
+    ([7, 7], 7, None),  # R rows split into B blocks, with no mask
+    # every slot row emits the stop token by step 5 (d = 64) or 6 (d = 20),
+    # rows at different steps
+    ([7], 11, {64: 25, 20: 40}),
+], ids=["one_segment", "padded_batch", "unpadded_batch", "early_stop"])
+def test_greedy_decode_has_the_bits_of_the_concatenating_step(d, lengths, seed, stop_ids):
+    # the cached step changes which numpy calls run and where keys and
+    # values live, not one bit of any step's distributions or tokens
     cfg = ModelConfig(vocab_size=41, d=d, n_heads=4, max_kp_len=8)
-    model = Model.fresh(cfg, seed=7)
+    model = Model.fresh(cfg, seed=seed)
+    # a fresh norm has gain 1 and bias 0, under which the order of the
+    # step's in-place products would not show; nor would a bias added twice
+    rng = np.random.default_rng(seed)
+    for name, t in model.store.items():
+        if name.endswith((".g", ".b", "b1", "b2")):
+            t.data = t.data + rng.normal(0.0, 0.1, t.data.shape)
     rng = np.random.default_rng(d)
     segs = [rng.integers(3, cfg.vocab_size, size=n).tolist() for n in lengths]
     enc = model.encode(segs[0] if len(segs) == 1 else segs)
     mask = padding_mask(lengths)
     keywords = [seg[:2] if n % 3 == 0 else None for seg in segs for n in range(cfg.n_slots)]
     control = model.control_rows(keywords)
-    probs, tokens = model.greedy_decode(control, enc, 1, cfg.max_kp_len, enc_mask=mask)
-    want_probs, want_tokens = _greedy_decode_oracle(model, control, enc, 1, cfg.max_kp_len, mask)
-    assert probs.shape == (8, cfg.n_slots * len(lengths), cfg.vocab_size)
+    stop_id = None if stop_ids is None else stop_ids[d]
+    probs, tokens = model.greedy_decode(control, enc, 1, cfg.max_kp_len, enc_mask=mask,
+                                        stop_id=stop_id)
+    want_probs, want_tokens = _greedy_decode_oracle(model, control, enc, 1, cfg.max_kp_len, mask,
+                                                    stop_id)
+    # a stop token ends the run before the horizon
+    assert len(probs) == cfg.max_kp_len if stop_id is None else len(probs) < cfg.max_kp_len
+    assert probs.shape[1:] == (cfg.n_slots * len(lengths), cfg.vocab_size)
     assert np.array_equal(probs, want_probs)
     assert np.array_equal(tokens, want_tokens)
 
