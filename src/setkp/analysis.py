@@ -15,6 +15,7 @@ from .inference import Portrait
 
 MODES = ("original", "pure", "augmented")
 SEPARATOR = ";"
+TRAIN_FRAC = 0.75  # share of the labeled documents the classifier trains on
 
 
 def build_input(doc: MultiLevelDocument, portrait: Portrait | None, mode: str,
@@ -96,10 +97,10 @@ class TokenCountClassifier:
         return best_lab
 
 
-def split_indices(n: int, seed: int, train_frac: float = 0.75) -> tuple[list[int], list[int]]:
+def split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
     """Seeded shuffle split shared across modes so comparisons are paired."""
     order = np.random.default_rng(seed).permutation(n).tolist()
-    cut = max(int(round(n * train_frac)), 1)
+    cut = max(int(round(n * TRAIN_FRAC)), 1)
     if cut >= n:
         cut = n - 1
     return order[:cut], order[cut:]
@@ -122,7 +123,6 @@ def run_experiment(
     modes: list[str],
     levels: set[int] | None,
     seed: int,
-    train_frac: float = 0.75,
 ) -> list[ModeResult]:
     """Train/evaluate one classifier per mode on a shared seeded split.
 
@@ -132,7 +132,7 @@ def run_experiment(
     labeled = [d for d in docs if d.label is not None]
     if len(labeled) < 4:
         raise ValueError("need at least 4 labeled documents")
-    tr_idx, te_idx = split_indices(len(labeled), seed, train_frac)
+    tr_idx, te_idx = split_indices(len(labeled), seed)
 
     results = []
     for mode in modes:

@@ -32,16 +32,14 @@ normed activation, pre-activation, logit or pre-residual product.
 ufunc's ``reduce`` directly, which gives the same bits as the ndarray
 methods without their Python frames.
 
-The formulas that more than one node, or a node and its tests, need are
-plain array functions: the forwards ``gemm``, ``linear_array``,
-``softmax_array``, ``residual_matmul_array``, ``ffn_array``,
-``cross_attention_array``, ``softmax_head_array``, ``layer_norm_array`` and
-``attention_array`` (which splits heads and runs ``attention_heads``), and
-the backwards ``layer_norm_backward`` and ``attention_backward``. The
-primitives compute their outputs with these functions. The cached decode
-step (``model.Model._decode_step``) does not call them: it runs the same
-operations in the same order as plain numpy, keeping none of the
-intermediates a backward rule reads, and
+The formulas that more than one node needs are plain array functions: the
+forwards ``gemm``, ``softmax_array``, ``layer_norm_array``, ``split_heads``
+and ``attention_array``, and the backwards ``layer_norm_backward`` and
+``attention_backward``. Every other forward runs inside its own node. The
+cached decode step (``model.Model._decode_step``) uses ``gemm`` and
+``split_heads`` only to fill its cache: it runs the nodes' operations in
+their order as plain numpy, keeping none of the intermediates a backward
+rule reads, and
 ``tests/test_model.py::test_greedy_decode_has_the_bits_of_the_concatenating_step``
 pins its bits to a greedy loop built from these functions.
 """
@@ -265,29 +263,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """An affine map x (..., k) @ w (k, m) + b (m,) on plain arrays."""
-    y = gemm(x, w)
-    y += b
-    return y
-
-
-def residual_matmul_array(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A residual projection x + a (..., k) @ w (k, m) on plain arrays."""
-    return x + gemm(a, w)
-
-
-def ffn_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-              w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The forward formula of ``ffn`` on plain arrays: the output, then the
-    post-ReLU activation and the norm's normalized rows and inverse
-    deviations, which its backward reads (the ReLU runs in place)."""
-    n, xhat, inv = layer_norm_array(x, gain, bias)
-    h = linear_array(n, w1, b1)
-    np.maximum(h, 0.0, out=h)
-    return x + linear_array(h, w2, b2), h, xhat, inv
-
-
 def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
         ) -> Tensor:
     """A pre-LN residual feed-forward sublayer
@@ -296,14 +271,20 @@ def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     inv, the activation and the weight matrices; it rebuilds the normed rows
     as xhat * gain + bias, the forward's own two operations. x's gradient is
     the residual's plus the norm's, the sum a tape of the unfused nodes
-    makes."""
-    gd, bd, wd1, wd2 = gain.data, bias.data, w1.data, w2.data
-    y, h, xhat, inv = ffn_array(x.data, gd, bd, wd1, b1.data, wd2, b2.data)
+    makes. The ReLU and both bias sums run in place."""
+    xd, gd, bd, wd1, wd2 = x.data, gain.data, bias.data, w1.data, w2.data
+    n, xhat, inv = layer_norm_array(xd, gd, bd)
+    h = gemm(n, wd1)
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    y = gemm(h, wd2)
+    y += b2.data
     k, f = wd1.shape
 
     def back(g):
         g2 = g.reshape(-1, k)
-        gh = gemm(g, wd2.T) * (h > 0.0)
+        gh = gemm(g, wd2.T)
+        np.multiply(gh, h > 0.0, out=gh)  # the ReLU's slope, with no second (rows, f) array
         gh2 = gh.reshape(-1, f)
         gw1, gb1 = (xhat * gd + bd).reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0)
         gn = gemm(gh, wd1.T)
@@ -311,7 +292,7 @@ def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
         return (g + gx, ggain, gbias, gw1, gb1, h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
 
-    return _record(Tensor(y), (x, gain, bias, w1, b1, w2, b2), back)
+    return _record(Tensor(xd + y), (x, gain, bias, w1, b1, w2, b2), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -378,15 +359,10 @@ def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
     return _record(out, tuple(tables), back)
 
 
-def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-invariant softmax of a plain array along ``axis``."""
-    e = np.exp(a - np.maximum.reduce(a, axis=axis, keepdims=True))
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
-
-
-def softmax_head_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forward formula of ``softmax_head`` on plain arrays."""
-    return softmax_array(linear_array(x, w, b))
+def softmax_array(a: np.ndarray) -> np.ndarray:
+    """Shift-invariant softmax of a plain array over its last axis."""
+    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -394,7 +370,9 @@ def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     axis as one node. Backward keeps x, w and the output, not the logits."""
     xd, wd = x.data, w.data
     k, m = wd.shape
-    y = softmax_head_array(xd, wd, b.data)
+    z = gemm(xd, wd)
+    z += b.data
+    y = softmax_array(z)
 
     def back(g):
         gz = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
@@ -404,7 +382,7 @@ def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(y), (x, w, b), back)
 
 
-def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward formula of ``layer_norm`` on plain arrays: the output,
     and the normalized rows and inverse deviations its backward reads."""
@@ -412,7 +390,7 @@ def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: flo
     # the sums np.mean / np.var compute, without their per-call overhead
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
@@ -433,10 +411,10 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: 
     return gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of x (…, d) to zero mean / unit variance, then affine."""
     gd = gain.data
-    y, xhat, inv = layer_norm_array(x.data, gd, bias.data, eps)
+    y, xhat, inv = layer_norm_array(x.data, gd, bias.data)
     return _record(Tensor(y), (x, gain, bias), lambda g: layer_norm_backward(g, xhat, inv, gd))
 
 
@@ -450,28 +428,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., H, T, dh) -> (..., T, H*dh)."""
     x = x.swapaxes(-2, -3)
     return x.reshape(*x.shape[:-2], -1)
-
-
-def attention_heads(
-    qh: np.ndarray,
-    kh: np.ndarray,
-    vh: np.ndarray,
-    bias: np.ndarray | None,
-    inv_scale: float,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The head-level formula of attention on (..., H, T, d/H) arrays: the
-    merged (..., Tq, d) output and the (..., H, Tq, Tk) attention weights.
-    A caller that holds its keys and values split into heads already, such
-    as ``cross_attention_array``, calls it directly."""
-    logits = qh @ kh.swapaxes(-1, -2)
-    if bias is not None:
-        logits += bias
-    logits *= inv_scale
-    if mask is not None:
-        logits += mask
-    A = softmax_array(logits)
-    return _merge_heads(A @ vh), A
 
 
 def attention_array(
@@ -504,8 +460,14 @@ def attention_array(
     if qd.shape[-1] % n_heads:
         raise ValueError("width not divisible by head count")
     qh, kh, vh = (split_heads(x, n_heads) for x in (qd, kd, vd))
-    y, A = attention_heads(qh, kh, vh, bias, inv_scale, mask)
-    return y, qh, kh, vh, A
+    logits = qh @ kh.swapaxes(-1, -2)
+    if bias is not None:
+        logits += bias
+    logits *= inv_scale
+    if mask is not None:
+        logits += mask
+    A = softmax_array(logits)
+    return _merge_heads(A @ vh), qh, kh, vh, A
 
 
 def attention_backward(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
@@ -571,27 +533,7 @@ def self_attention(
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
         return (g + gx, ggain, gbias, gwq, gwk, gwv, att.reshape(-1, d).T @ g.reshape(-1, d), gpos)
 
-    return _record(Tensor(residual_matmul_array(xd, att, wod)),
-                   (x, gain, bias, wq, wk, wv, wo, pos_bias), back)
-
-
-def cross_attention_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, wq: np.ndarray,
-                          kh: np.ndarray, vh: np.ndarray, wo: np.ndarray, n_heads: int,
-                          inv_scale: float, mask: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, ...]:
-    """The forward formula of ``cross_attention`` on plain arrays, over keys
-    and values already split into (B, H, S, d/H) heads: the output, then the
-    norm's normalized rows and inverse deviations, the query heads, the
-    attention weights and the (..., T, d) attention output that its backward
-    reads."""
-    n, xhat, inv = layer_norm_array(x, gain, bias)
-    q = gemm(n, wq)
-    del n  # backward rebuilds the normed rows
-    # (..., T, d) rows -> (B, rows per segment, d) per-segment queries and back
-    qh = split_heads(q.reshape(*kh.shape[:-3], -1, q.shape[-1]), n_heads)
-    att, A = attention_heads(qh, kh, vh, None, inv_scale, mask)
-    att = att.reshape(x.shape)
-    return residual_matmul_array(x, att, wo), xhat, inv, qh, A, att
+    return _record(Tensor(xd + gemm(att, wod)), (x, gain, bias, wq, wk, wv, wo, pos_bias), back)
 
 
 def cross_attention(
@@ -620,9 +562,13 @@ def cross_attention(
     """
     xd, gd, bd, wqd, wod = x.data, gain.data, bias.data, wq.data, wo.data
     d = xd.shape[-1]
-    kh, vh = split_heads(k.data, n_heads), split_heads(v.data, n_heads)
-    y, xhat, inv, qh, A, att = cross_attention_array(xd, gd, bd, wqd, kh, vh, wod, n_heads,
-                                                     inv_scale, mask)
+    n, xhat, inv = layer_norm_array(xd, gd, bd)
+    q = gemm(n, wqd)
+    del n  # backward rebuilds the normed rows
+    # (..., T, d) rows -> (B, rows per segment, d) per-segment queries and back
+    att, qh, kh, vh, A = attention_array(q.reshape(*k.data.shape[:-2], -1, d), k.data, v.data,
+                                         None, n_heads, inv_scale, mask)
+    att = att.reshape(xd.shape)
 
     def back(g):
         gq, gk, gv = attention_backward(gemm(g, wod.T).reshape(*kh.shape[:-3], -1, d),
@@ -633,7 +579,7 @@ def cross_attention(
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
         return (g + gx, ggain, gbias, gwq, gk, gv, att.reshape(-1, d).T @ g.reshape(-1, d))
 
-    return _record(Tensor(y), (x, gain, bias, wq, k, v, wo), back)
+    return _record(Tensor(xd + gemm(att, wod)), (x, gain, bias, wq, k, v, wo), back)
 
 
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:

@@ -13,11 +13,13 @@ formulas. Without a cache it is the teacher-forced pass, on Tensors, which
 training records on the tape. With a DecodeCache it is one step of
 ``Model.greedy_decode``, the one greedy decode loop: ``_decode_step`` runs
 the whole step as one function of plain numpy on float64 arrays, with no
-Tensor or tape node, the operations of the taped nodes' array forwards in
-their order, so it gets the bits those nodes would give it without their
-per-call overhead. The cache holds the loop's arrays: parameters, position
-biases, and per-layer keys and values split into heads, the slot rows' own
-in buffers sized for the loop's steps.
+Tensor or tape node, the operations of the taped nodes' forwards
+(``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
+``ag.layer_norm`` and ``ag.softmax_head``) in their order, so it gets the
+bits those nodes would give it without their per-call overhead. The cache
+holds the loop's arrays: parameters, position biases, and per-layer keys
+and values split into heads, the slot rows' own in buffers sized for the
+loop's steps.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -485,15 +487,14 @@ class Model:
         the softmax head.
 
         It runs the operations of the taped nodes' forwards (those of
-        ``ag.self_attention``, ``ag.cross_attention_array``, ``ag.ffn_array``,
-        ``ag.layer_norm_array`` and ``ag.softmax_head_array``) on the same
-        operands in the same order, so every distribution has their bits; on
-        (R, d) rows a ``gemm`` is a plain ``@``. It keeps none of the
-        intermediates their backward rules read, and normalizes, softmaxes
-        and sums residuals in place, but only on arrays it made itself,
-        never on a cache buffer or a parameter. ``tests/test_model.py``'s
-        greedy-decode oracle, built from those array functions, pins the
-        bits."""
+        ``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
+        ``ag.layer_norm`` and ``ag.softmax_head``) on the same operands in
+        the same order, so every distribution has their bits; on (R, d) rows
+        a ``gemm`` is a plain ``@``. It keeps none of the intermediates their
+        backward rules read, and normalizes, softmaxes and sums residuals in
+        place, but only on arrays it made itself, never on a cache buffer or
+        a parameter. ``tests/test_model.py``'s greedy-decode oracle, built
+        from ``ag``'s array functions, pins the bits."""
         cfg = self.cfg
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale

@@ -19,6 +19,8 @@ from .autograd import Tensor
 
 _MAGIC = b"SKPT"
 _VERSION = 1
+BETA1, BETA2 = 0.9, 0.999  # AdamW's moment decay rates
+ADAM_EPS = 1e-8  # AdamW's denominator floor
 
 
 class ParamStore:
@@ -90,14 +92,10 @@ class AdamW:
         self,
         params: dict[str, Tensor],
         lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.01,
     ):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.wd = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -108,18 +106,18 @@ class AdamW:
         parameter with a gradient, evaluated in that order with in-place
         temporaries."""
         self.t += 1
-        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
+        c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         for n, p in self.params.items():
             if p.grad is None:
                 continue
             g, m, v = p.grad, self.m[n], self.v[n]
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
             den = v / c2
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPS
             upd = m / c1
             upd /= den
             upd += self.wd * p.data

@@ -136,8 +136,9 @@ def test_split_seed_changes_split():
 
 
 def test_split_always_leaves_a_test_item():
-    tr, te = split_indices(3, seed=0, train_frac=0.99)
-    assert len(te) >= 1 and len(tr) >= 1
+    # round(2 * 0.75) = 2 training items, clamped to 1
+    tr, te = split_indices(2, seed=0)
+    assert len(tr) == 1 and len(te) == 1
 
 
 # ----------------------------------------------------------------- experiment

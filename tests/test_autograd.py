@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -71,6 +73,10 @@ def _dot(t: Tensor) -> Tensor:
     return ag.reshape(ag.matmul(ag.reshape(t, (1, n)), r), ())
 
 
+def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ag.gemm(x, w) + b
+
+
 # Test-local nodes: a softmax, a ReLU, an affine map and multi-head
 # attention, each recorded with ``ag._record``. The tape-mechanics tests use
 # the softmax as a generic nonlinearity; the attention node runs the shared
@@ -102,7 +108,7 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, m)
         return (ag.gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
 
-    return ag._record(Tensor(ag.linear_array(xd, wd, b.data)), (x, w, b), back)
+    return ag._record(Tensor(_linear_array(xd, wd, b.data)), (x, w, b), back)
 
 
 def _attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, n_heads: int,
@@ -192,7 +198,7 @@ def _away_from_kink(rng, shape, gain, bias, w1, b1, margin=0.05):
 
 def _pre_activations(x, gain, bias, w1, b1):
     n = ag.layer_norm_array(x, gain.data, bias.data)[0]
-    return ag.linear_array(n, w1.data, b1.data)
+    return _linear_array(n, w1.data, b1.data)
 
 
 def test_ffn_grad():
@@ -299,8 +305,10 @@ def test_residual_input_that_feeds_other_nodes(node):
 def _fused_and_unfused(node: str, d: int, rng):
     """Parent tensors of one fused node with a (3, 8) batch lead, and two
     functions of them: the fused node and the unfused composition, in which
-    a residual projection is ``add`` over ``matmul``."""
-    lead, H = (3, 8), 4
+    a residual projection is ``add`` over ``matmul``. ``cross_attention``
+    attends with one (8, d) slot row per segment; ``cross_attention_slots``
+    has the decoder's layout, a (6, 4) lead of two slot rows per segment."""
+    lead, H = ((6, 4) if node == "cross_attention_slots" else (3, 8)), 4
     if node == "ffn":
         f = 4 * d
         parents = [_param(rng, (*lead, d)), _param(rng, (d,)), _param(rng, (d,)),
@@ -318,8 +326,8 @@ def _fused_and_unfused(node: str, d: int, rng):
 
         return (_self_attention_parents(rng, lead, d, H),
                 lambda *p: ag.self_attention(*p, H, 0.125, mask=mask), unfused)
-    if node == "cross_attention":
-        # 3 segments of one (8, d) slot row each, over states of 5, 3 and 4 of 5 positions
+    if node.startswith("cross_attention"):
+        # 3 segments over states of 5, 3 and 4 of 5 positions
         mask = padding_mask([5, 3, 4])
 
         def unfused(x, gain, bias, wq, k, v, wo):
@@ -334,7 +342,8 @@ def _fused_and_unfused(node: str, d: int, rng):
 
 
 @pytest.mark.parametrize("d", [64, 20])
-@pytest.mark.parametrize("node", ["ffn", "self_attention", "cross_attention", "softmax_head"])
+@pytest.mark.parametrize("node", ["ffn", "self_attention", "cross_attention",
+                                  "cross_attention_slots", "softmax_head"])
 def test_fused_node_has_the_bits_of_its_composition(node, d):
     parents, fused, unfused = _fused_and_unfused(node, d, np.random.default_rng(d))
     results = []
@@ -466,8 +475,8 @@ def test_layer_norm_hand_values():
     x = Tensor(np.array([[1.0, 3.0]]))
     g = Tensor(np.ones(2))
     b = Tensor(np.zeros(2))
-    out = ag.layer_norm(x, g, b, eps=0.0).data
-    np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-12)
+    out = ag.layer_norm(x, g, b).data
+    np.testing.assert_allclose(out, [[-1.0, 1.0]] / np.sqrt(1.0 + ag.LN_EPS), atol=1e-12)
 
 
 def test_attention_grad_with_bias_and_mask():
@@ -978,3 +987,26 @@ def test_add_grad_matches_fd_random_shapes(n, m, seed):
     err = grad_check(lambda: _dot(_softmax(ag.add(a, b))), {"a": a, "b": b},
                      n_coords=8, seed=seed)
     assert err < 1e-5
+
+
+# ------------------------------------------------------------- module shape
+
+
+def test_every_public_function_has_a_reader_in_src():
+    # a primitive that only tests call belongs in the tests: every public
+    # function of setkp.autograd is read in src/ outside its own definition
+    src = Path(ag.__file__).parent
+    public = {n.name for n in ast.parse(Path(ag.__file__).read_text()).body
+              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    read = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for n in ast.walk(top):
+                if not isinstance(getattr(n, "ctx", None), ast.Load):
+                    continue
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name in public and name != own:
+                    read.add(name)
+    assert len(public) > 10
+    assert public <= read, sorted(public - read)

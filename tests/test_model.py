@@ -483,13 +483,17 @@ def test_decode_cache_holds_its_capacity(monkeypatch):
     assert all(buf.shape == head_layout for kv in made[0].self_kv for buf in kv)
 
 
+def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ag.gemm(x, w) + b
+
+
 def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, stop_id=None):
     """The greedy loop with the cached step as it was before head-layout
-    buffers, built from the taped nodes' array functions: each step
-    concatenates its keys and values onto those of every earlier step and
-    runs ``ag.attention_array`` on (R, 1, d) slot rows. It stops as
-    ``Model.greedy_decode`` does, after the first step by which every row
-    has emitted ``stop_id``."""
+    buffers, built from ``setkp.autograd``'s array functions and an affine
+    map: each step concatenates its keys and values onto those of every
+    earlier step and runs ``ag.attention_array`` on (R, 1, d) slot rows. It
+    stops as ``Model.greedy_decode`` does, after the first step by which
+    every row has emitted ``stop_id``."""
     cfg = model.cfg
     p = {n: t.data for n, t in model.store.items()}
     d, H, scale = cfg.d, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
@@ -524,10 +528,10 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, sto
             q = ag.gemm(ln(x, pre + "ln2"), p[pre + "cq"]).reshape(B, -1, d)
             catt = ag.attention_array(q, *cross_kv[i], None, H, scale, enc_mask)[0]
             x = x + ag.gemm(catt.reshape(R, 1, d), p[pre + "co"])
-            h = ag.linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
-            x = x + ag.linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
+            h = _linear_array(ln(x, pre + "ln3"), p[pre + "w1"], p[pre + "b1"])
+            x = x + _linear_array(np.maximum(h, 0.0), p[pre + "w2"], p[pre + "b2"])
         x = ln(x, "dec.final").reshape(R, d)
-        probs.append(ag.softmax_array(ag.linear_array(x, p["kg.w"], p["kg.b"]), axis=-1))
+        probs.append(ag.softmax_array(_linear_array(x, p["kg.w"], p["kg.b"])))
         tokens.append(probs[-1].argmax(axis=1))
         prev = tokens[-1][:, None]
         if stop_id is not None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from setkp.params import AdamW, Initializer, ParamStore, load_checkpoint, save_checkpoint
+from setkp.params import (ADAM_EPS, BETA1, BETA2, AdamW, Initializer, ParamStore,
+                          load_checkpoint, save_checkpoint)
 
 
 def _store_with(seed=0):
@@ -48,7 +49,7 @@ def test_projection_std_scales_with_fan_in():
 def test_adamw_single_step_hand_oracle():
     store = ParamStore()
     p = store.create("w", np.array([1.0, -2.0]))
-    opt = AdamW({"w": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+    opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)
     g = np.array([0.5, -1.0])
     p.grad = g.copy()
     opt.step()
@@ -82,7 +83,7 @@ def test_adamw_moments_update_in_place():
     opt = AdamW({"w": p}, lr=0.05)
     m_obj, v_obj = opt.m["w"], opt.v["w"]
     x, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
-    b1, b2 = opt.b1, opt.b2
+    b1, b2 = BETA1, BETA2
     for t in (1, 2):
         g = rng.standard_normal((3, 4))
         p.grad = g
@@ -90,7 +91,7 @@ def test_adamw_moments_update_in_place():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
-        x = x - opt.lr * (mhat / (np.sqrt(vhat) + opt.eps) + opt.wd * x)
+        x = x - opt.lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + opt.wd * x)
     assert opt.m["w"] is m_obj and opt.v["w"] is v_obj
     np.testing.assert_array_equal(m_obj, m)
     np.testing.assert_array_equal(v_obj, v)
