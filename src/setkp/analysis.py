@@ -3,14 +3,13 @@ small multinomial classifier used as the downstream stand-in task."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiLevelDocument
+from .corpus import MultiLevelDocument, write_csv
 from .inference import Portrait
 
 MODES = ("original", "pure", "augmented")
@@ -165,20 +164,18 @@ def run_experiment(
 
 
 def write_analysis_csv(path: str | Path, results: list[ModeResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mode", "levels", "accuracy", "majority_accuracy",
-                    "mean_tokens", "n_train", "n_test"])
-        for r in results:
-            w.writerow([
-                r.mode,
-                ",".join(map(str, r.levels)) or "all",
-                f"{r.accuracy:.4f}",
-                f"{r.majority_accuracy:.4f}",
-                f"{r.mean_tokens:.2f}",
-                r.n_train,
-                r.n_test,
-            ])
+    write_csv(path, [
+        ["mode", "levels", "accuracy", "majority_accuracy", "mean_tokens", "n_train", "n_test"],
+        *([
+            r.mode,
+            ",".join(map(str, r.levels)) or "all",
+            f"{r.accuracy:.4f}",
+            f"{r.majority_accuracy:.4f}",
+            f"{r.mean_tokens:.2f}",
+            r.n_train,
+            r.n_test,
+        ] for r in results),
+    ])
 
 
 def format_analysis_table(results: list[ModeResult]) -> str:

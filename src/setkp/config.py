@@ -31,6 +31,8 @@ class RunConfig(_ModelAndTrainKeys):
     min_freq: int = 1
 
     def __post_init__(self):
+        if self.n_docs < 1:
+            raise ValueError("n_docs must be >= 1")
         if self.max_segment_tokens < MAX_SEGMENT_TOKENS:
             raise ValueError(f"max_segment_tokens must be >= {MAX_SEGMENT_TOKENS}")
         self.model_config(0)

@@ -9,11 +9,15 @@ with its keyphrases.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -262,22 +266,66 @@ def parse_jsonl(path: str | Path, parse: Callable[[Any], T]) -> list[T]:
     return items
 
 
+@contextlib.contextmanager
+def output_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """The one way the program writes a file: a handle whose bytes become
+    ``path``, text opened as UTF-8 with no newline translation.
+
+    ``path`` is followed through symlinks. A regular or missing target gets
+    a new sibling file, named after this process and created exclusively,
+    that is fsynced and renamed onto it when the block ends; so the output
+    replaces the whole target or, on any exception, is removed and leaves
+    the target's bytes as they were. An existing target that is not a
+    regular file, such as a pipe, a terminal or ``/dev/null``, is written in
+    place: renaming over it would swap the device or pipe for a file."""
+    kw = {} if binary else {"encoding": "utf-8", "newline": ""}
+    b = "b" if binary else ""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w" + b, **kw) as fh:
+            yield fh
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:  # outside the cleanup below: a name this writer did not create is not removed
+        fh = open(tmp, "x" + b, **kw)
+    except FileNotFoundError as e:
+        raise FileNotFoundError(e.errno, e.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted, non-ASCII text as UTF-8
-    characters: the encoding of every JSONL file the program writes. Every
-    record is encoded before the file is opened, so a record JSON cannot
-    hold, such as one with a NaN or infinite number, raises ValueError
-    naming the path and the 1-based record number, and leaves the path as
-    it was."""
-    lines = []
-    for i, rec in enumerate(records, 1):
-        try:
-            lines.append(json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False)
-                         + "\n")
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: record {i}: {e}") from e
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    characters: the encoding of every JSONL file the program writes. Each
+    record streams through ``output_file``, so a record JSON cannot hold,
+    such as one with a NaN or infinite number, raises ValueError naming the
+    path and the 1-based record number, and leaves a regular file at the
+    path as it was."""
+    with output_file(path) as fh:
+        for i, rec in enumerate(records, 1):
+            try:
+                line = json.dumps(rec, ensure_ascii=False, sort_keys=True, allow_nan=False)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: record {i}: {e}") from e
+            fh.write(line + "\n")
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Rows as CSV lines ending in \\r\\n, written through ``output_file``:
+    a row that fails to format leaves a regular file at the path as it was."""
+    with output_file(path) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _strings(v) -> bool:

@@ -9,14 +9,13 @@ sentinel entries (Chan et al., ACL 2019); @M variants use the whole list.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .corpus import _contains_run
+from .corpus import _contains_run, write_csv
 
 T = TypeVar("T")
 
@@ -344,12 +343,11 @@ def evaluate(records: list[EvalRecord]) -> tuple[list[dict], dict[str, float]]:
 
 def write_eval_csv(path: str | Path, rows: list[dict], macro: dict[str, float]) -> None:
     keys = [k for k in rows[0] if k != "doc_id"] if rows else list(macro)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["doc_id"] + keys)
-        for r in rows:
-            w.writerow([r["doc_id"]] + [f"{r[k]:.4f}" for k in keys])
-        w.writerow(["MACRO"] + [f"{macro[k]:.4f}" for k in keys])
+    write_csv(path, [
+        ["doc_id"] + keys,
+        *([r["doc_id"]] + [f"{r[k]:.4f}" for k in keys] for r in rows),
+        ["MACRO"] + [f"{macro[k]:.4f}" for k in keys],
+    ])
 
 
 def format_eval_table(macro: dict[str, float]) -> str:

@@ -9,13 +9,13 @@ little-endian float64 payload. Loading restores bit-identical arrays.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
+from .corpus import output_file
 
 _MAGIC = b"SKPT"
 _VERSION = 1
@@ -132,35 +132,23 @@ class AdamW:
 
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
-    """Write the container; float payloads are forced little-endian.
-
-    The bytes go to a sibling temporary file that is then renamed over
-    `path`, so a failed or interrupted write leaves the previous checkpoint
-    as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    """Write the container through ``corpus.output_file``; float payloads
+    are forced little-endian. A failed or interrupted write leaves a
+    previous checkpoint file as it was."""
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, len(store.names())))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for name, t in store.items():
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", t.data.ndim))
-                for dim in t.data.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with output_file(path, binary=True) as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(store.names())))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for name, t in store.items():
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<B", t.data.ndim))
+            for dim in t.data.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:

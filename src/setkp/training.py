@@ -24,7 +24,6 @@ segment, on slices of the batch.
 
 from __future__ import annotations
 
-import csv
 import logging
 import random
 from dataclasses import dataclass, field, asdict
@@ -43,6 +42,7 @@ from .corpus import (
     Vocabulary,
     bio_labels,
     derive_keywords,
+    write_csv,
 )
 from .model import Model, ModelConfig, padded, padding_mask
 from .params import AdamW, save_checkpoint
@@ -290,13 +290,12 @@ class TrainReport:
     rows: list[EpochRow] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "stage", "loss_kwe", "loss_kg", "loss_stage3", "pct_null", "duplication"])
-            for r in self.rows:
-                w.writerow([r.epoch, r.stage, f"{r.loss_kwe:.6f}", _cell(r.loss_kg, ".6f"),
-                            _cell(r.loss_stage3, ".6f"), _cell(r.pct_null, ".4f"),
-                            _cell(r.duplication, ".4f")])
+        write_csv(path, [
+            ["epoch", "stage", "loss_kwe", "loss_kg", "loss_stage3", "pct_null", "duplication"],
+            *([r.epoch, r.stage, f"{r.loss_kwe:.6f}", _cell(r.loss_kg, ".6f"),
+               _cell(r.loss_stage3, ".6f"), _cell(r.pct_null, ".4f"),
+               _cell(r.duplication, ".4f")] for r in self.rows),
+        ])
 
 
 def _cell(value: float | None, spec: str) -> str:

@@ -1010,3 +1010,39 @@ def test_every_public_function_has_a_reader_in_src():
                     read.add(name)
     assert len(public) > 10
     assert public <= read, sorted(public - read)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call of open, os.open or Path.open with a mode that is not plain
+    reading, of Path.write_text or Path.write_bytes, or of os.replace,
+    os.rename or os.fsync."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    on_os = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "os"
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name in ("replace", "rename", "fsync"):
+        return on_os
+    if name != "open":
+        return False
+    pos = 1 if isinstance(f, ast.Name) or on_os else 0  # Path.open(mode)
+    mode = call.args[pos] if len(call.args) > pos else next(
+        (k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # checkpoints, JSONL and CSV outputs replace their target in one way:
+    # only corpus.output_file opens a file to write, renames or fsyncs
+    from setkp import corpus
+
+    src = Path(corpus.__file__).parent
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call) and _writes_a_file(n):
+                    writers.append(f"{path.name}:{getattr(top, 'name', n.lineno)}")
+    assert set(writers) == {"corpus.py:output_file"}, writers

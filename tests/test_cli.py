@@ -636,6 +636,7 @@ COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
     ("batch_size = 0", "batch_size must be >= 1"),
     ("ffn_width = 0", "ffn_width must be >= 1"),
     ("max_segment_tokens = 8", "max_segment_tokens must be >= 32"),
+    ("n_docs = 0", "n_docs must be >= 1"),
 ])
 def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cmd, line, message):
     cfg = tmp_path / "bad.cfg"

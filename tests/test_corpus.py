@@ -1,5 +1,9 @@
 import json
+import os
+import stat
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +26,12 @@ from setkp.corpus import (
     split_claims,
     tokenize,
 )
+from setkp.analysis import ModeResult, write_analysis_csv
 from setkp.inference import PROMPT_INFIX, PROMPT_PREFIX
+from setkp.metrics import write_eval_csv
+from setkp.params import ParamStore, save_checkpoint
 from setkp.synth import synth_corpus
+from setkp.training import EpochRow, TrainReport
 
 # ------------------------------------------------------------------ tokenizer
 
@@ -337,6 +345,99 @@ def test_jsonl_unicode_roundtrip(tmp_path):
     loaded = load_jsonl(path, 32)
     assert loaded[0].title == doc.title
     assert "für" in loaded[0].segments[0].tokens
+
+
+# -------------------------------------------------------------- output files
+
+
+def _tiny_checkpoint(path):
+    store = ParamStore()
+    store.create("w", np.arange(6.0).reshape(2, 3))
+    save_checkpoint(path, store, {"epoch": 1})
+
+
+# every writer of the program, each through corpus.output_file
+WRITERS = {
+    "save_checkpoint": _tiny_checkpoint,
+    "write_jsonl": lambda path: corpus.write_jsonl(path, [{"id": "a"}, {"id": "ü"}]),
+    "write_csv": lambda path: corpus.write_csv(path, [["a", "b"], [1, "x,y"]]),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_writer_keeps_a_fifo_and_writes_into_it(tmp_path, write):
+    # renaming over a pipe or device would swap it for a regular file
+    write(tmp_path / "plain")
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    got = []
+    keep = os.open(fifo, os.O_RDWR)  # a write end, so opening the read end does not block
+    with open(fifo, "rb") as rd:
+        reader = threading.Thread(target=lambda: got.append(rd.read()), daemon=True)
+        reader.start()
+        try:
+            write(fifo)
+        finally:
+            os.close(keep)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "plain").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_writer_keeps_a_symlink_and_replaces_its_target(tmp_path, write):
+    write(tmp_path / "plain")
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "out"
+    target.write_bytes(b"old bytes")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain").read_bytes()
+    assert [p.name for p in (tmp_path / "real").iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_writer_into_a_missing_directory_names_the_output(tmp_path, write):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(FileNotFoundError) as err:
+        write(path)
+    assert err.value.filename == str(path)
+
+
+def _train_report(loss):
+    return TrainReport([EpochRow(1, "stage1", 0.5, None, None, None, None),
+                        EpochRow(2, "stage1", loss, None, None, None, None)])
+
+
+def _mode_results(accuracy):
+    return [ModeResult("original", (), 0.5, 0.25, 10.0, 3, 1),
+            ModeResult("pure", (1,), accuracy, 0.25, 4.0, 3, 1)]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: _train_report("x").write_csv(path),
+    lambda path: write_eval_csv(path, [{"doc_id": "a", "f1": 0.5}, {"doc_id": "b", "f1": "x"}],
+                                {"f1": 0.5}),
+    lambda path: write_analysis_csv(path, _mode_results("x")),
+], ids=["loss", "eval", "analysis"])
+def test_csv_row_that_fails_to_format_keeps_the_previous_bytes(tmp_path, write):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"old,bytes\r\n")
+    with pytest.raises(ValueError):
+        write(path)
+    assert path.read_bytes() == b"old,bytes\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_csv_lines_end_in_crlf_and_jsonl_lines_in_lf(tmp_path):
+    corpus.write_csv(tmp_path / "a.csv", [["a", "b"], [1, 2]])
+    corpus.write_jsonl(tmp_path / "a.jsonl", [{"a": 1}, {"b": 2}])
+    assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n1,2\r\n"
+    assert (tmp_path / "a.jsonl").read_bytes() == b'{"a": 1}\n{"b": 2}\n'
 
 
 # -------------------------------------------------------------- vocabulary
