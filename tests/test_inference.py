@@ -527,7 +527,7 @@ def test_write_jsonl_rejects_non_finite_numbers(tmp_path, value):
 
 
 @pytest.mark.parametrize("bad", [{"b": float("nan")}, {"b": object()}], ids=["nan", "object"])
-def test_write_jsonl_bad_record_keeps_previous_bytes_and_makes_no_file(tmp_path, bad):
+def test_write_jsonl_encodes_every_record_before_writing(tmp_path, bad):
     # a record that cannot be encoded names the file and its record number,
     # and the file keeps the bytes it had: no truncated output is left
     path = tmp_path / "preds.jsonl"
