@@ -37,11 +37,27 @@ forwards ``gemm``, ``softmax_array``, ``layer_norm_array``, ``split_heads``
 and ``attention_array``, and the backwards ``layer_norm_backward`` and
 ``attention_backward``. Every other forward runs inside its own node. The
 cached decode step (``model.Model._decode_step``) uses ``gemm`` and
-``split_heads`` only to fill its cache: it runs the nodes' operations in
+``split_heads`` to fill its cache, and ``layer_norm_array`` and
+``softmax_array`` in every step, so the package has one norm formula and
+one softmax formula; the rest of the step runs the nodes' operations in
 their order as plain numpy, keeping none of the intermediates a backward
 rule reads, and
 ``tests/test_model.py::test_greedy_decode_has_the_bits_of_the_concatenating_step``
 pins its bits to a greedy loop built from these functions.
+
+In-place rule: a function or node writes only into arrays it made itself.
+``layer_norm_array`` normalizes its own centred rows (they become xhat) and
+adds the bias into its own xhat * gain; ``softmax_array`` overwrites and
+returns the logits it is given, so each caller passes logits it has just
+made; the backwards finish on their own g * gain or gA; and the nodes add
+into their own residual sums, rebuilt normed rows, projection-gradient sums
+and input gradients. Each in-place step runs the ufunc the allocating
+formula ran, on the same operands in the same order, or swaps the two
+operands of a single + or *, which IEEE 754 makes exact; so it saves the
+temporaries and changes no bit. Nothing writes into an incoming gradient,
+an array a backward rule keeps, a parameter or a ``DecodeCache`` buffer.
+``tests/test_autograd.py::test_in_place_formulas_have_the_bits_of_the_allocating_ones``
+pins each formula to its allocating form.
 """
 
 from __future__ import annotations
@@ -271,7 +287,7 @@ def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     inv, the activation and the weight matrices; it rebuilds the normed rows
     as xhat * gain + bias, the forward's own two operations. x's gradient is
     the residual's plus the norm's, the sum a tape of the unfused nodes
-    makes. The ReLU and both bias sums run in place."""
+    makes. The ReLU, both bias sums and the residual sum run in place."""
     xd, gd, bd, wd1, wd2 = x.data, gain.data, bias.data, w1.data, w2.data
     n, xhat, inv = layer_norm_array(xd, gd, bd)
     h = gemm(n, wd1)
@@ -279,6 +295,7 @@ def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     np.maximum(h, 0.0, out=h)
     y = gemm(h, wd2)
     y += b2.data
+    y += xd  # the residual sum x + y, its two operands swapped
     k, f = wd1.shape
 
     def back(g):
@@ -286,13 +303,14 @@ def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
         gh = gemm(g, wd2.T)
         np.multiply(gh, h > 0.0, out=gh)  # the ReLU's slope, with no second (rows, f) array
         gh2 = gh.reshape(-1, f)
-        gw1, gb1 = (xhat * gd + bd).reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0)
+        gw1, gb1 = _normed(xhat, gd, bd).reshape(-1, k).T @ gh2, np.add.reduce(gh2, axis=0)
         gn = gemm(gh, wd1.T)
         del gh, gh2  # the widest arrays go before the norm's backward runs
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
-        return (g + gx, ggain, gbias, gw1, gb1, h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
+        gx += g  # the residual's gradient plus the norm's
+        return (gx, ggain, gbias, gw1, gb1, h.reshape(-1, f).T @ g2, np.add.reduce(g2, axis=0))
 
-    return _record(Tensor(xd + y), (x, gain, bias, w1, b1, w2, b2), back)
+    return _record(Tensor(y), (x, gain, bias, w1, b1, w2, b2), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -360,9 +378,13 @@ def gather_heads(tables: Sequence[Tensor], idx) -> Tensor:
 
 
 def softmax_array(a: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax of a plain array over its last axis."""
-    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    """Shift-invariant softmax of a plain array over its last axis,
+    computed in place: it overwrites ``a`` with the result and returns it,
+    so a caller passes logits it has just made and reads them no more."""
+    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
+    return a
 
 
 def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -375,7 +397,8 @@ def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = softmax_array(z)
 
     def back(g):
-        gz = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
+        gz = g - np.add.reduce(g * y, axis=-1, keepdims=True)
+        gz *= y
         gz2 = gz.reshape(-1, m)
         return (gemm(gz, wd.T), xd.reshape(-1, k).T @ gz2, np.add.reduce(gz2, axis=0))
 
@@ -387,12 +410,23 @@ def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
     """The forward formula of ``layer_norm`` on plain arrays: the output,
     and the normalized rows and inverse deviations its backward reads."""
     d = x.shape[-1]
-    # the sums np.mean / np.var compute, without their per-call overhead
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    # the sums np.mean / np.var compute, without their per-call overhead;
+    # the centred rows become xhat in place, the variances the inverse deviations
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return _normed(xhat, gain, bias), xhat, inv
+
+
+def _normed(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """A layer norm's output xhat * gain + bias from its normalized rows,
+    the bias added into the product this call makes."""
+    y = xhat * gain
+    y += bias
+    return y
 
 
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray
@@ -401,12 +435,14 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: 
     of x, gain and bias from the output's gradient g and the normalized rows
     and inverse deviations of ``layer_norm_array``."""
     d = g.shape[-1]
-    gg = g * gain
-    gx = inv * (
-        gg
-        - np.add.reduce(gg, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d)
-    )
+    gx = g * gain
+    # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), finished in place on
+    # gg = g * gain once both of its row means are taken
+    mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    proj = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+    gx -= mean
+    gx -= xhat * proj
+    gx *= inv
     axes = tuple(range(g.ndim - 1))
     return gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
 
@@ -478,8 +514,10 @@ def attention_backward(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.nda
     gradients of q, k and v, then the (..., H, Tq, Tk) gradient of a
     position bias before it is summed back to the bias's shape."""
     gh = split_heads(g, n_heads)
-    gA = gh @ vh.swapaxes(-1, -2)
-    gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
+    gs = gh @ vh.swapaxes(-1, -2)  # gA, then A * (gA - sum(gA * A)) * inv_scale in place
+    gs -= np.add.reduce(gs * A, axis=-1, keepdims=True)
+    gs *= A
+    gs *= inv_scale
     return (_merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh),
             _merge_heads(A.swapaxes(-1, -2) @ gh), gs)
 
@@ -521,19 +559,24 @@ def self_attention(
         gq, gk, gv, gs = attention_backward(gemm(g, wod.T), qh, kh, vh, A, n_heads, inv_scale)
         gpos = _unbroadcast(gs, shape)
         del gs
-        n2 = (xhat * gd + bd).reshape(-1, d)
+        n2 = _normed(xhat, gd, bd).reshape(-1, d)
         # each projection's gradients in the order the unfused tape replays
         # them, its incoming gradient dropped as soon as it is read
         gwv, gn = n2.T @ gv.reshape(-1, d), gemm(gv, wvd.T)
         del gv
-        gwk, gn = n2.T @ gk.reshape(-1, d), gn + gemm(gk, wkd.T)
+        gwk = n2.T @ gk.reshape(-1, d)
+        gn += gemm(gk, wkd.T)
         del gk
-        gwq, gn = n2.T @ gq.reshape(-1, d), gn + gemm(gq, wqd.T)
+        gwq = n2.T @ gq.reshape(-1, d)
+        gn += gemm(gq, wqd.T)
         del gq, n2
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
-        return (g + gx, ggain, gbias, gwq, gwk, gwv, att.reshape(-1, d).T @ g.reshape(-1, d), gpos)
+        gx += g  # the residual's gradient plus the norm's
+        return (gx, ggain, gbias, gwq, gwk, gwv, att.reshape(-1, d).T @ g.reshape(-1, d), gpos)
 
-    return _record(Tensor(xd + gemm(att, wod)), (x, gain, bias, wq, wk, wv, wo, pos_bias), back)
+    y = gemm(att, wod)
+    y += xd  # the residual sum x + y, its two operands swapped
+    return _record(Tensor(y), (x, gain, bias, wq, wk, wv, wo, pos_bias), back)
 
 
 def cross_attention(
@@ -574,12 +617,15 @@ def cross_attention(
         gq, gk, gv = attention_backward(gemm(g, wod.T).reshape(*kh.shape[:-3], -1, d),
                                         qh, kh, vh, A, n_heads, inv_scale)[:3]
         gq = gq.reshape(g.shape)
-        gwq, gn = (xhat * gd + bd).reshape(-1, d).T @ gq.reshape(-1, d), gemm(gq, wqd.T)
+        gwq, gn = _normed(xhat, gd, bd).reshape(-1, d).T @ gq.reshape(-1, d), gemm(gq, wqd.T)
         del gq
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
-        return (g + gx, ggain, gbias, gwq, gk, gv, att.reshape(-1, d).T @ g.reshape(-1, d))
+        gx += g  # the residual's gradient plus the norm's
+        return (gx, ggain, gbias, gwq, gk, gv, att.reshape(-1, d).T @ g.reshape(-1, d))
 
-    return _record(Tensor(xd + gemm(att, wod)), (x, gain, bias, wq, k, v, wo), back)
+    y = gemm(att, wod)
+    y += xd  # the residual sum x + y, its two operands swapped
+    return _record(Tensor(y), (x, gain, bias, wq, k, v, wo), back)
 
 
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:

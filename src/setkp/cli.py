@@ -109,11 +109,17 @@ def _parse_levels(raw: str | None) -> set[int] | None:
     return levels
 
 
+# Each command prints its summary line, and eval and analyze their tables, to
+# standard error, so that standard output carries only an artifact written
+# with --out /dev/stdout.
+
+
 def cmd_gen_corpus(args) -> int:
     rc = _run_config(args)
     docs = synth_corpus(rc.seed, rc.n_docs)
     save_jsonl(args.out, docs)
-    print(f"wrote {len(docs)} documents, {distinct_word_count(docs)} distinct words -> {args.out}")
+    print(f"wrote {len(docs)} documents, {distinct_word_count(docs)} distinct words "
+          f"-> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -134,7 +140,7 @@ def cmd_train(args) -> int:
         report.write_csv(args.loss_csv)
     last = report.rows[-1]
     print(f"trained {last.epoch} epochs ({last.stage}); extraction loss "
-          f"{last.loss_kwe:.4f} -> {args.out_ckpt}")
+          f"{last.loss_kwe:.4f} -> {args.out_ckpt}", file=sys.stderr)
     return 0
 
 
@@ -173,7 +179,7 @@ def cmd_generate(args) -> int:
     docs = load_jsonl(args.corpus, rc.max_segment_tokens)
     rows = prediction_rows(model, vocab, docs)
     write_jsonl(args.out, rows)
-    print(f"generated for {len(rows)} documents -> {args.out}")
+    print(f"generated for {len(rows)} documents -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -188,7 +194,7 @@ def cmd_portrait(args) -> int:
         padding_keywords=[inference.padding_keyword_spans(d) for d in docs])
     inference.save_portraits(args.out, portraits)
     n = sum(len(p.entries) for p in portraits)
-    print(f"built {len(portraits)} portraits ({n} keyphrases) -> {args.out}")
+    print(f"built {len(portraits)} portraits ({n} keyphrases) -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -231,8 +237,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.predictions}: no predictions to score")
     per_doc, macro = metrics.evaluate(records)
     metrics.write_eval_csv(args.out, per_doc, macro)
-    print(metrics.format_eval_table(macro))
-    print(f"scored {len(records)} documents -> {args.out}")
+    print(metrics.format_eval_table(macro), file=sys.stderr)
+    print(f"scored {len(records)} documents -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -247,8 +253,8 @@ def cmd_analyze(args) -> int:
     levels = _parse_levels(args.levels)
     results = analysis.run_experiment(docs, portraits, modes, levels, rc.seed)
     analysis.write_analysis_csv(args.out, results)
-    print(analysis.format_analysis_table(results))
-    print(f"report -> {args.out}")
+    print(analysis.format_analysis_table(results), file=sys.stderr)
+    print(f"report -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -428,8 +428,17 @@ class Vocabulary:
     """Word-level vocabulary with fixed special tokens at the front."""
 
     def __init__(self, tokens: list[str]):
+        """Token i gets id i. A non-string entry or a token listed twice is a
+        ValueError naming it: a repeat would leave an id that decodes but
+        that no token encodes to."""
         self.tokens = list(tokens)
-        self.index = {t: i for i, t in enumerate(self.tokens)}
+        self.index = {}
+        for i, t in enumerate(self.tokens):
+            if not isinstance(t, str):
+                raise ValueError(f"vocabulary entry {i} is not a string: {t!r}")
+            if t in self.index:
+                raise ValueError(f"vocabulary token {t!r} is listed at ids {self.index[t]} and {i}")
+            self.index[t] = i
         for sp in SPECIALS:
             if sp not in self.index:
                 raise ValueError(f"vocabulary missing special token {sp}")

@@ -16,7 +16,10 @@ the whole step as one function of plain numpy on float64 arrays, with no
 Tensor or tape node, the operations of the taped nodes' forwards
 (``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
 ``ag.layer_norm`` and ``ag.softmax_head``) in their order, so it gets the
-bits those nodes would give it without their per-call overhead. The cache
+bits those nodes would give it without their per-call overhead. Its norms
+and softmaxes are the nodes' own shared ``ag.layer_norm_array`` and
+``ag.softmax_array``, which, like the rest of the step, compute in place
+only on arrays they made. The cache
 holds the loop's arrays: parameters, position biases, and per-layer keys
 and values split into heads, the slot rows' own in buffers sized for the
 loop's steps.
@@ -76,7 +79,7 @@ class ModelConfig:
             raise ValueError("n_slots must be even")
         if self.n_control_keywords >= self.n_slots // 2:
             raise ValueError("n_control_keywords must be smaller than the group size")
-        for name in ("n_enc_layers", "n_dec_layers", "ffn_width"):
+        for name in ("n_enc_layers", "n_dec_layers", "ffn_width", "max_encode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.assign_steps < 1 or self.max_kp_len < 1:
@@ -229,30 +232,6 @@ class DecodeCache:
     bias: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-
-def _norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``ag.layer_norm_array``'s output for (R, d) rows, computed in place on
-    the centred rows and the (R, 1) deviations this call makes: the same
-    operations on the same operands, so the same bits."""
-    d = x.shape[1]
-    n = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    inv = np.add.reduce(n * n, axis=1, keepdims=True) / d
-    inv += ag.LN_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    n *= inv
-    n *= gain
-    n += bias
-    return n
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """``ag.softmax_array`` over the last axis, computed in place on z."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
 
 
 # ---------------------------------------------------------------- the model
@@ -490,11 +469,15 @@ class Model:
         ``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
         ``ag.layer_norm`` and ``ag.softmax_head``) on the same operands in
         the same order, so every distribution has their bits; on (R, d) rows
-        a ``gemm`` is a plain ``@``. It keeps none of the intermediates their
-        backward rules read, and normalizes, softmaxes and sums residuals in
-        place, but only on arrays it made itself, never on a cache buffer or
-        a parameter. ``tests/test_model.py``'s greedy-decode oracle, built
-        from ``ag``'s array functions, pins the bits."""
+        a ``gemm`` is a plain ``@``. Its norms are ``ag.layer_norm_array``'s
+        output and its softmaxes ``ag.softmax_array``, which overwrites the
+        logits it is given. It keeps none of the intermediates the backward
+        rules read, and it, like those two functions, works in place only on
+        arrays it made itself, never on a cache buffer or a parameter: the
+        softmaxes run on logits the step has just made, and the residuals
+        are summed into its own slot rows. ``tests/test_model.py``'s
+        greedy-decode oracle, built from ``ag``'s array functions, pins the
+        bits."""
         cfg = self.cfg
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
@@ -513,31 +496,31 @@ class Model:
         x += control
         for (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, cq, co, ln3_g, ln3_b, w1, b1, w2, b2
              ), (kb, vb), (ck, cv) in zip(layers, cache.self_kv, cache.cross_kv):
-            h = _norm_rows(x, ln1_g, ln1_b)
+            h = ag.layer_norm_array(x, ln1_g, ln1_b)[0]
             kb[:, :, t0] = (h @ wk).reshape(R, H, dh)
             vb[:, :, t0] = (h @ wv).reshape(R, H, dh)
             a = (h @ wq).reshape(R, H, 1, dh) @ kb[:, :, :L].swapaxes(-1, -2)
             a += pos_bias
             a *= scale
             # (R, H, 1, dh) heads are laid out as their merged (R, d) rows
-            x += (_softmax_rows(a) @ vb[:, :, :L]).reshape(R, d) @ wo
+            x += (ag.softmax_array(a) @ vb[:, :, :L]).reshape(R, d) @ wo
 
-            q = _norm_rows(x, ln2_g, ln2_b) @ cq
+            q = ag.layer_norm_array(x, ln2_g, ln2_b)[0] @ cq
             a = q.reshape(B, -1, H, dh).swapaxes(1, 2) @ ck.swapaxes(-1, -2)
             a *= scale
             if enc_mask is not None:
                 a += enc_mask
-            x += (_softmax_rows(a) @ cv).swapaxes(1, 2).reshape(R, d) @ co
+            x += (ag.softmax_array(a) @ cv).swapaxes(1, 2).reshape(R, d) @ co
 
-            h = _norm_rows(x, ln3_g, ln3_b) @ w1
+            h = ag.layer_norm_array(x, ln3_g, ln3_b)[0] @ w1
             h += b1
             np.maximum(h, 0.0, out=h)
             h = h @ w2
             h += b2
             x += h
-        z = _norm_rows(x, final_g, final_b) @ head_w
+        z = ag.layer_norm_array(x, final_g, final_b)[0] @ head_w
         z += head_b
-        return _softmax_rows(z)
+        return ag.softmax_array(z)
 
     def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:
         """A cache's first step: take the step's parameter arrays, the

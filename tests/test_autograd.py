@@ -87,7 +87,7 @@ def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax(a: Tensor) -> Tensor:
-    y = ag.softmax_array(a.data)
+    y = ag.softmax_array(a.data.copy())  # it overwrites its argument
 
     def back(g):
         return (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),)
@@ -357,6 +357,103 @@ def test_fused_node_has_the_bits_of_its_composition(node, d):
     assert np.array_equal(y, y_ref)
     for g, g_ref in zip(grads, grads_ref):
         assert g is not None and np.array_equal(g, g_ref)
+
+
+# The shared array formulas as they were written before they computed in
+# place, kept verbatim as the reference: the in-place forms must run the
+# same operations in the same order, so every bit must match.
+
+
+def _layer_norm_reference(x, gain, bias):
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + ag.LN_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _softmax_reference(a):
+    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _layer_norm_backward_reference(g, xhat, inv, gain):
+    d = g.shape[-1]
+    gg = g * gain
+    gx = inv * (
+        gg
+        - np.add.reduce(gg, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d)
+    )
+    axes = tuple(range(g.ndim - 1))
+    return gx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
+
+
+def _attention_backward_reference(g, qh, kh, vh, A, n_heads, inv_scale):
+    gh = ag.split_heads(g, n_heads)
+    gA = gh @ vh.swapaxes(-1, -2)
+    gs = A * (gA - np.add.reduce(gA * A, axis=-1, keepdims=True)) * inv_scale
+    return (ag._merge_heads(gs @ kh), ag._merge_heads(gs.swapaxes(-1, -2) @ qh),
+            ag._merge_heads(A.swapaxes(-1, -2) @ gh), gs)
+
+
+def _softmax_head_backward_reference(g, y, xd, wd):
+    k, m = wd.shape
+    gz = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
+    gz2 = gz.reshape(-1, m)
+    return (ag.gemm(gz, wd.T), xd.reshape(-1, k).T @ gz2, np.add.reduce(gz2, axis=0))
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [64, 20])
+def test_in_place_formulas_have_the_bits_of_the_allocating_ones(d):
+    # each shared formula, and the softmax head's backward, against its
+    # allocating form; none writes into an argument it did not make
+    rng = np.random.default_rng(d + 1)
+    H, lead = 4, (3, 5)
+    x = rng.standard_normal((*lead, d)) * 3.0 + 0.5
+    gain, bias = rng.standard_normal(d) + 1.0, rng.standard_normal(d)
+    g = rng.standard_normal((*lead, d))
+    args = [x, gain, bias, g]
+    kept = [a.copy() for a in args]
+
+    out = ag.layer_norm_array(x, gain, bias)
+    _assert_all_equal(out, _layer_norm_reference(x, gain, bias))
+    _, xhat, inv = out
+    _assert_all_equal(ag.layer_norm_backward(g, xhat, inv, gain),
+                      _layer_norm_backward_reference(g, xhat, inv, gain))
+
+    # logits with -inf key-padding and causal entries; each row keeps a key
+    logits = rng.standard_normal((3, H, 5, 5)) * 4.0
+    logits += padding_mask([5, 3, 4])
+    logits += np.triu(np.full((5, 5), -np.inf), k=1)
+    want = _softmax_reference(logits)
+    assert (want == 0.0).any()
+    assert np.array_equal(ag.softmax_array(logits.copy()), want)
+
+    q, kv = x @ rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal((3, 4, d))
+    scale = 0.3  # not a power of two, under which two products' order would not show
+    _, qh, kh, vh, A = ag.attention_array(q, kv, kv, None, H, scale, padding_mask([4, 2, 3]))
+    kept += [a.copy() for a in (qh, kh, vh, A)]
+    _assert_all_equal(ag.attention_backward(g, qh, kh, vh, A, H, scale),
+                      _attention_backward_reference(g, qh, kh, vh, A, H, scale))
+
+    w, b = Tensor(rng.standard_normal((d, 37))), Tensor(rng.standard_normal(37))
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = ag.softmax_head(xt, w, b)
+    assert np.array_equal(y.data, _softmax_reference(ag.gemm(x, w.data) + b.data))
+    gy = rng.standard_normal(y.shape)
+    kept += [gy.copy(), y.data.copy()]
+    _assert_all_equal(tape.nodes[-1][2](gy), _softmax_head_backward_reference(gy, y.data, x, w.data))
+    for a, before in zip([*args, qh, kh, vh, A, gy, y.data], kept):
+        assert np.array_equal(a, before)
 
 
 def test_gather_heads_grad_per_head_tables():
@@ -973,7 +1070,7 @@ def test_softmax_rows_sum_to_one(n, m, seed):
 @given(st.integers(2, 5), st.floats(-50, 50), st.integers(0, 2**31 - 1))
 def test_softmax_shift_invariant(n, shift, seed):
     x = np.random.default_rng(seed).standard_normal(n)
-    a = ag.softmax_array(x)
+    a = ag.softmax_array(x.copy())
     b = ag.softmax_array(x + shift)
     np.testing.assert_allclose(a, b, atol=1e-9)
 

@@ -493,7 +493,12 @@ def _rewrite_checkpoint(src, dst, edit_meta=None, drop=None, edit_param=None):
      "checkpoint metadata has no model_config"),
     (lambda m: {**m, "vocab": m["vocab"][:-5]}, None, "tokens, vocab_size is"),
     (None, "dec.L0.cq", "parameter 'dec.L0.cq': checkpoint has shape none"),
-], ids=["no-model-config", "short-vocab", "missing-parameter"])
+    # the last token replaced by a copy of id 5's, and by a number
+    (lambda m: {**m, "vocab": [*m["vocab"][:-1], m["vocab"][5]]}, None,
+     "is listed at ids 5 and "),
+    (lambda m: {**m, "vocab": [*m["vocab"][:-1], 7]}, None, "is not a string: 7"),
+], ids=["no-model-config", "short-vocab", "missing-parameter", "repeated-token",
+        "non-string-token"])
 def test_inconsistent_checkpoint_rejected_at_load(tmp_path, pipeline, capsys,
                                                   edit_meta, drop, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.ckpt", edit_meta, drop)
@@ -635,6 +640,7 @@ COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
     ("e1 = 0", "need 0 < e1 <= epochs"),
     ("batch_size = 0", "batch_size must be >= 1"),
     ("ffn_width = 0", "ffn_width must be >= 1"),
+    ("max_encode_len = 0", "max_encode_len must be >= 1"),
     ("max_segment_tokens = 8", "max_segment_tokens must be >= 32"),
     ("n_docs = 0", "n_docs must be >= 1"),
 ])
@@ -645,6 +651,26 @@ def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cm
     assert main([*_argv(cmd, pipeline, out), "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["gen-corpus", "eval"])
+def test_out_to_standard_output_carries_only_the_artifact(tmp_path, pipeline, cmd):
+    # the summary line and eval's table go to standard error, so an artifact
+    # written to /dev/stdout has the bytes the same command writes to a file
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(out):
+        argv = [*_argv(cmd, pipeline, out), "--config", str(pipeline["cfg"])]
+        proc = subprocess.run([sys.executable, "-m", "setkp.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    to_file, to_stdout = run(tmp_path / "out"), run("/dev/stdout")
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == (tmp_path / "out").read_bytes() != b""
+    assert to_stdout.stderr.decode().endswith(" -> /dev/stdout\n")
+    assert to_file.stderr.decode().endswith(f" -> {tmp_path / 'out'}\n")
 
 
 def test_bad_config_file_value_names_file_line_and_key(tmp_path, pipeline, capsys):
