@@ -4,15 +4,20 @@ Usage: python scripts/pipeline_hashes.py [--seeds 0 2] [--n-docs 64]
 
 For each seed and each of two training schedules, in a fresh temporary
 directory: `gen-corpus --seed S`, `train`, `generate`, `portrait`, `eval` and
-`analyze`, each through `setkp.cli.main` with the schedule's config file. The
-default schedule's config is empty and it trains with `--epochs 3 --e1 1`;
-its model keeps few keyphrases (none at seed 0). The `trained` schedule is
-the benchmark's `infer` set-up (`lr = 0.003`, `batch_size = 4`,
-`probe_docs = 0`, `--epochs 4 --e1 1`), whose model keeps keyphrases, so its
-lines also cover filtering, ranking, stem dedup, deeper-level prompts and the
-classifier's keyphrase input. Only `train` reads those keys. `run_pipeline`
-is the one definition of the pipeline's argv: acceptance criterion 09 runs
-it with its own config.
+`analyze`, each through `setkp.cli.main`. The three commands that read run
+settings (`gen-corpus`, `train` and `analyze`) get the schedule's config
+file; `generate`, `portrait` and `eval` take none, since they read the model
+and vocabulary from the checkpoint and segment with the one fixed budget.
+The default schedule's config is empty and it trains with
+`--epochs 3 --e1 1`; its model keeps few keyphrases (none at seed 0). The
+`trained` schedule is the benchmark's `infer` set-up (`lr = 0.003`,
+`batch_size = 4`, `probe_docs = 0`, `--epochs 4 --e1 1`), whose model keeps
+keyphrases, so its lines also cover filtering, ranking, stem dedup,
+deeper-level prompts and the classifier's keyphrase input. Only `train`
+reads those keys. `run_pipeline` is the one definition of the pipeline's
+argv: acceptance criterion 09 runs it with its own config, and
+`tests/test_scripts.py` compares seed 0's `hash_lines` with the record in
+`tests/data/pipeline_hashes.txt`.
 Prints one `seed <S> <file> <sha256>` line per artifact of the default
 schedule, then one `seed <S> trained/<file> <sha256>` line per artifact of
 the trained one, so that two trees can be compared byte for byte by diffing
@@ -26,7 +31,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from setkp.cli import main as setkp
 
@@ -41,16 +46,16 @@ SCHEDULES = {
 
 def commands(workdir: Path, config: Path, corpus_options: Sequence[str] = (),
              train_options: Sequence[str] = ()) -> list[list[str]]:
-    """The six commands' argv, each with ``--config config``, writing
-    ``FILES`` into workdir."""
+    """The six commands' argv, writing ``FILES`` into workdir; the three
+    that take a config file get ``--config config``."""
     corpus, ckpt, loss, preds, portraits, scores, report = (str(workdir / f) for f in FILES)
     c = ["--config", str(config)]
     return [
         ["gen-corpus", *c, *corpus_options, "--out", corpus],
         ["train", *c, "--corpus", corpus, "--out-ckpt", ckpt, "--loss-csv", loss, *train_options],
-        ["generate", *c, "--ckpt", ckpt, "--corpus", corpus, "--out", preds],
-        ["portrait", *c, "--ckpt", ckpt, "--corpus", corpus, "--out", portraits],
-        ["eval", *c, "--predictions", preds, "--corpus", corpus, "--out", scores],
+        ["generate", "--ckpt", ckpt, "--corpus", corpus, "--out", preds],
+        ["portrait", "--ckpt", ckpt, "--corpus", corpus, "--out", portraits],
+        ["eval", "--predictions", preds, "--corpus", corpus, "--out", scores],
         ["analyze", *c, "--portraits", portraits, "--corpus", corpus, "--out", report],
     ]
 
@@ -72,6 +77,18 @@ def run_pipeline(workdir: Path, config_text: str, corpus_options: Sequence[str] 
     return {name: (workdir / name).read_bytes() for name in FILES}
 
 
+def hash_lines(seed: int, n_docs: int) -> Iterator[str]:
+    """One `seed <S> <schedule><file> <sha256>` line per artifact of each
+    schedule's pipeline on ``synth_corpus(seed, n_docs)``, in ``SCHEDULES``
+    and ``FILES`` order."""
+    for schedule, (config_text, train_options) in SCHEDULES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            artifacts = run_pipeline(Path(tmp), config_text,
+                                     ["--seed", str(seed), "--n-docs", str(n_docs)], train_options)
+        for name, data in artifacts.items():
+            yield f"seed {seed} {schedule}{name} {hashlib.sha256(data).hexdigest()}"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 2], help="corpus seeds")
@@ -79,16 +96,11 @@ def main():
     args = ap.parse_args()
 
     for seed in args.seeds:
-        for schedule, (config_text, train_options) in SCHEDULES.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                try:
-                    artifacts = run_pipeline(Path(tmp), config_text,
-                                             ["--seed", str(seed), "--n-docs", str(args.n_docs)],
-                                             train_options)
-                except RuntimeError as e:
-                    sys.exit(f"seed {seed}: {e}")
-            for name, data in artifacts.items():
-                print(f"seed {seed} {schedule}{name} {hashlib.sha256(data).hexdigest()}", flush=True)
+        try:
+            for line in hash_lines(seed, args.n_docs):
+                print(line, flush=True)
+        except RuntimeError as e:
+            sys.exit(f"seed {seed}: {e}")
 
 
 if __name__ == "__main__":

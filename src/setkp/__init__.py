@@ -1,22 +1,19 @@
 """Set-prediction keyphrase generation with keyword-guided calibration,
 multi-level document portraits, and downstream classification analysis.
 
-Importing the package pins OpenBLAS to one thread unless one of
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set.
-The model's products are a few hundred rows by 64 columns, and on small
-hosts OpenBLAS's thread hand-off costs more than such a product; some
-weight-gradient products also round differently at another thread count.
-OpenBLAS reads the variable only when numpy loads, so the package also sets
-the count through the setter of the OpenBLAS that numpy loaded, which holds
+Importing the package pins OpenBLAS to one thread, whatever thread count
+the environment sets. The model's products are a few hundred rows by 64
+columns, and on small hosts OpenBLAS's thread hand-off costs more than such
+a product; some weight-gradient products also round differently at another
+thread count, so one count keeps every artifact's bytes. OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` only when numpy loads, so the package also sets the
+count through the setter of the OpenBLAS that numpy loaded, which holds
 when numpy was imported first.
 """
 
 import os
 
-_PIN = not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                         "MKL_NUM_THREADS"))
-if _PIN:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 
@@ -48,8 +45,7 @@ def _pin_loaded_openblas() -> None:
                 return
 
 
-if _PIN:
-    _pin_loaded_openblas()
+_pin_loaded_openblas()
 
 __all__ = [
     "Model",

@@ -18,10 +18,11 @@ from .synth import distinct_word_count, synth_corpus
 from .training import tsmt_train
 
 
-def _command(sub, name: str, help: str, seed: bool = False) -> argparse.ArgumentParser:
+def _command(sub, name: str, help: str, settings: bool = False) -> argparse.ArgumentParser:
+    """A subcommand; one that reads run settings takes --config and --seed."""
     p = sub.add_parser(name, help=help)
-    p.add_argument("--config", help="key = value config file")
-    if seed:
+    if settings:
+        p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="run seed")
     return p
 
@@ -30,11 +31,11 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setkp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "gen-corpus", "emit a synthetic corpus JSONL", seed=True)
+    p = _command(sub, "gen-corpus", "emit a synthetic corpus JSONL", settings=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-docs", type=int, help="documents to synthesize")
 
-    p = _command(sub, "train", "run the staged training schedule", seed=True)
+    p = _command(sub, "train", "run the staged training schedule", settings=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-ckpt", required=True)
     p.add_argument("--loss-csv", help="per-epoch loss report")
@@ -59,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="per-document + macro CSV")
 
-    p = _command(sub, "analyze", "portrait-based classification report", seed=True)
+    p = _command(sub, "analyze", "portrait-based classification report", settings=True)
     p.add_argument("--portraits", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
@@ -97,7 +98,8 @@ def _load_model(ckpt_path: str) -> tuple[Model, Vocabulary, dict]:
     return Model(cfg, store), vocab, meta
 
 
-def _parse_levels(raw: str | None) -> set[int] | None:
+def _parse_levels(raw: str | None, docs) -> set[int] | None:
+    """The --levels subset, each level one that some document of ``docs`` has."""
     if raw is None:
         return None
     try:
@@ -106,6 +108,9 @@ def _parse_levels(raw: str | None) -> set[int] | None:
         raise ValueError(f"bad --levels value {raw!r}; expected e.g. 1,2")
     if not levels or min(levels) < 1:
         raise ValueError(f"--levels needs one or more levels of at least 1, got {raw!r}")
+    absent = sorted(levels - {seg.level for doc in docs for seg in doc.segments})
+    if absent:
+        raise ValueError(f"--levels {raw!r}: no corpus document has level {absent[0]}")
     return levels
 
 
@@ -125,8 +130,8 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     rc = _run_config(args)
-    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
-    vocab = Vocabulary.build(docs, rc.min_freq)
+    docs = load_jsonl(args.corpus)
+    vocab = Vocabulary.build(docs)
     model = Model.fresh(rc.model_config(len(vocab)), rc.seed)
 
     probe_fn = None
@@ -174,9 +179,8 @@ def prediction_rows(model, vocab, docs) -> list[dict]:
 
 
 def cmd_generate(args) -> int:
-    rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
-    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
+    docs = load_jsonl(args.corpus)
     rows = prediction_rows(model, vocab, docs)
     write_jsonl(args.out, rows)
     print(f"generated for {len(rows)} documents -> {args.out}", file=sys.stderr)
@@ -186,9 +190,8 @@ def cmd_generate(args) -> int:
 def cmd_portrait(args) -> int:
     if args.max_levels is not None and args.max_levels < 1:
         raise ValueError(f"--max-levels must be at least 1, got {args.max_levels}")
-    rc = _run_config(args)
     model, vocab, _ = _load_model(args.ckpt)
-    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
+    docs = load_jsonl(args.corpus)
     portraits = inference.portraits(
         model, vocab, docs, max_levels=args.max_levels,
         padding_keywords=[inference.padding_keyword_spans(d) for d in docs])
@@ -223,8 +226,7 @@ def _eval_record(doc, row) -> metrics.EvalRecord:
 
 
 def cmd_eval(args) -> int:
-    rc = _run_config(args)
-    docs = {d.doc_id: d for d in load_jsonl(args.corpus, rc.max_segment_tokens)}
+    docs = {d.doc_id: d for d in load_jsonl(args.corpus)}
 
     def record(row: dict) -> metrics.EvalRecord:
         doc = docs.get(typed(row, "id", str))
@@ -235,6 +237,10 @@ def cmd_eval(args) -> int:
     records = parse_jsonl(args.predictions, record)
     if not records:
         raise ValueError(f"{args.predictions}: no predictions to score")
+    scored = {r.doc_id for r in records}
+    missing = [doc_id for doc_id in docs if doc_id not in scored]
+    if missing:
+        raise ValueError(f"predictions missing for {len(missing)} documents, e.g. {missing[0]!r}")
     per_doc, macro = metrics.evaluate(records)
     metrics.write_eval_csv(args.out, per_doc, macro)
     print(metrics.format_eval_table(macro), file=sys.stderr)
@@ -244,13 +250,13 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     rc = _run_config(args)
-    docs = load_jsonl(args.corpus, rc.max_segment_tokens)
+    docs = load_jsonl(args.corpus)
+    levels = _parse_levels(args.levels, docs)
     portraits = {p.doc_id: p for p in inference.load_portraits(args.portraits)}
     missing = [d.doc_id for d in docs if d.doc_id not in portraits]
     if missing:
         raise ValueError(f"portraits missing for {len(missing)} documents, e.g. {missing[0]!r}")
     modes = list(analysis.MODES) if args.mode == "all" else [args.mode]
-    levels = _parse_levels(args.levels)
     results = analysis.run_experiment(docs, portraits, modes, levels, rc.seed)
     analysis.write_analysis_csv(args.out, results)
     print(analysis.format_analysis_table(results), file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Flat run configuration: defaults < config file < environment < flags.
+"""Flat run configuration: defaults < config file < flags.
 
 The model and training keys, with their types and defaults, are the fields of
 ModelConfig (all but vocab_size, which the corpus decides) and TsmtConfig;
@@ -7,15 +7,14 @@ building a RunConfig runs those classes' checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .corpus import MAX_SEGMENT_TOKENS
 from .model import ModelConfig
 from .training import TsmtConfig
 
-ENV_PREFIX = "SETKP_"
 _MODEL_KEYS = [f.name for f in fields(ModelConfig) if f.name != "vocab_size"]
 _TRAIN_KEYS = [f.name for f in fields(TsmtConfig)]
 _ModelAndTrainKeys = make_dataclass("_ModelAndTrainKeys", [
@@ -27,14 +26,12 @@ _ModelAndTrainKeys = make_dataclass("_ModelAndTrainKeys", [
 @dataclass
 class RunConfig(_ModelAndTrainKeys):
     n_docs: int = 64
-    max_segment_tokens: int = MAX_SEGMENT_TOKENS
-    min_freq: int = 1
+    # not a key: every command segments a corpus with this one budget
+    max_segment_tokens: ClassVar[int] = MAX_SEGMENT_TOKENS
 
     def __post_init__(self):
         if self.n_docs < 1:
             raise ValueError("n_docs must be >= 1")
-        if self.max_segment_tokens < MAX_SEGMENT_TOKENS:
-            raise ValueError(f"max_segment_tokens must be >= {MAX_SEGMENT_TOKENS}")
         self.model_config(0)
         self.train_config()
 
@@ -55,15 +52,6 @@ _PARSERS = {
 }
 
 
-def _coerce(key: str, raw: str):
-    parse, what = _PARSERS[KEY_TYPES[key]]
-    raw = raw.strip()
-    try:
-        return parse(raw)
-    except (KeyError, ValueError):
-        raise ValueError(f"{key}: {raw!r} is not {what}") from None
-
-
 def parse_config_file(path: str | Path) -> dict:
     """key = value lines; '#' comments; unknown keys are errors."""
     out = {}
@@ -76,34 +64,20 @@ def parse_config_file(path: str | Path) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in KEY_TYPES:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+        parse, what = _PARSERS[KEY_TYPES[key]]
         try:
-            out[key] = _coerce(key, raw)
-        except ValueError as e:
-            raise ValueError(f"{path}:{ln}: {e}") from None
-    return out
-
-
-def env_overrides(environ=None) -> dict:
-    env = os.environ if environ is None else environ
-    out = {}
-    for key in KEY_TYPES:
-        var = ENV_PREFIX + key.upper()
-        if var in env:
-            try:
-                out[key] = _coerce(key, env[var])
-            except ValueError as e:
-                raise ValueError(f"{var}: {e}") from None
+            out[key] = parse(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{ln}: {key}: {raw!r} is not {what}") from None
     return out
 
 
 def load_run_config(config_path: str | Path | None = None,
-                    flag_overrides: dict | None = None,
-                    environ=None) -> RunConfig:
-    """Merge the four layers in precedence order."""
+                    flag_overrides: dict | None = None) -> RunConfig:
+    """Defaults, then the config file's keys, then the flags that were given."""
     merged: dict = {}
     if config_path is not None:
         merged.update(parse_config_file(config_path))
-    merged.update(env_overrides(environ))
     if flag_overrides:
         merged.update({k: v for k, v in flag_overrides.items() if v is not None})
     return RunConfig(**merged)

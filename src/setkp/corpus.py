@@ -420,7 +420,7 @@ def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:
 
 # ---------------------------------------------------------------- vocabulary
 
-# words of the decoding prompt template; in the vocabulary whatever min_freq
+# words of the decoding prompt template; always in the vocabulary
 PROMPT_WORDS = ("keyphrases", "from", "higher", "level", "find")
 
 
@@ -456,10 +456,10 @@ class Vocabulary:
         return [self.index.get(t, unk) for t in toks]
 
     @classmethod
-    def build(cls, docs: list[MultiLevelDocument], min_freq: int = 1) -> "Vocabulary":
-        """Specials, then corpus words (text + keyphrases + prompt words) by
-        descending frequency, ties alphabetical. Words seen fewer than
-        ``min_freq`` times are left out, except the prompt words."""
+    def build(cls, docs: list[MultiLevelDocument]) -> "Vocabulary":
+        """Specials, then every corpus word (text + keyphrases) and the prompt
+        words by descending frequency, ties alphabetical. A prompt word
+        counts once more than the corpus holds it, which sets its place."""
         freq: dict[str, int] = {}
         for d in docs:
             for tok in d.all_tokens():
@@ -470,9 +470,5 @@ class Vocabulary:
                     freq[tok] = freq.get(tok, 0) + 1
         for w in PROMPT_WORDS:
             freq[w] = freq.get(w, 0) + 1
-        words = sorted(
-            (w for w, c in freq.items()
-             if (c >= min_freq or w in PROMPT_WORDS) and w not in SPECIALS),
-            key=lambda w: (-freq[w], w),
-        )
+        words = sorted((w for w in freq if w not in SPECIALS), key=lambda w: (-freq[w], w))
         return cls(list(SPECIALS) + words)

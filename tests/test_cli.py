@@ -54,11 +54,11 @@ def pipeline(tmp_path_factory):
         ["gen-corpus", "--config", c, "--out", str(paths["corpus"]), "--seed", "3"],
         ["train", "--config", c, "--corpus", str(paths["corpus"]),
          "--out-ckpt", str(paths["ckpt"]), "--loss-csv", str(paths["loss"]), "--seed", "3"],
-        ["generate", "--config", c, "--ckpt", str(paths["ckpt"]),
+        ["generate", "--ckpt", str(paths["ckpt"]),
          "--corpus", str(paths["corpus"]), "--out", str(paths["preds"])],
-        ["portrait", "--config", c, "--ckpt", str(paths["ckpt"]),
+        ["portrait", "--ckpt", str(paths["ckpt"]),
          "--corpus", str(paths["corpus"]), "--out", str(paths["portraits"])],
-        ["eval", "--config", c, "--predictions", str(paths["preds"]),
+        ["eval", "--predictions", str(paths["preds"]),
          "--corpus", str(paths["corpus"]), "--out", str(paths["eval"])],
         ["analyze", "--config", c, "--portraits", str(paths["portraits"]),
          "--corpus", str(paths["corpus"]), "--out", str(paths["analysis"]), "--seed", "3"],
@@ -106,7 +106,7 @@ def test_generate_rows_cover_corpus(pipeline):
 
 def test_generate_deterministic(tmp_path, pipeline):
     out = tmp_path / "again.jsonl"
-    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+    assert main(["generate", "--ckpt", str(pipeline["ckpt"]),
                  "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
     assert out.read_bytes() == pipeline["preds"].read_bytes()
 
@@ -164,20 +164,21 @@ def test_inference_commands_keep_the_traced_benchmark_counts(tmp_path, pipeline,
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("preset, want", [
-    ({}, "1"),
-    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
-    ({"OMP_NUM_THREADS": "2"}, None),
-    ({"MKL_NUM_THREADS": "2"}, None),
+@pytest.mark.parametrize("preset", [
+    {},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "2"},
+    {"MKL_NUM_THREADS": "2"},
 ])
-def test_import_pins_openblas_unless_a_thread_count_is_set(preset, want):
+def test_import_pins_openblas_whatever_thread_count_is_set(preset):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS when numpy loads
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import os, setkp, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(want)
+    assert proc.stdout.strip() == "1"
 
 
 _NUMPY_OPENBLAS = sorted(
@@ -185,10 +186,10 @@ _NUMPY_OPENBLAS = sorted(
 
 
 @pytest.mark.skipif(not _NUMPY_OPENBLAS, reason="numpy does not bundle OpenBLAS")
-@pytest.mark.parametrize("preset, want", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
-def test_import_after_numpy_pins_the_loaded_openblas(preset, want):
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_import_after_numpy_pins_the_loaded_openblas(preset):
     # numpy is loaded, and its OpenBLAS has read the environment, before
-    # setkp is imported; a thread count the user sets still wins
+    # setkp is imported; the pin overrides a thread count the user set
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = ("import ctypes, sys, numpy, setkp\n"
@@ -199,7 +200,7 @@ def test_import_after_numpy_pins_the_loaded_openblas(preset, want):
     proc = subprocess.run([sys.executable, "-c", code, str(_NUMPY_OPENBLAS[0])], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == want
+    assert int(proc.stdout) == 1
 
 
 def test_corpus_and_training_commands_load_no_scipy(tmp_path, pipeline):
@@ -228,7 +229,7 @@ def test_corpus_and_training_commands_load_no_scipy(tmp_path, pipeline):
 def test_inference_commands_leave_scipy_optimize_unloaded(tmp_path, pipeline):
     # no command needs scipy.optimize, which more than doubles the memory and
     # start-up time of an inference command
-    runs = [[*_argv(cmd, pipeline, tmp_path / cmd), "--config", str(pipeline["cfg"])]
+    runs = [_argv(cmd, pipeline, tmp_path / cmd)
             for cmd in ("generate", "eval", "portrait", "analyze")]
     code = ("import json, sys, setkp, setkp.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -303,7 +304,7 @@ def test_analyze_single_mode_and_levels(tmp_path, pipeline):
 def test_eval_unknown_doc_id_fails(tmp_path, pipeline, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "nope", "segments": []}) + "\n", encoding="utf-8")
-    rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(bad),
+    rc = main(["eval", "--predictions", str(bad),
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "e.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {bad}:1: predictions reference unknown document 'nope'\n"
@@ -314,7 +315,7 @@ def test_eval_names_a_malformed_predictions_line(tmp_path, pipeline, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(lines[0] + "\n\n" + lines[1][:-1] + "\n", encoding="utf-8")  # line 3 cut short
     out = tmp_path / "e.csv"
-    rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(bad),
+    rc = main(["eval", "--predictions", str(bad),
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:3: malformed JSON")
@@ -325,7 +326,7 @@ def test_eval_rejects_an_empty_predictions_file(tmp_path, pipeline, capsys):
     empty = tmp_path / "none.jsonl"
     empty.write_text("", encoding="utf-8")
     out = tmp_path / "e.csv"
-    rc = main(["eval", "--config", str(pipeline["cfg"]), "--predictions", str(empty),
+    rc = main(["eval", "--predictions", str(empty),
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {empty}: no predictions to score\n"
@@ -379,7 +380,7 @@ def test_malformed_input_names_file_and_line(tmp_path, pipeline, capsys, cmd, so
     bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     flag = "--predictions" if cmd == "eval" else "--portraits"
     out = tmp_path / "out.csv"
-    rc = main([cmd, "--config", str(pipeline["cfg"]), flag, str(bad),
+    rc = main([cmd, flag, str(bad),
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
@@ -395,7 +396,7 @@ def outputs64(tmp_path_factory, pipeline):
     assert main(["gen-corpus", "--config", c, "--n-docs", "64", "--seed", "3",
                  "--out", str(paths["corpus"])]) == 0
     for cmd, out in (("generate", "preds"), ("portrait", "portraits")):
-        assert main([cmd, "--config", c, "--ckpt", ckpt, "--corpus", str(paths["corpus"]),
+        assert main([cmd, "--ckpt", ckpt, "--corpus", str(paths["corpus"]),
                      "--out", str(paths[out])]) == 0
     return paths
 
@@ -409,7 +410,7 @@ def test_repeated_document_id_names_both_lines(tmp_path, pipeline, outputs64, ca
     bad.write_text("".join(line + "\n" for line in lines + [lines[1]]), encoding="utf-8")
     flag = "--predictions" if cmd == "eval" else "--portraits"
     out = tmp_path / "out.csv"
-    rc = main([cmd, "--config", str(pipeline["cfg"]), flag, str(bad),
+    rc = main([cmd, flag, str(bad),
                "--corpus", str(outputs64["corpus"]), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {bad}:65: document id 'doc-0001' "
@@ -427,7 +428,7 @@ def test_inference_commands_name_an_empty_segment_before_encoding(tmp_path, pipe
     encodes = []
     monkeypatch.setattr(Model, "encode", lambda self, ids: encodes.append(ids))
     out = tmp_path / "out.jsonl"
-    rc = main([cmd, "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+    rc = main([cmd, "--ckpt", str(pipeline["ckpt"]),
                "--corpus", str(corpus), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (f"error: document {rows[1]['id']!r} level 1: segment of 0 "
@@ -462,6 +463,32 @@ def test_levels_flag_rejects_empty_or_non_positive_levels(tmp_path, pipeline, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, level", [("99", 99), ("1,4,9", 4)])
+def test_levels_flag_rejects_a_level_no_document_has(tmp_path, pipeline, capsys, value, level):
+    assert max(len(d.segments) for d in load_jsonl(pipeline["corpus"])) < 4
+    out = tmp_path / "a.csv"
+    rc = main(["analyze", "--portraits", str(pipeline["portraits"]),
+               "--corpus", str(pipeline["corpus"]), "--out", str(out), "--levels", value])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: --levels {value!r}: no corpus document has "
+                                       f"level {level}\n")
+    assert not out.exists()
+
+
+def test_eval_rejects_predictions_that_leave_out_a_document(tmp_path, pipeline, capsys):
+    lines = pipeline["preds"].read_text(encoding="utf-8").splitlines()
+    part = tmp_path / "part.jsonl"
+    part.write_text(lines[0] + "\n" + lines[3] + "\n", encoding="utf-8")
+    out = tmp_path / "e.csv"
+    rc = main(["eval", "--predictions", str(part), "--corpus", str(pipeline["corpus"]),
+               "--out", str(out)])
+    assert rc == 1
+    second = load_jsonl(pipeline["corpus"])[1].doc_id
+    assert capsys.readouterr().err == (f"error: predictions missing for 4 documents, "
+                                       f"e.g. {second!r}\n")
+    assert not out.exists()
+
+
 def test_missing_checkpoint_fails(tmp_path, pipeline, capsys):
     rc = main(["generate", "--ckpt", str(tmp_path / "absent.ckpt"),
                "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "p.jsonl")])
@@ -471,7 +498,7 @@ def test_missing_checkpoint_fails(tmp_path, pipeline, capsys):
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_portrait_rejects_max_levels_below_one(tmp_path, pipeline, capsys, value):
     out = tmp_path / "p.jsonl"
-    rc = main(["portrait", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+    rc = main(["portrait", "--ckpt", str(pipeline["ckpt"]),
                "--corpus", str(pipeline["corpus"]), "--out", str(out), "--max-levels", value])
     assert rc == 1
     assert f"--max-levels must be at least 1, got {value}" in capsys.readouterr().err
@@ -503,7 +530,7 @@ def test_inconsistent_checkpoint_rejected_at_load(tmp_path, pipeline, capsys,
                                                   edit_meta, drop, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.ckpt", edit_meta, drop)
     out = tmp_path / "p.jsonl"
-    rc = main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+    rc = main(["generate", "--ckpt", str(ckpt),
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
@@ -520,7 +547,7 @@ def test_non_finite_parameter_rejected_at_load(tmp_path, pipeline, capsys, value
 
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.ckpt", edit_param=poison)
     out = tmp_path / "p.jsonl"
-    rc = main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+    rc = main(["generate", "--ckpt", str(ckpt),
                "--corpus", str(pipeline["corpus"]), "--out", str(out)])
     assert rc == 1
     assert f"{ckpt}: parameter 'kg.w' holds a non-finite value" in capsys.readouterr().err
@@ -535,7 +562,7 @@ def test_large_finite_parameters_load(tmp_path, pipeline):
         return data
 
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "biased.ckpt", edit_param=bias_out)
-    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+    assert main(["generate", "--ckpt", str(ckpt),
                  "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "p.jsonl")]) == 0
 
 
@@ -545,7 +572,7 @@ def test_checkpoint_load_draws_no_model(tmp_path, pipeline, monkeypatch):
 
     monkeypatch.setattr(Model, "fresh", drawn)
     out = tmp_path / "p.jsonl"
-    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["ckpt"]),
+    assert main(["generate", "--ckpt", str(pipeline["ckpt"]),
                  "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
     assert out.read_bytes() == pipeline["preds"].read_bytes()
 
@@ -555,7 +582,7 @@ def test_checkpoint_with_minimal_metadata_accepted(tmp_path, pipeline):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "min.ckpt",
                                lambda m: {k: m[k] for k in keep})
     out = tmp_path / "p.jsonl"
-    assert main(["generate", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt),
+    assert main(["generate", "--ckpt", str(ckpt),
                  "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
     assert out.read_bytes() == pipeline["preds"].read_bytes()
 
@@ -584,17 +611,26 @@ def test_parse_config_rejects_bad_bool(tmp_path):
         parse_config_file(p)
 
 
-def test_config_precedence_flags_over_env_over_file(tmp_path):
+def test_config_precedence_flags_over_file(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("epochs = 5\ne1 = 2\nbatch_size = 2\nd = 16\n", encoding="utf-8")
-    rc = load_run_config(p, {"epochs": 9}, environ={"SETKP_EPOCHS": "7", "SETKP_BATCH_SIZE": "4"})
+    p.write_text("epochs = 5\ne1 = 2\nd = 16\n", encoding="utf-8")
+    rc = load_run_config(p, {"epochs": 9})
     assert rc.epochs == 9  # flag wins
-    assert rc.batch_size == 4  # env beats file
     assert rc.d == 16  # file beats default
+    assert rc.batch_size == RunConfig().batch_size
+
+
+def test_setkp_environment_leaves_the_checkpoint_unchanged(tmp_path, pipeline, monkeypatch):
+    # a run's settings come from its config file and flags only
+    monkeypatch.setenv("SETKP_EPOCHS", "4")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+                 "--out-ckpt", str(ckpt), "--seed", "3"]) == 0
+    assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
 
 
 def test_config_none_flags_ignored():
-    rc = load_run_config(None, {"epochs": None, "seed": 11}, environ={})
+    rc = load_run_config(None, {"epochs": None, "seed": 11})
     assert rc.epochs == RunConfig().epochs
     assert rc.seed == 11
 
@@ -610,8 +646,7 @@ def test_run_config_builds_model_and_train_configs():
 
 def test_config_keys_are_the_model_and_train_fields(tmp_path):
     keys = [f for f in fields(ModelConfig) if f.name != "vocab_size"] + list(fields(TsmtConfig))
-    pipeline_keys = {"n_docs", "max_segment_tokens", "min_freq"}
-    assert {f.name for f in fields(RunConfig)} == {f.name for f in keys} | pipeline_keys
+    assert {f.name for f in fields(RunConfig)} == {f.name for f in keys} | {"n_docs"}
     p = tmp_path / "c.cfg"
     for f in keys:
         assert getattr(RunConfig(), f.name) == f.default
@@ -632,6 +667,7 @@ def _argv(cmd: str, pipeline: dict, out) -> list[str]:
 
 
 COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
+CONFIG_COMMANDS = ["gen-corpus", "train", "analyze"]
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
@@ -641,15 +677,23 @@ COMMANDS = ["gen-corpus", "train", "generate", "portrait", "eval", "analyze"]
     ("batch_size = 0", "batch_size must be >= 1"),
     ("ffn_width = 0", "ffn_width must be >= 1"),
     ("max_encode_len = 0", "max_encode_len must be >= 1"),
-    ("max_segment_tokens = 8", "max_segment_tokens must be >= 32"),
     ("n_docs = 0", "n_docs must be >= 1"),
+    # one segment budget and one vocabulary rule for every command: not keys
+    ("max_segment_tokens = 400", "unknown key 'max_segment_tokens'"),
+    ("min_freq = 2", "unknown key 'min_freq'"),
 ])
 def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cmd, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*_argv(cmd, pipeline, out), "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    argv = [*_argv(cmd, pipeline, out), "--config", str(cfg)]
+    if cmd in CONFIG_COMMANDS:
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+    else:  # a command that reads no setting takes no config file
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -660,7 +704,7 @@ def test_out_to_standard_output_carries_only_the_artifact(tmp_path, pipeline, cm
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
     def run(out):
-        argv = [*_argv(cmd, pipeline, out), "--config", str(pipeline["cfg"])]
+        argv = _argv(cmd, pipeline, out)
         proc = subprocess.run([sys.executable, "-m", "setkp.cli", *argv], env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -677,14 +721,8 @@ def test_bad_config_file_value_names_file_line_and_key(tmp_path, pipeline, capsy
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 5\nd =\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*_argv("generate", pipeline, out), "--config", str(cfg)]) == 1
+    assert main([*_argv("train", pipeline, out), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {cfg}:2: d: '' is not an int"
-
-
-def test_bad_env_value_names_variable(tmp_path, pipeline, capsys, monkeypatch):
-    monkeypatch.setenv("SETKP_LR", "fast")
-    assert main(_argv("eval", pipeline, tmp_path / "out")) == 1
-    assert capsys.readouterr().err.strip() == "error: SETKP_LR: lr: 'fast' is not a float"
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
@@ -692,5 +730,6 @@ def test_seed_flag_only_on_commands_that_read_it(cmd, capsys):
     with pytest.raises(SystemExit):
         main([cmd, "--help"])
     out = capsys.readouterr().out
-    assert ("--seed" in out) == (cmd in {"gen-corpus", "train", "analyze"})
+    assert ("--seed" in out) == (cmd in CONFIG_COMMANDS)
+    assert ("--config" in out) == (cmd in CONFIG_COMMANDS)
     assert "--threads" not in out

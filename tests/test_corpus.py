@@ -272,7 +272,7 @@ def test_jsonl_roundtrip(tmp_path):
 def test_load_jsonl_defaults_to_the_pipeline_segment_budget(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_jsonl(path, synth_corpus(11, 6))
-    cli_docs = load_jsonl(path, RunConfig().max_segment_tokens)  # what `setkp train` loads
+    cli_docs = load_jsonl(path, RunConfig().max_segment_tokens)  # what bench/workloads.py loads
     assert any(len(d.segments) > 2 for d in cli_docs)
     assert ([[s.tokens for s in d.segments] for d in load_jsonl(path)]
             == [[s.tokens for s in d.segments] for d in cli_docs])
@@ -483,9 +483,14 @@ def test_vocab_includes_keyphrase_and_prompt_words():
         assert w in v.index, w
 
 
-def test_vocab_keeps_prompt_words_above_the_frequency_floor():
-    v = Vocabulary.build(synth_corpus(0, 64), min_freq=2)
-    assert all(w in v.index for w in PROMPT_WORDS)
+def test_vocab_ranks_a_prompt_word_by_its_count_plus_one():
+    # "find" occurs once, like "beta", but ties "alpha" at two
+    doc = MultiLevelDocument(doc_id="d", title="alpha find", abstract="alpha beta.",
+                             claims="gamma.", present_keyphrases=[], absent_keyphrases=[])
+    build_segments(doc, 32)
+    v = Vocabulary.build([doc])
+    assert v.tokens[len(SPECIALS):] == ["alpha", "find", "beta", "from", "gamma", "higher",
+                                        "keyphrases", "level"]
     assert v.unk_id not in v.encode(tokenize(PROMPT_PREFIX + PROMPT_INFIX))
 
 
