@@ -57,7 +57,7 @@ def main():
     present, absent = d.keyphrase_tokens()
     print(f"\n{d.doc_id}: present={present} absent={absent}")
     generated = inference.generate_segments(model, vocab, [seg.tokens for seg in d.segments])
-    for seg, (slots, _) in zip(d.segments, generated):
+    for seg, slots in zip(d.segments, generated):
         print(f"  L{seg.level}:", [s.text if not s.is_null else "-" for s in slots])
 
 

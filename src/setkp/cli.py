@@ -160,7 +160,7 @@ def prediction_rows(model, vocab, docs) -> list[dict]:
     for doc in docs:
         segs = []
         for seg in doc.segments:
-            slots, _ = next(generated)
+            slots = next(generated)
             kept = inference.filter_predictions(slots)
             segs.append({
                 "level": seg.level,

@@ -136,8 +136,8 @@ def encode_and_tag(
     needs no padding mask, so every segment gets the bits of its own
     single encode.
 
-    Yields (index into ``segments``, (S, d) states, spans) one encode call
-    at a time, so that a caller that decodes as it goes holds only one
+    Yields (index into ``segments``, (1, S, d) states, spans) one encode
+    call at a time, so that a caller that decodes as it goes holds only one
     call's states. Spans are None when ``tag`` is false.
     """
     n = model.cfg.max_encode_len
@@ -153,12 +153,12 @@ def encode_and_tag(
             with no_grad():
                 states = model.encode([vocab.encode(segments[i])[:n] for i in chunk]).data
             for b, i in enumerate(chunk):
-                seg_states, spans = Tensor(states[b]), None
+                seg_states, spans = Tensor(states[b : b + 1]), None
                 if tag:
                     # one segment per call: in a (B*S, d) @ (d, 3) product a
                     # row's bits depend on its offset, so on the other segments
                     with no_grad():
-                        tag_probs = model.kwe_probs(seg_states).data
+                        tag_probs = model.kwe_probs(seg_states).data[0]
                     spans = model.predict_keywords(tag_probs, segments[i][:n])
                 yield i, seg_states, spans
 
@@ -175,8 +175,8 @@ def generate_segments(
     model: Model,
     vocab: Vocabulary,
     segments: Sequence[list[str]],
-) -> list[tuple[list[SlotPrediction], list[KeywordSpan]]]:
-    """(raw slot outputs, keyword spans) of every segment, in input order.
+) -> list[list[SlotPrediction]]:
+    """Raw slot outputs of every segment, in input order.
 
     Each segment's slots are conditioned on the spans tagged on its own
     states and decoded by one ``generate_slots`` call, right after its
@@ -184,14 +184,14 @@ def generate_segments(
     """
     out: list = [None] * len(segments)
     for i, states, spans in encode_and_tag(model, vocab, segments):
-        out[i] = _decode(model, vocab, states, spans), spans
+        out[i] = _decode(model, vocab, states, spans)
     return out
 
 
 def extract_keywords(model: Model, vocab: Vocabulary, tokens: list[str]) -> list[KeywordSpan]:
     """Keyword spans of one token stream (confidence order): a batch of one
-    through ``encode_and_tag``. Kept for single-input callers and tests, and
-    because the benchmark's tracer times it by name."""
+    through ``encode_and_tag``. Kept because the benchmark's tracer times it
+    by name."""
     ((_, _, spans),) = encode_and_tag(model, vocab, [tokens])
     return spans
 
@@ -200,7 +200,7 @@ def slot_ratios(model: Model, vocab: Vocabulary,
                 segments: list[list[str]]) -> tuple[float, float]:
     """Mean per-segment (null ratio, duplication ratio) of the raw slot outputs."""
     outs = [[(s.tokens, s.is_null) for s in slots]
-            for slots, _ in generate_segments(model, vocab, segments)]
+            for slots in generate_segments(model, vocab, segments)]
     nulls = [null_ratio(o) for o in outs]
     dups = [duplication_ratio(o) for o in outs]
     return sum(nulls) / len(nulls), sum(dups) / len(dups)
@@ -348,8 +348,8 @@ def document_portrait(
     padding_keywords: list[list[str]] | None = None,
 ) -> Portrait:
     """One document's portrait: a batch of one through ``portraits``. Kept
-    for single-document callers and the acceptance tests, and because the
-    benchmark's tracer times it by name."""
+    for the acceptance criteria, which portray one document at a time, and
+    because the benchmark's tracer times it by name."""
     return portraits(model, vocab, [doc], max_levels, [padding_keywords])[0]
 
 

@@ -27,9 +27,9 @@ loop's steps.
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
 B*N slot rows, and each segment's slots cross-attend to its own states
-only. One segment is a batch of one, whose states ``encode`` returns as
-(S, d). Inference encodes equal-length segments as one unpadded batch,
-then still decodes each segment's N slot rows on their own.
+only. One segment is a batch of one: (1, S, d) states, N slot rows.
+Inference encodes equal-length segments as one unpadded batch, then still
+decodes each segment's N slot rows on their own.
 """
 
 from __future__ import annotations
@@ -318,26 +318,21 @@ class Model:
             x, *(self.store[prefix + n] for n in ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo")),
             bias, self.cfg.n_heads, self._inv_scale, mask=mask)
 
-    def encode(self, token_ids: Sequence[int] | Sequence[Sequence[int]]) -> Tensor:
-        """A batch of B id lists -> (B, S_max, d) contextual states.
+    def encode(self, token_ids: Sequence[Sequence[int]]) -> Tensor:
+        """A batch of B id lists -> (B, S_max, d) contextual states; one
+        segment is a batch of one.
 
         Each segment's rows past its own length are padding, which
         ``padding_mask`` keeps out of every attention, so a segment's rows
-        match its own encode up to float round-off. One (S,) id list is a
-        batch of one, returned as (S, d).
+        match its own encode up to float round-off.
         """
-        if len(token_ids) == 0 or np.isscalar(token_ids[0]):
-            return ag.reshape(self._encode([token_ids]), (len(token_ids), self.cfg.d))
-        return self._encode(token_ids)
-
-    def _encode(self, token_ids: Sequence[Sequence[int]]) -> Tensor:
         cfg = self.cfg
         lengths = [len(s) for s in token_ids]
-        for S in lengths:
-            if S < 1:
-                raise ValueError("cannot encode an empty sequence")
-            if S > cfg.max_encode_len:
-                raise ValueError(f"input of {S} tokens exceeds max_encode_len={cfg.max_encode_len}")
+        if not lengths or min(lengths) < 1:
+            raise ValueError("cannot encode an empty batch or an empty sequence")
+        if max(lengths) > cfg.max_encode_len:
+            raise ValueError(f"input of {max(lengths)} tokens exceeds "
+                             f"max_encode_len={cfg.max_encode_len}")
         ids, _ = padded(token_ids)
         mask = padding_mask(lengths)
         buckets = _buckets(ids.shape[1], cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=True)
@@ -398,8 +393,7 @@ class Model:
 
         enc_states is (B, S_max, d) from ``encode``, enc_mask its
         ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
-        each segment's N*T queries attend only to its own states. One
-        segment's (S, d) states are a batch of one.
+        each segment's N*T queries attend only to its own states.
 
         Without a cache this is the teacher-forced pass over steps 1..T,
         which training records on the tape; the result is (R*T, vocab)
@@ -416,7 +410,7 @@ class Model:
         """
         cfg = self.cfg
         R, T = prev_ids.shape
-        B = math.prod(enc_states.shape[:-2])
+        B = enc_states.shape[0]
         if R != B * cfg.n_slots:
             raise ValueError(f"{R} slot rows for {B} segment(s) of {cfg.n_slots} slots")
         if cache is not None:
@@ -428,10 +422,8 @@ class Model:
                 raise ValueError(f"all {cache.capacity} positions of the DecodeCache are decoded")
             return Tensor(self._decode_step(prev_ids, control.data, enc_states, B, cache, enc_mask))
 
-        states = (enc_states if enc_states.data.ndim == 3
-                  else ag.reshape(enc_states, (1, *enc_states.shape)))  # a batch of one
-        cross_kv = [(ag.matmul(states, self.store[f"dec.L{i}.ck"]),
-                     ag.matmul(states, self.store[f"dec.L{i}.cv"]))
+        cross_kv = [(ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
+                     ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
                     for i in range(cfg.n_dec_layers)]
         x = ag.add(
             ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(T, cfg.d))),
@@ -483,7 +475,7 @@ class Model:
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
         dh = d // H
         if cache.enc_states is None:
-            self._fill_cache(cache, enc_states, R, B)
+            self._fill_cache(cache, enc_states, R)
         elif cache.enc_states is not enc_states:
             raise ValueError("a DecodeCache serves the encoder states it was filled from")
         t0 = cache.steps
@@ -522,7 +514,7 @@ class Model:
         z += head_b
         return ag.softmax_array(z)
 
-    def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int, B: int) -> None:
+    def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int) -> None:
         """A cache's first step: take the step's parameter arrays, the
         position biases of its ``capacity`` positions, each layer's encoder
         keys and values split into heads, and allocate each layer's
@@ -537,7 +529,7 @@ class Model:
         rpe = np.stack([store[f"dec.rpe.h{h}"].data for h in range(H)])
         cache.bias = rpe[:, _buckets(cache.capacity, cfg.rpe_buckets, cfg.rpe_max_distance,
                                      bidirectional=False)]
-        states = enc_states.data.reshape(B, -1, d)
+        states = enc_states.data
         cache.cross_kv = [(ag.split_heads(ag.gemm(states, store[f"dec.L{i}.ck"].data), H),
                            ag.split_heads(ag.gemm(states, store[f"dec.L{i}.cv"].data), H))
                           for i in range(cfg.n_dec_layers)]

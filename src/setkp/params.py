@@ -126,10 +126,6 @@ class AdamW:
             # array, and stage-wise training re-differentiates older graphs
             p.data = p.data - upd
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
     """Write the container through ``corpus.output_file``; float payloads

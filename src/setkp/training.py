@@ -164,17 +164,15 @@ def kwe_class_weights(label_seqs: list[list[int]]) -> np.ndarray:
     return 1.0 / np.maximum(counts, 1.0)
 
 
-def loss_kwe(tag_probs: Tensor, labels: list[int] | list[list[int]],
-             class_weights: np.ndarray) -> Tensor:
-    """Mean weighted token cross-entropy of one segment: (S, 3) tag
-    distributions and S labels. A batch passes (B, S_max, 3) and B label
-    lists, padded as ``padded`` pads them, and gets the mean of its
-    segments' losses; padding rows carry weight 0."""
-    seqs = labels if tag_probs.data.ndim == 3 else [labels]
-    tgt, live = padded(seqs)
+def loss_kwe(tag_probs: Tensor, labels: list[list[int]], class_weights: np.ndarray) -> Tensor:
+    """Mean weighted token cross-entropy of a batch: (B, S_max, 3) tag
+    distributions and B label lists, padded as ``padded`` pads them; the
+    mean of its segments' losses, padding rows carrying weight 0. One
+    segment is a batch of one."""
+    tgt, live = padded(labels)
     w = class_weights[tgt] * live / live.sum(axis=1, keepdims=True)
     nll = ag.weighted_nll(ag.reshape(tag_probs, (-1, 3)), tgt.reshape(-1), w.reshape(-1))
-    return ag.scale(nll, 1.0 / len(seqs))
+    return ag.scale(nll, 1.0 / len(labels))
 
 
 def teacher_arrays(
@@ -314,8 +312,7 @@ def _batches(items: list, size: int) -> list[list]:
 def predicted_keywords(model: Model, ex: SegmentExample) -> list[KeywordSpan]:
     """Tape-free tagger keywords for one segment; criterion 07 replays an epoch with it."""
     with no_grad():
-        states = model.encode(ex.ids)
-        tag_probs = model.kwe_probs(states).data
+        tag_probs = model.kwe_probs(model.encode([ex.ids])).data[0]
     return model.predict_keywords(tag_probs, ex.tokens)
 
 

@@ -147,14 +147,14 @@ def test_02_gradients_match_finite_differences():
     weights = kwe_class_weights([labels])
 
     def extraction_loss():
-        return loss_kwe(model.kwe_probs(model.encode(ids)), labels, weights)
+        return loss_kwe(model.kwe_probs(model.encode([ids])), [labels], weights)
 
     tl = kwp_build_targets(kps, spans, cfg.n_slots, vocab, True)
     prev, tgt, w = teacher_arrays(tl.all(), list(range(cfg.n_slots)), vocab, TsmtConfig())
     cids = control_ids_for(spans, cfg, vocab)
 
     def generation_loss():
-        states = model.encode(ids)
+        states = model.encode([ids])
         return loss_kg(model.decode_probs(prev, model.control_rows(cids), states), tgt, w)
 
     enc_names = [n for n in model.store.names() if n.startswith(ENC_PREFIXES)]
@@ -308,7 +308,7 @@ def test_07_stage_freezing_contracts():
 
     enc_pre = _snapshot(model, ENC_PREFIXES)
     with Tape() as tape:
-        enc_states = [model.encode(ex.ids) for ex in batch]
+        enc_states = [model.encode([ex.ids]) for ex in batch]
         controls = [model.control_rows(cids) for cids in controls_ids]
         inner = []
         for _ in range(tcfg.e2):
@@ -323,14 +323,13 @@ def test_07_stage_freezing_contracts():
             lg = _mean_losses(per_seg)
             tape.backward(lg)
             dec_opt.step()
-            dec_opt.zero_grads()
             model.store.zero_grads()
             inner.append(lg)
         inner_ok = _unchanged(model, enc_pre)
         dec_mid = _snapshot(model, DEC_PREFIXES)
 
         per_kwe = [
-            loss_kwe(model.kwe_probs(states), ex.labels, weights)
+            loss_kwe(model.kwe_probs(states), [ex.labels], weights)
             for ex, states in zip(batch, enc_states)
         ]
         l2 = loss_encoder_stage3(_mean_losses(per_kwe), inner, tcfg.lambda_g)
@@ -368,7 +367,7 @@ def test_08_slot_control_isolation():
     prev[:, 1] = ids[0]
     prev[:, 2] = ids[1]
     with no_grad():
-        states = model.encode(ids)
+        states = model.encode([ids])
         pa = model.decode_probs(prev, model.control_rows(base), states).data
         pb = model.decode_probs(prev, model.control_rows(pert), states).data
     pa = pa.reshape(cfg.n_slots, T, -1)

@@ -170,7 +170,7 @@ def _small_model():
 
 def test_assign_groups_respects_halves():
     model, vocab, docs = _small_model()
-    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None] * 4)
     dists = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     present = [[5], [vocab.null_id]]
@@ -199,7 +199,7 @@ def test_assign_groups_prefers_matching_slot():
 
 def test_k_step_predict_shapes_and_rows():
     model, vocab, docs = _small_model()
-    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None] * 4)
     dists = k_step_predict(model, enc, control, k=3, bos_id=vocab.bos_id)
     assert dists.shape == (3, 4, len(vocab))
@@ -208,7 +208,7 @@ def test_k_step_predict_shapes_and_rows():
 
 def test_k_step_predict_is_deterministic():
     model, vocab, docs = _small_model()
-    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None] * 4)
     a = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     b = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
@@ -218,7 +218,7 @@ def test_k_step_predict_is_deterministic():
 def test_k_step_predict_matches_full_recompute():
     # the cached steps equal a loop that re-decodes the whole prefix
     model, vocab, docs = _small_model()
-    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None, [5], None, None])
     k = 4
     dists = k_step_predict(model, enc, control, k=k, bos_id=vocab.bos_id)

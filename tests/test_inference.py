@@ -5,7 +5,7 @@ import pytest
 
 from setkp import inference
 from setkp.assignment import k_step_predict
-from setkp.autograd import Tensor, no_grad
+from setkp.autograd import no_grad
 from setkp.corpus import (
     MultiLevelDocument,
     Vocabulary,
@@ -88,7 +88,7 @@ def test_prompt_tokens_zero_body_room():
 def test_generate_slots_structure():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode(ids)
+    enc = model.encode([ids])
     control = model.control_rows([None] * model.cfg.n_slots)
     slots = generate_slots(model, vocab, enc, control)
     assert len(slots) == model.cfg.n_slots
@@ -102,7 +102,7 @@ def test_generate_slots_structure():
 def test_generate_slots_max_len_bound():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode(ids)
+    enc = model.encode([ids])
     control = model.control_rows([None] * model.cfg.n_slots)
     model = Model(dataclasses.replace(model.cfg, max_kp_len=2), model.store)
     slots = generate_slots(model, vocab, enc, control)
@@ -112,7 +112,7 @@ def test_generate_slots_max_len_bound():
 def test_generate_slots_deterministic():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode(ids)
+    enc = model.encode([ids])
     control = model.control_rows([None] * model.cfg.n_slots)
     a = generate_slots(model, vocab, enc, control)
     b = generate_slots(model, vocab, enc, control)
@@ -159,7 +159,7 @@ def test_generate_slots_matches_full_recompute(bias_out, max_len):
         model = Model(dataclasses.replace(model.cfg, max_kp_len=max_len), model.store)
     m = model.cfg.max_kp_len
     for seg in docs[0].segments[:3]:
-        enc = model.encode(vocab.encode(seg.tokens))
+        enc = model.encode([vocab.encode(seg.tokens)])
         control = model.control_rows([None, [5], None, [7]])
         slots = generate_slots(model, vocab, enc, control)
         emitted, probs = _greedy_full_recompute(model, vocab, enc, control, m)
@@ -175,7 +175,7 @@ def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monke
     # generate_slots decodes until every slot has emitted EOS, at most
     # max_kp_len steps; k_step_predict always decodes all k steps
     model, vocab, docs = setup_model()
-    enc = model.encode(vocab.encode(docs[0].segments[0].tokens))
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None] * model.cfg.n_slots)
     calls = []
     decode_probs = Model.decode_probs
@@ -201,12 +201,21 @@ def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monke
     assert all(len(s.tokens) == model.cfg.max_kp_len for s in slots)
 
 
-def test_generate_segments_returns_spans():
+def test_generate_segments_decodes_on_the_tagged_spans():
+    # a segment's slots are those decoded on its own states under the
+    # control rows of the keyword spans tagged on them
     model, vocab, docs = setup_model()
     toks = docs[0].segments[0].tokens
-    slots, spans = generate_segments(model, vocab, [toks])[0]
+    (slots,) = generate_segments(model, vocab, [toks])
+    spans = extract_keywords(model, vocab, toks)
+    assert spans
+    with no_grad():
+        enc = model.encode([vocab.encode(toks)])
+        control = model.control_rows(control_ids_for(spans, model.cfg, vocab))
+    want = generate_slots(model, vocab, enc, control)
     assert len(slots) == model.cfg.n_slots
-    assert spans == extract_keywords(model, vocab, toks)
+    assert [(s.tokens, s.is_null, s.confidence) for s in slots] == [
+        (s.tokens, s.is_null, s.confidence) for s in want]
 
 
 # ------------------------------------------------------------ batched encode
@@ -221,11 +230,11 @@ def _mixed_segments(docs):
 
 
 def _single(model, vocab, tokens):
-    """Reference: one unbatched (S,) encode and its tag decode."""
+    """Reference: one segment's own batch-of-one encode and its tag decode."""
     toks = tokens[: model.cfg.max_encode_len]
     with no_grad():
-        states = model.encode(vocab.encode(toks))
-        tags = model.kwe_probs(states).data
+        states = model.encode([vocab.encode(toks)])
+        tags = model.kwe_probs(states).data[0]
     return states.data, model.predict_keywords(tags, toks)
 
 
@@ -249,9 +258,9 @@ def test_encode_and_tag_matches_single_encodes(order):
         assert np.array_equal(states, want_states)
         assert spans == want_spans
     slots = [[(s.tokens, s.is_null, s.confidence) for s in out]
-             for out, _ in generate_segments(model, vocab, segments)]
+             for out in generate_segments(model, vocab, segments)]
     assert slots == [[(s.tokens, s.is_null, s.confidence) for s in generate_segments(
-        model, vocab, [tokens])[0][0]] for tokens in segments]
+        model, vocab, [tokens])[0]] for tokens in segments]
 
 
 def test_encode_and_tag_splits_groups_over_the_row_budget(monkeypatch):
@@ -272,16 +281,6 @@ def test_encode_and_tag_splits_groups_over_the_row_budget(monkeypatch):
     for (a_states, a_spans), (b_states, b_spans) in zip(whole, split):
         assert np.array_equal(a_states, b_states)
         assert a_spans == b_spans
-
-
-def test_one_segment_batch_matches_the_unbatched_encode():
-    model, vocab, docs = setup_model()
-    ids = vocab.encode(docs[0].segments[1].tokens)
-    single = model.encode(ids).data
-    batch = model.encode([ids]).data
-    assert batch.shape == (1, *single.shape)
-    assert np.array_equal(batch[0], single)
-    assert np.array_equal(model.kwe_probs(Tensor(batch)).data[0], model.kwe_probs(Tensor(single)).data)
 
 
 # ------------------------------------------------------------------ filtering

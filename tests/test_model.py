@@ -176,17 +176,17 @@ def test_bucket_tables_bounded_and_sliced_in_any_order(bidirectional):
 def test_encode_shapes_and_determinism():
     cfg = tiny_cfg()
     model = Model.fresh(cfg, seed=0)
-    ids = [1, 5, 7, 2, 9]
+    ids = [[1, 5, 7, 2, 9]]
     a = model.encode(ids)
     b = model.encode(ids)
-    assert a.data.shape == (5, cfg.d)
+    assert a.data.shape == (1, 5, cfg.d)
     assert np.array_equal(a.data, b.data)
 
 
 def test_encode_rejects_bad_lengths():
     model = Model.fresh(tiny_cfg(), seed=0)
-    # one segment, then the same inside a batch
-    for token_ids in ([], [1] * 65, [[1, 2], []], [[1, 2], [1] * 65]):
+    # a batch of one segment, then the same segment inside a larger batch
+    for token_ids in ([[]], [[1] * 65], [[1, 2], []], [[1, 2], [1] * 65]):
         with pytest.raises(ValueError):
             model.encode(token_ids)
 
@@ -197,22 +197,22 @@ def test_encoder_uses_relative_biases():
     a = Model.fresh(cfg, seed=0)
     b = Model.fresh(cfg, seed=0)
     b.store["enc.rpe.h0"].data[0] += 5.0
-    ids = [1, 2, 3, 4, 5]
+    ids = [[1, 2, 3, 4, 5]]
     assert not np.allclose(a.encode(ids).data, b.encode(ids).data)
 
 
 def test_kwe_probs_rows_sum_to_one():
     model = Model.fresh(tiny_cfg(), seed=0)
-    probs = model.kwe_probs(model.encode([1, 2, 3]))
-    assert probs.data.shape == (3, 3)
-    assert np.allclose(probs.data.sum(axis=1), 1.0)
+    probs = model.kwe_probs(model.encode([[1, 2, 3]]))
+    assert probs.data.shape == (1, 3, 3)
+    assert np.allclose(probs.data.sum(axis=-1), 1.0)
 
 
 def test_encode_differentiable_end_to_end():
     model = Model.fresh(tiny_cfg(), seed=0)
     with Tape() as tape:
-        probs = model.kwe_probs(model.encode([1, 2, 3]))
-        loss = ag.weighted_nll(probs, [0, 1, 2], np.ones(3))
+        probs = model.kwe_probs(model.encode([[1, 2, 3]]))
+        loss = ag.weighted_nll(ag.reshape(probs, (3, 3)), [0, 1, 2], np.ones(3))
         tape.backward(loss)
     g = model.store["enc.emb"].grad
     assert g is not None and np.isfinite(g).all() and np.abs(g).sum() > 0
@@ -318,7 +318,7 @@ def _decode_setup(cfg, seed=0):
     rng = np.random.default_rng(seed)
     prev = rng.integers(0, cfg.vocab_size, size=(cfg.n_slots, 3))
     control = model.control_rows([None] * cfg.n_slots)
-    enc = model.encode([1, 2, 3, 4, 5])
+    enc = model.encode([[1, 2, 3, 4, 5]])
     return model, prev, control, enc
 
 
@@ -383,7 +383,7 @@ def test_cached_decode_matches_full_recompute(lengths):
     R = cfg.n_slots * len(lengths)
     control = model.control_rows([None] * R)
     ids = [list(range(1, n + 1)) for n in lengths]
-    enc = model.encode(ids[0] if len(ids) == 1 else ids)
+    enc = model.encode(ids)
     mask = padding_mask(lengths)
     assert (mask is None) == (len(lengths) == 1)
     prev = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(R, 5))
@@ -453,7 +453,7 @@ def test_decode_cache_bound_to_its_encoder_states():
     cache = DecodeCache(2)
     model.decode_probs(prev[:, :1], control, enc, cache=cache)
     with pytest.raises(ValueError):
-        model.decode_probs(prev[:, 1:2], control, model.encode([1, 2, 3]), cache=cache)
+        model.decode_probs(prev[:, 1:2], control, model.encode([[1, 2, 3]]), cache=cache)
 
 
 def test_decode_cache_holds_its_capacity(monkeypatch):
@@ -500,8 +500,7 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, sto
     R = control.shape[0]
     B = R // cfg.n_slots
     rpe = np.stack([p[f"dec.rpe.h{h}"] for h in range(H)])
-    states = enc.data.reshape(B, -1, d)
-    cross_kv = [(ag.gemm(states, p[f"dec.L{i}.ck"]), ag.gemm(states, p[f"dec.L{i}.cv"]))
+    cross_kv = [(ag.gemm(enc.data, p[f"dec.L{i}.ck"]), ag.gemm(enc.data, p[f"dec.L{i}.cv"]))
                 for i in range(cfg.n_dec_layers)]
     self_kv = [None] * cfg.n_dec_layers
 
@@ -563,7 +562,7 @@ def test_greedy_decode_has_the_bits_of_the_concatenating_step(d, lengths, seed, 
             t.data = t.data + rng.normal(0.0, 0.1, t.data.shape)
     rng = np.random.default_rng(d)
     segs = [rng.integers(3, cfg.vocab_size, size=n).tolist() for n in lengths]
-    enc = model.encode(segs[0] if len(segs) == 1 else segs)
+    enc = model.encode(segs)
     mask = padding_mask(lengths)
     keywords = [seg[:2] if n % 3 == 0 else None for seg in segs for n in range(cfg.n_slots)]
     control = model.control_rows(keywords)
@@ -583,7 +582,7 @@ def test_decode_grads_flow_to_decoder_params():
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
     with Tape() as tape:
-        enc_t = model.encode([1, 2, 3])
+        enc_t = model.encode([[1, 2, 3]])
         ctrl = model.control_rows([[3], None, None, None])
         probs = model.decode_probs(prev, ctrl, enc_t)
         loss = loss_kg(probs, prev, np.ones(prev.shape))
@@ -645,11 +644,12 @@ def test_pruned_backward_matches_full_on_requested_leaves(group):
     model, prev, _, _ = _decode_setup(cfg)
     wanted = model.encoder_params() if group == "encoder" else model.decoder_params()
     with Tape() as tape:
-        enc_t = model.encode([1, 2, 3, 4])
+        enc_t = model.encode([[1, 2, 3, 4]])
         ctrl = model.control_rows([[3, 5], None, [7], None])
         probs = model.decode_probs(prev, ctrl, enc_t)
         loss = ag.add(loss_kg(probs, prev, np.ones(prev.shape)),
-                      ag.weighted_nll(model.kwe_probs(enc_t), [0, 1, 2, 0], np.ones(4)))
+                      ag.weighted_nll(ag.reshape(model.kwe_probs(enc_t), (4, 3)), [0, 1, 2, 0],
+                                      np.ones(4)))
         tape.backward(loss)
         full = {n: p.grad.copy() for n, p in wanted.items() if p.grad is not None}
         tape.backward(loss, wrt=wanted.values())
@@ -683,10 +683,10 @@ def test_padded_batch_matches_single_segment_calls(perm):
         dists = k_step_predict(model, states, control, 3, 1, mask)
         assert states.data.shape == (len(segs), max(map(len, segs)), cfg.d)
         for b, i in enumerate(perm):
-            one = model.encode(_SEGMENTS[i])
+            one = model.encode([_SEGMENTS[i]])
             ctrl = model.control_rows(_KEYWORDS[i])
             S = len(_SEGMENTS[i])
-            np.testing.assert_allclose(states.data[b, :S], one.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(states.data[b, :S], one.data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(probs[b], model.decode_probs(prev[i], ctrl, one).data,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
@@ -712,8 +712,8 @@ def test_batched_greedy_decode_gives_each_segment_its_own_bits(S, order):
     probs, tokens = model.greedy_decode(control, states, 1, cfg.max_kp_len)
     for b in range(len(order)):
         rows = slice(b * N, (b + 1) * N)
-        p1, t1 = model.greedy_decode(Tensor(control.data[rows]), Tensor(states.data[b]), 1,
-                                     cfg.max_kp_len)
+        p1, t1 = model.greedy_decode(Tensor(control.data[rows]), Tensor(states.data[b : b + 1]),
+                                     1, cfg.max_kp_len)
         assert np.array_equal(probs[:, rows], p1)
         assert np.array_equal(tokens[:, rows], t1)
 

@@ -142,9 +142,9 @@ def test_kwe_class_weights_floor_empty_class():
 
 def test_loss_kwe_hand_value():
     # two tokens, uniform probs: each contributes w[label] * -log(1/3), mean over S=2
-    probs = Tensor(np.full((2, 3), 1 / 3))
+    probs = Tensor(np.full((1, 2, 3), 1 / 3))
     w = np.array([1.0, 2.0, 4.0])
-    val = loss_kwe(probs, [0, 2], w).item()
+    val = loss_kwe(probs, [[0, 2]], w).item()
     assert val == pytest.approx((1 + 4) * math.log(3) / 2)
 
 
@@ -154,7 +154,8 @@ def test_batched_losses_are_means_of_per_segment_losses():
     labels = [[0, 1, 2, 0], [2, 1], [0, 0, 1]]
     probs = rng.dirichlet(np.ones(3), size=(3, 4))
     batched = loss_kwe(Tensor(probs), labels, cw).item()
-    per_seg = [loss_kwe(Tensor(probs[b, : len(seq)]), seq, cw).item() for b, seq in enumerate(labels)]
+    per_seg = [loss_kwe(Tensor(probs[b : b + 1, : len(seq)]), [seq], cw).item()
+               for b, seq in enumerate(labels)]
     assert batched == pytest.approx(np.mean(per_seg), rel=1e-12)
 
     _, vocab, _, cfg = small_setup()
