@@ -191,6 +191,13 @@ def test_encode_rejects_bad_lengths():
             model.encode(token_ids)
 
 
+def test_encode_rejects_an_empty_batch():
+    # a batch with no segments fails on the length check, before padding
+    model = Model.fresh(tiny_cfg(), seed=0)
+    with pytest.raises(ValueError, match="cannot encode an empty batch"):
+        model.encode([])
+
+
 def test_encoder_uses_relative_biases():
     # a uniform bias shift is softmax-invariant; a single-bucket bump is not
     cfg = tiny_cfg()
