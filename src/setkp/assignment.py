@@ -21,16 +21,15 @@ import math
 
 import numpy as np
 
-from .autograd import Tensor
 from .model import Model
 
 
 def k_step_predict(
-    model: Model, enc_states: Tensor, control: Tensor, k: int, bos_id: int,
+    model: Model, enc_states: np.ndarray, control: np.ndarray, k: int, bos_id: int,
     enc_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy free-running distributions, shape (k, R, vocab) for the R
-    slot rows of ``control`` (arguments as for ``Model.decode_probs``): all
+    slot rows of ``control`` (arrays, as for ``Model.greedy_decode``): all
     ``k`` steps of ``Model.greedy_decode``, with no stop token.
 
     Runs outside any tape: assignment is a discrete decision, not a

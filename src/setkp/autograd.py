@@ -35,13 +35,13 @@ methods without their Python frames.
 The formulas that more than one node needs are plain array functions: the
 forwards ``gemm``, ``softmax_array``, ``layer_norm_array``, ``split_heads``
 and ``attention_array``, and the backwards ``layer_norm_backward`` and
-``attention_backward``. Every other forward runs inside its own node. The
-cached decode step (``model.Model._decode_step``) uses ``gemm`` and
-``split_heads`` to fill its cache, and ``layer_norm_array`` and
-``softmax_array`` in every step, so the package has one norm formula and
-one softmax formula; the rest of the step runs the nodes' operations in
-their order as plain numpy, keeping none of the intermediates a backward
-rule reads, and
+``attention_backward``. Every other forward runs inside its own node.
+``model.Model.decode_cache`` uses ``gemm`` and ``split_heads`` to build the
+cache of the greedy decode loop, and its cached step
+(``model.Model.decode_probs``) uses ``layer_norm_array`` and
+``softmax_array``, so the package has one norm formula and one softmax
+formula; the rest of the step runs the nodes' operations in their order as
+plain numpy, keeping none of the intermediates a backward rule reads, and
 ``tests/test_model.py::test_greedy_decode_has_the_bits_of_the_concatenating_step``
 pins its bits to a greedy loop built from these functions.
 
@@ -202,11 +202,6 @@ class Tape:
                     replay.add(id(out))
                     break
         return live, replay
-
-
-def recording() -> bool:
-    """True while a tape is recording on the current thread."""
-    return _active_tape() is not None
 
 
 @contextlib.contextmanager

@@ -53,8 +53,8 @@ _PARSERS = {
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """key = value lines; '#' comments; unknown keys are errors."""
-    out = {}
+    """key = value lines; '#' comments; unknown and repeated keys are errors."""
+    out, lines = {}, {}
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -64,6 +64,9 @@ def parse_config_file(path: str | Path) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in KEY_TYPES:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{ln}: {key} is already set on line {lines[key]}")
+        lines[key] = ln
         parse, what = _PARSERS[KEY_TYPES[key]]
         try:
             out[key] = parse(raw)

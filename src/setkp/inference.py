@@ -56,11 +56,12 @@ class SlotPrediction:
 def generate_slots(
     model: Model,
     vocab: Vocabulary,
-    enc_states: Tensor,
-    control: Tensor,
+    enc_states: np.ndarray,
+    control: np.ndarray,
 ) -> list[SlotPrediction]:
     """Decode every slot greedily from BOS until EOS or ``max_kp_len`` steps
-    (``Model.greedy_decode``, which stops once every slot has emitted EOS).
+    (``Model.greedy_decode``, which stops once every slot has emitted EOS),
+    on the arrays of one segment's (1, S, d) states and (N, d) control rows.
 
     A slot's output is its tokens before its first EOS. It is null iff its
     first token is the null marker; confidence is the mean probability of
@@ -127,7 +128,7 @@ def encode_and_tag(
     vocab: Vocabulary,
     segments: Sequence[list[str]],
     tag: bool = True,
-) -> Iterator[tuple[int, Tensor, list[KeywordSpan] | None]]:
+) -> Iterator[tuple[int, np.ndarray, list[KeywordSpan] | None]]:
     """The one inference encoder path: encoder states and tagged keyword
     spans of every segment, truncated to ``max_encode_len`` tokens.
 
@@ -136,9 +137,9 @@ def encode_and_tag(
     needs no padding mask, so every segment gets the bits of its own
     single encode.
 
-    Yields (index into ``segments``, (1, S, d) states, spans) one encode
-    call at a time, so that a caller that decodes as it goes holds only one
-    call's states. Spans are None when ``tag`` is false.
+    Yields (index into ``segments``, (1, S, d) states array, spans) one
+    encode call at a time, so that a caller that decodes as it goes holds
+    only one call's states. Spans are None when ``tag`` is false.
     """
     n = model.cfg.max_encode_len
     groups: dict[int, list[int]] = {}
@@ -153,21 +154,21 @@ def encode_and_tag(
             with no_grad():
                 states = model.encode([vocab.encode(segments[i])[:n] for i in chunk]).data
             for b, i in enumerate(chunk):
-                seg_states, spans = Tensor(states[b : b + 1]), None
+                seg_states, spans = states[b : b + 1], None
                 if tag:
                     # one segment per call: in a (B*S, d) @ (d, 3) product a
                     # row's bits depend on its offset, so on the other segments
                     with no_grad():
-                        tag_probs = model.kwe_probs(seg_states).data[0]
+                        tag_probs = model.kwe_probs(Tensor(seg_states)).data[0]
                     spans = model.predict_keywords(tag_probs, segments[i][:n])
                 yield i, seg_states, spans
 
 
-def _decode(model: Model, vocab: Vocabulary, states: Tensor,
+def _decode(model: Model, vocab: Vocabulary, states: np.ndarray,
             spans: list[KeywordSpan]) -> list[SlotPrediction]:
     """Slots conditioned on ``spans``, decoded on one segment's states."""
     with no_grad():
-        control = model.control_rows(control_ids_for(spans, model.cfg, vocab))
+        control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
     return generate_slots(model, vocab, states, control)
 
 

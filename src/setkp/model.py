@@ -8,21 +8,13 @@ mask and bucket table), and every slot attends freely over the encoder
 states. Slot inputs add a sinusoidal step embedding and a per-slot control
 row; a control row is the slot's learned code plus the summed token
 embeddings of its guidance keyword, which is what lets two slots with the
-same code specialize. ``decode_probs`` has two bodies over the same
-formulas. Without a cache it is the teacher-forced pass, on Tensors, which
-training records on the tape. With a DecodeCache it is one step of
-``Model.greedy_decode``, the one greedy decode loop: ``_decode_step`` runs
-the whole step as one function of plain numpy on float64 arrays, with no
-Tensor or tape node, the operations of the taped nodes' forwards
-(``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
-``ag.layer_norm`` and ``ag.softmax_head``) in their order, so it gets the
-bits those nodes would give it without their per-call overhead. Its norms
-and softmaxes are the nodes' own shared ``ag.layer_norm_array`` and
-``ag.softmax_array``, which, like the rest of the step, compute in place
-only on arrays they made. The cache
-holds the loop's arrays: parameters, position biases, and per-layer keys
-and values split into heads, the slot rows' own in buffers sized for the
-loop's steps.
+same code specialize. Decoding has two methods over the same formulas,
+one body each. ``teacher_probs`` is the teacher-forced pass, on Tensors,
+which training records on the tape. ``decode_probs`` is one step of
+``greedy_decode``, the one greedy decode loop: plain numpy on the arrays of
+a ``DecodeCache`` that ``decode_cache`` builds before the loop's first
+step, running the operations of the taped nodes' forwards in their order,
+so it has their bits without a Tensor or tape node.
 
 Every pass runs on a batch of B segments: ``encode`` pads them to
 (B, S_max, d) under a (B, 1, 1, S_max) key-padding mask, the decoder takes
@@ -36,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +40,7 @@ from .corpus import KeywordSpan, spans_from_bio
 
 ENCODER_PREFIXES = ("enc.", "kwe.")
 DECODER_PREFIXES = ("dec.", "kg.")
-# a decoder layer's parameters in the order ``Model._decode_step`` unpacks them
+# a decoder layer's parameters in the order ``Model.decode_probs`` unpacks them
 _STEP_LAYER_PARAMS = ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b", "cq", "co",
                       "ln3.g", "ln3.b", "w1", "b1", "w2", "b2")
 
@@ -204,34 +196,36 @@ def _causal_mask(T: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class DecodeCache:
-    """Array state of one greedy decode loop over one encoder input: a
-    batch of B segments, one segment being a batch of one.
+    """Array state of one greedy decode loop over a batch of B segments,
+    built whole by ``Model.decode_cache``, all in head layout (H heads of
+    width d/H).
 
-    ``capacity`` is the number of positions the loop may decode, and each
-    ``decode_probs`` call on the cache decodes one of them: ``steps``
-    counts the positions decoded so far, and a step past the capacity
-    raises ValueError. ``Model.decode_probs`` fills the rest on the loop's
-    first step, all in head layout (H heads of width d/H):
-    ``params`` holds the step's parameter arrays (``Model._step_names``),
-    ``bias`` the (H, capacity, capacity) self-attention position biases,
-    ``cross_kv[i]`` decoder layer i's (B, H, S_max, d/H) encoder keys and
-    values, and ``self_kv[i]`` its (R, H, capacity, d/H) self-attention key
-    and value buffers for R slot rows, of which each step writes position
-    ``steps`` and reads the first ``steps``. A step writes nothing else
-    here: its in-place work is on arrays it made itself.
-    Every step of the loop runs on the parameter arrays of its first step;
-    ``AdamW`` rebinds a parameter's array and never writes into it, so
-    those stay the arrays they were. Create a cache in the decode loop it
+    ``control`` holds the (R, d) control rows of R = B*N slot rows and
+    ``enc_mask`` the encoder states' ``padding_mask``. ``capacity`` is the
+    number of positions the loop may decode, and each ``decode_probs``
+    call on the cache decodes one of them: ``steps`` counts the positions
+    decoded so far. ``params`` holds the step's parameter arrays
+    (``Model._step_names``), ``bias`` the (H, capacity, capacity)
+    self-attention position biases, ``cross_kv[i]`` decoder layer i's
+    (B, H, S_max, d/H) encoder keys and values, and ``self_kv[i]`` its
+    (R, H, capacity, d/H) self-attention key and value buffers, of which
+    each step writes position ``steps`` and reads the first ``steps``. A
+    step writes nothing else here: its in-place work is on arrays it made
+    itself. Every step of the loop runs on the parameter arrays the cache
+    took; ``AdamW`` rebinds a parameter's array and never writes into it,
+    so those stay the arrays they were. Build a cache in the decode loop it
     serves, and never share it between threads.
     """
 
+    control: np.ndarray
+    enc_mask: np.ndarray | None
+    B: int
     capacity: int
+    params: list[list[np.ndarray]]
+    bias: np.ndarray
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]
+    self_kv: list[tuple[np.ndarray, np.ndarray]]
     steps: int = 0
-    enc_states: Tensor | None = None
-    params: list[list[np.ndarray]] = field(default_factory=list)
-    bias: np.ndarray | None = None
-    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------- the model
@@ -381,47 +375,24 @@ class Model:
             rows = ag.add(rows, ag.gather_sum(self.store["dec.emb"], idx, mask))
         return rows
 
-    def decode_probs(
-        self,
-        prev_ids: np.ndarray,
-        control: Tensor,
-        enc_states: Tensor,
-        cache: DecodeCache | None = None,
-        enc_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Decode: prev_ids (R, T) holds w^{t-1} per slot row and step.
+    def _check_rows(self, R: int, B: int) -> None:
+        if R != B * self.cfg.n_slots:
+            raise ValueError(f"{R} slot rows for {B} segment(s) of {self.cfg.n_slots} slots")
+
+    def teacher_probs(self, prev_ids: np.ndarray, control: Tensor, enc_states: Tensor,
+                      enc_mask: np.ndarray | None = None) -> Tensor:
+        """Teacher-forced decode over steps 1..T, which training records on
+        the tape: prev_ids (R, T) holds w^{t-1} per slot row and step.
 
         enc_states is (B, S_max, d) from ``encode``, enc_mask its
         ``padding_mask``, and R = B*N rows laid out as in ``control_rows``;
-        each segment's N*T queries attend only to its own states.
-
-        Without a cache this is the teacher-forced pass over steps 1..T,
-        which training records on the tape; the result is (R*T, vocab)
-        next-token distributions, row r*T + t being slot row r's
-        distribution for step t + 1. With a cache it is one step: prev_ids
-        is (R, 1), the token fed after the cache's ``steps`` earlier ones,
-        and the R rows are those of step ``steps`` + 1, computed by
-        ``_decode_step`` as plain numpy on the cache's arrays, with the bits
-        of the taped nodes' array forwards, and equal to the matching rows
-        of the teacher-forced pass up to float round-off. Any other width,
-        or a step past the cache's ``capacity``, raises ValueError. A cached
-        step is tape-free: passing a cache while a Tape records raises
-        RuntimeError.
+        each segment's N*T queries attend only to its own states. Returns
+        (R*T, vocab) next-token distributions, row r*T + t being slot row
+        r's distribution for step t + 1.
         """
         cfg = self.cfg
         R, T = prev_ids.shape
-        B = enc_states.shape[0]
-        if R != B * cfg.n_slots:
-            raise ValueError(f"{R} slot rows for {B} segment(s) of {cfg.n_slots} slots")
-        if cache is not None:
-            if T != 1:
-                raise ValueError(f"a cached decode step feeds one position per slot row, not {T}")
-            if ag.recording():
-                raise RuntimeError("a DecodeCache cannot be used while a Tape is recording")
-            if cache.steps == cache.capacity:
-                raise ValueError(f"all {cache.capacity} positions of the DecodeCache are decoded")
-            return Tensor(self._decode_step(prev_ids, control.data, enc_states, B, cache, enc_mask))
-
+        self._check_rows(R, enc_states.shape[0])
         cross_kv = [(ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
                      ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
                     for i in range(cfg.n_dec_layers)]
@@ -444,18 +415,50 @@ class Model:
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         return ag.softmax_head(x, self.store["kg.w"], self.store["kg.b"])
 
-    def _decode_step(self, prev_ids: np.ndarray, control: np.ndarray, enc_states: Tensor,
-                     B: int, cache: DecodeCache, enc_mask: np.ndarray | None) -> np.ndarray:
-        """One ``decode_probs`` step on a cache, as plain numpy over the (R, d)
-        slot rows of the one new position and the arrays the cache took on
-        its first step. Per layer: the self-attention sublayer, which writes
-        the position's keys and values into the cache's head-layout buffers
-        and attends over their first ``steps`` positions under the position
-        bias (a single new position sees every key, so it needs no causal
-        mask); the cross-attention sublayer, whose R rows split into B
-        blocks of N, each attending over its own segment's encoder heads
-        under ``enc_mask``; and the FFN sublayer. Then the final norm and
-        the softmax head.
+    def decode_cache(self, control: np.ndarray, enc_states: np.ndarray, steps: int,
+                     enc_mask: np.ndarray | None = None) -> DecodeCache:
+        """The cache of a greedy decode loop of ``steps`` positions over the
+        (R, d) control rows and (B, S_max, d) encoder states, with
+        R = B*N as for ``teacher_probs``: the step's parameter arrays, the
+        position biases of its positions, each layer's encoder keys and
+        values split into heads, and each layer's self-attention key and
+        value buffers for the R slot rows."""
+        cfg = self.cfg
+        d, H = cfg.d, cfg.n_heads
+        R, B = len(control), len(enc_states)
+        self._check_rows(R, B)
+        store = self.store
+        rpe = np.stack([store[f"dec.rpe.h{h}"].data for h in range(H)])
+        shape = (R, H, steps, d // H)
+        return DecodeCache(
+            control=control, enc_mask=enc_mask, B=B, capacity=steps,
+            # lists: a tuple built from a generator is grown to its size, and the
+            # interpreter keeps such freed tuples for reuse that never comes (~0.5 MB)
+            params=[[store[n].data for n in names] for names in self._step_names],
+            bias=rpe[:, _buckets(steps, cfg.rpe_buckets, cfg.rpe_max_distance,
+                                 bidirectional=False)],
+            cross_kv=[(ag.split_heads(ag.gemm(enc_states, store[f"dec.L{i}.ck"].data), H),
+                       ag.split_heads(ag.gemm(enc_states, store[f"dec.L{i}.cv"].data), H))
+                      for i in range(cfg.n_dec_layers)],
+            self_kv=[(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_dec_layers)],
+        )
+
+    def decode_probs(self, prev_ids: np.ndarray, cache: DecodeCache) -> np.ndarray:
+        """One greedy decode step on ``cache``: prev_ids (R, 1) holds the
+        token each slot row is fed after the cache's ``steps`` earlier ones,
+        and the result is the (R, vocab) next-token distributions of step
+        ``steps`` + 1, equal to the matching rows of ``teacher_probs`` up to
+        float round-off.
+
+        It runs as plain numpy over the (R, d) slot rows of the one new
+        position and the cache's arrays. Per layer: the self-attention
+        sublayer, which writes the position's keys and values into the
+        cache's head-layout buffers and attends over their first ``steps``
+        positions under the position bias (a single new position sees every
+        key, so it needs no causal mask); the cross-attention sublayer,
+        whose R rows split into B blocks of N, each attending over its own
+        segment's encoder heads under the cache's ``enc_mask``; and the FFN
+        sublayer. Then the final norm and the softmax head.
 
         It runs the operations of the taped nodes' forwards (those of
         ``ag.self_attention``, ``ag.cross_attention``, ``ag.ffn``,
@@ -474,10 +477,6 @@ class Model:
         R = len(prev_ids)
         d, H, scale = cfg.d, cfg.n_heads, self._inv_scale
         dh = d // H
-        if cache.enc_states is None:
-            self._fill_cache(cache, enc_states, R)
-        elif cache.enc_states is not enc_states:
-            raise ValueError("a DecodeCache serves the encoder states it was filled from")
         t0 = cache.steps
         L = cache.steps = t0 + 1
         (emb, final_g, final_b, head_w, head_b), *layers = cache.params
@@ -485,7 +484,7 @@ class Model:
 
         x = emb[prev_ids[:, 0]]
         x += _ape_rows(cache.capacity, d)[t0]
-        x += control
+        x += cache.control
         for (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, cq, co, ln3_g, ln3_b, w1, b1, w2, b2
              ), (kb, vb), (ck, cv) in zip(layers, cache.self_kv, cache.cross_kv):
             h = ag.layer_norm_array(x, ln1_g, ln1_b)[0]
@@ -498,10 +497,10 @@ class Model:
             x += (ag.softmax_array(a) @ vb[:, :, :L]).reshape(R, d) @ wo
 
             q = ag.layer_norm_array(x, ln2_g, ln2_b)[0] @ cq
-            a = q.reshape(B, -1, H, dh).swapaxes(1, 2) @ ck.swapaxes(-1, -2)
+            a = q.reshape(cache.B, -1, H, dh).swapaxes(1, 2) @ ck.swapaxes(-1, -2)
             a *= scale
-            if enc_mask is not None:
-                a += enc_mask
+            if cache.enc_mask is not None:
+                a += cache.enc_mask
             x += (ag.softmax_array(a) @ cv).swapaxes(1, 2).reshape(R, d) @ co
 
             h = ag.layer_norm_array(x, ln3_g, ln3_b)[0] @ w1
@@ -514,52 +513,28 @@ class Model:
         z += head_b
         return ag.softmax_array(z)
 
-    def _fill_cache(self, cache: DecodeCache, enc_states: Tensor, R: int) -> None:
-        """A cache's first step: take the step's parameter arrays, the
-        position biases of its ``capacity`` positions, each layer's encoder
-        keys and values split into heads, and allocate each layer's
-        self-attention key and value buffers for R slot rows."""
-        cfg = self.cfg
-        d, H = cfg.d, cfg.n_heads
-        store = self.store
-        cache.enc_states = enc_states
-        # lists: a tuple built from a generator is grown to its size, and the
-        # interpreter keeps such freed tuples for reuse that never comes (~0.5 MB)
-        cache.params = [[store[n].data for n in names] for names in self._step_names]
-        rpe = np.stack([store[f"dec.rpe.h{h}"].data for h in range(H)])
-        cache.bias = rpe[:, _buckets(cache.capacity, cfg.rpe_buckets, cfg.rpe_max_distance,
-                                     bidirectional=False)]
-        states = enc_states.data
-        cache.cross_kv = [(ag.split_heads(ag.gemm(states, store[f"dec.L{i}.ck"].data), H),
-                           ag.split_heads(ag.gemm(states, store[f"dec.L{i}.cv"].data), H))
-                          for i in range(cfg.n_dec_layers)]
-        shape = (R, H, cache.capacity, d // H)
-        cache.self_kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_dec_layers)]
-
-    def greedy_decode(self, control: Tensor, enc_states: Tensor, bos_id: int, steps: int,
+    def greedy_decode(self, control: np.ndarray, enc_states: np.ndarray, bos_id: int, steps: int,
                       enc_mask: np.ndarray | None = None, stop_id: int | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Greedy decode from BOS, each step's argmax fed back in: the one
-        greedy decode loop. Arguments are as for ``decode_probs``; it runs
-        tape-free under its own ``no_grad``, one cached step per call, on a
-        DecodeCache of ``steps`` positions.
+        greedy decode loop. Arguments are arrays, as for ``decode_cache``;
+        it runs one ``decode_probs`` step per position on a DecodeCache of
+        ``steps`` positions, and records nothing on any tape.
 
         Returns the (t, R, vocab) distributions and the (t, R) tokens chosen
         from them, one row per control row. It stops after the first step by
         which every row has emitted ``stop_id``; with None it runs all ``steps``.
         """
-        cache = DecodeCache(steps)
-        prev = np.full((control.data.shape[0], 1), bos_id, dtype=np.intp)
+        cache = self.decode_cache(control, enc_states, steps, enc_mask)
+        prev = np.full((len(control), 1), bos_id, dtype=np.intp)
         stopped = np.zeros(len(prev), dtype=bool)
         probs, tokens = [], []
-        with ag.no_grad():
-            for _ in range(steps):
-                probs.append(self.decode_probs(prev, control, enc_states, cache=cache,
-                                               enc_mask=enc_mask).data)
-                tokens.append(probs[-1].argmax(axis=1))
-                prev = tokens[-1][:, None]
-                if stop_id is not None:
-                    stopped |= tokens[-1] == stop_id
-                    if stopped.all():
-                        break
+        for _ in range(steps):
+            probs.append(self.decode_probs(prev, cache))
+            tokens.append(probs[-1].argmax(axis=1))
+            prev = tokens[-1][:, None]
+            if stop_id is not None:
+                stopped |= tokens[-1] == stop_id
+                if stopped.all():
+                    break
         return np.stack(probs), np.stack(tokens)

@@ -148,8 +148,10 @@ def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
-    """Read a container; a short read or bytes past the last record raise
-    ValueError naming the path and, inside a record, the parameter."""
+    """Read a container; a malformed one raises ValueError naming the path:
+    a short read (and, inside a record, the parameter), metadata that is
+    not a UTF-8 JSON object, a parameter name that is not UTF-8 or comes
+    twice, and bytes past the last record."""
     path = Path(path)
     store = ParamStore()
     with open(path, "rb") as fh:
@@ -166,16 +168,30 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (blen,) = struct.unpack("<I", read(4, "header"))
-        meta = json.loads(read(blen, "metadata").decode("utf-8"))
+        blob = read(blen, "metadata")
+        try:
+            meta = json.loads(blob.decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ValueError(f"{path}: checkpoint metadata is not UTF-8 JSON: {e}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: checkpoint metadata is a {type(meta).__name__}, "
+                             "not a JSON object")
         for i in range(count):
-            (nlen,) = struct.unpack("<H", read(2, f"parameter record {i + 1} of {count}"))
-            name = read(nlen, f"parameter record {i + 1} of {count}").decode("utf-8")
+            record = f"parameter record {i + 1} of {count}"
+            (nlen,) = struct.unpack("<H", read(2, record))
+            try:
+                name = read(nlen, record).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: {record} has a name that is not UTF-8: {e}") from None
             what = f"parameter {name!r}"
             (ndim,) = struct.unpack("<B", read(1, what))
             shape = tuple(struct.unpack("<I", read(4, what))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(read(8 * n, what), dtype="<f8").reshape(shape)
-            store.create(name, arr.astype(np.float64))
+            try:
+                store.create(name, arr.astype(np.float64))
+            except ValueError as e:  # a name that came before
+                raise ValueError(f"{path}: {e}") from None
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last parameter record")
     return store, meta

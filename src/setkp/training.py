@@ -370,7 +370,8 @@ def _train_batch(
             mark = len(tape.nodes)
             d_states = 0.0
             for _ in range(tcfg.e2):
-                dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
+                dists = k_step_predict(model, states.data, control.data, cfg.assign_steps,
+                                       vocab.bos_id, enc_mask)
                 order = []
                 for b, tl in enumerate(targets):
                     seg_order = assign_groups(
@@ -382,7 +383,7 @@ def _train_batch(
                     order += [b * N + j for j in seg_order]
                 del dists  # nothing reads the round's distributions after assignment
                 prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
-                probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
+                probs = model.teacher_probs(prev, control, states, enc_mask=enc_mask)
                 lg = loss_kg(probs, tgt, w / len(batch))
                 tape.backward(lg, wrt=wrt)
                 del tape.nodes[mark:]  # nothing reads this round's graph again

@@ -155,7 +155,7 @@ def test_02_gradients_match_finite_differences():
 
     def generation_loss():
         states = model.encode([ids])
-        return loss_kg(model.decode_probs(prev, model.control_rows(cids), states), tgt, w)
+        return loss_kg(model.teacher_probs(prev, model.control_rows(cids), states), tgt, w)
 
     enc_names = [n for n in model.store.names() if n.startswith(ENC_PREFIXES)]
     all_names = model.store.names()
@@ -314,12 +314,13 @@ def test_07_stage_freezing_contracts():
         for _ in range(tcfg.e2):
             per_seg = []
             for ex, states, control, tl in zip(batch, enc_states, controls, targets):
-                dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id)
+                dists = k_step_predict(model, states.data, control.data, cfg.assign_steps,
+                                       vocab.bos_id)
                 order = assign_groups(
                     dists, [e.ids for e in tl.present], [e.ids for e in tl.absent], vocab.null_id
                 )
                 prev, tgt, w = teacher_arrays(tl.all(), order, vocab, tcfg)
-                per_seg.append(loss_kg(model.decode_probs(prev, control, states), tgt, w))
+                per_seg.append(loss_kg(model.teacher_probs(prev, control, states), tgt, w))
             lg = _mean_losses(per_seg)
             tape.backward(lg)
             dec_opt.step()
@@ -368,8 +369,8 @@ def test_08_slot_control_isolation():
     prev[:, 2] = ids[1]
     with no_grad():
         states = model.encode([ids])
-        pa = model.decode_probs(prev, model.control_rows(base), states).data
-        pb = model.decode_probs(prev, model.control_rows(pert), states).data
+        pa = model.teacher_probs(prev, model.control_rows(base), states).data
+        pb = model.teacher_probs(prev, model.control_rows(pert), states).data
     pa = pa.reshape(cfg.n_slots, T, -1)
     pb = pb.reshape(cfg.n_slots, T, -1)
 

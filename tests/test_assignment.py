@@ -170,8 +170,8 @@ def _small_model():
 
 def test_assign_groups_respects_halves():
     model, vocab, docs = _small_model()
-    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
-    control = model.control_rows([None] * 4)
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)]).data
+    control = model.control_rows([None] * 4).data
     dists = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     present = [[5], [vocab.null_id]]
     absent = [[7], [vocab.null_id]]
@@ -199,8 +199,8 @@ def test_assign_groups_prefers_matching_slot():
 
 def test_k_step_predict_shapes_and_rows():
     model, vocab, docs = _small_model()
-    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
-    control = model.control_rows([None] * 4)
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)]).data
+    control = model.control_rows([None] * 4).data
     dists = k_step_predict(model, enc, control, k=3, bos_id=vocab.bos_id)
     assert dists.shape == (3, 4, len(vocab))
     assert np.allclose(dists.sum(axis=2), 1.0)
@@ -208,8 +208,8 @@ def test_k_step_predict_shapes_and_rows():
 
 def test_k_step_predict_is_deterministic():
     model, vocab, docs = _small_model()
-    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
-    control = model.control_rows([None] * 4)
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)]).data
+    control = model.control_rows([None] * 4).data
     a = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     b = k_step_predict(model, enc, control, k=2, bos_id=vocab.bos_id)
     assert np.array_equal(a, b)
@@ -221,10 +221,10 @@ def test_k_step_predict_matches_full_recompute():
     enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
     control = model.control_rows([None, [5], None, None])
     k = 4
-    dists = k_step_predict(model, enc, control, k=k, bos_id=vocab.bos_id)
+    dists = k_step_predict(model, enc.data, control.data, k=k, bos_id=vocab.bos_id)
     prev = np.full((4, 1), vocab.bos_id, dtype=np.intp)
     for t in range(k):
-        step = model.decode_probs(prev, control, enc).data.reshape(4, t + 1, -1)[:, t]
+        step = model.teacher_probs(prev, control, enc).data.reshape(4, t + 1, -1)[:, t]
         np.testing.assert_allclose(dists[t], step, rtol=0, atol=1e-12)
         assert np.array_equal(dists[t].argmax(axis=1), step.argmax(axis=1))
         prev = np.concatenate([prev, step.argmax(axis=1)[:, None]], axis=1)

@@ -681,6 +681,7 @@ CONFIG_COMMANDS = ["gen-corpus", "train", "analyze"]
     # one segment budget and one vocabulary rule for every command: not keys
     ("max_segment_tokens = 400", "unknown key 'max_segment_tokens'"),
     ("min_freq = 2", "unknown key 'min_freq'"),
+    ("epochs = 30\nepochs = 12", "bad.cfg:2: epochs is already set on line 1"),
 ])
 def test_invalid_config_rejected_on_every_command(tmp_path, pipeline, capsys, cmd, line, message):
     cfg = tmp_path / "bad.cfg"

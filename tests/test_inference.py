@@ -34,7 +34,7 @@ from setkp.inference import (
     prompt_tokens,
     save_portraits,
 )
-from setkp.model import DecodeCache, Model, ModelConfig
+from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
 from setkp.training import control_ids_for
 
@@ -88,8 +88,8 @@ def test_prompt_tokens_zero_body_room():
 def test_generate_slots_structure():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode([ids])
-    control = model.control_rows([None] * model.cfg.n_slots)
+    enc = model.encode([ids]).data
+    control = model.control_rows([None] * model.cfg.n_slots).data
     slots = generate_slots(model, vocab, enc, control)
     assert len(slots) == model.cfg.n_slots
     assert [s.slot for s in slots] == list(range(model.cfg.n_slots))
@@ -102,8 +102,8 @@ def test_generate_slots_structure():
 def test_generate_slots_max_len_bound():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode([ids])
-    control = model.control_rows([None] * model.cfg.n_slots)
+    enc = model.encode([ids]).data
+    control = model.control_rows([None] * model.cfg.n_slots).data
     model = Model(dataclasses.replace(model.cfg, max_kp_len=2), model.store)
     slots = generate_slots(model, vocab, enc, control)
     assert all(len(s.tokens) <= 2 for s in slots)
@@ -112,8 +112,8 @@ def test_generate_slots_max_len_bound():
 def test_generate_slots_deterministic():
     model, vocab, docs = setup_model()
     ids = vocab.encode(docs[0].segments[0].tokens)
-    enc = model.encode([ids])
-    control = model.control_rows([None] * model.cfg.n_slots)
+    enc = model.encode([ids]).data
+    control = model.control_rows([None] * model.cfg.n_slots).data
     a = generate_slots(model, vocab, enc, control)
     b = generate_slots(model, vocab, enc, control)
     assert [(s.tokens, s.is_null, s.confidence) for s in a] == [
@@ -127,13 +127,13 @@ def _greedy_full_recompute(model, vocab, enc, control, m):
     against a cache stepped along the same path."""
     n = model.cfg.n_slots
     prev = np.full((n, 1), vocab.bos_id, dtype=np.intp)
-    cache = DecodeCache(m)
+    cache = model.decode_cache(control.data, enc.data, m)
     done = np.zeros(n, dtype=bool)
     emitted = [[] for _ in range(n)]
     probs = [[] for _ in range(n)]
     for t in range(m):
-        step = model.decode_probs(prev, control, enc).data.reshape(n, t + 1, -1)[:, t]
-        cached = model.decode_probs(prev[:, -1:], control, enc, cache=cache).data
+        step = model.teacher_probs(prev, control, enc).data.reshape(n, t + 1, -1)[:, t]
+        cached = model.decode_probs(prev[:, -1:], cache)
         np.testing.assert_allclose(cached, step, rtol=0, atol=1e-12)
         choice = step.argmax(axis=1)
         for i in range(n):
@@ -161,7 +161,7 @@ def test_generate_slots_matches_full_recompute(bias_out, max_len):
     for seg in docs[0].segments[:3]:
         enc = model.encode([vocab.encode(seg.tokens)])
         control = model.control_rows([None, [5], None, [7]])
-        slots = generate_slots(model, vocab, enc, control)
+        slots = generate_slots(model, vocab, enc.data, control.data)
         emitted, probs = _greedy_full_recompute(model, vocab, enc, control, m)
         for s, ids, ps in zip(slots, emitted, probs):
             assert s.tokens == [vocab.tokens[t] for t in ids if t != vocab.null_id]
@@ -173,15 +173,18 @@ def test_generate_slots_matches_full_recompute(bias_out, max_len):
 
 def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monkeypatch):
     # generate_slots decodes until every slot has emitted EOS, at most
-    # max_kp_len steps; k_step_predict always decodes all k steps
+    # max_kp_len steps; k_step_predict always decodes all k steps. Each
+    # step is one decode_probs call fed the (R, 1) tokens of its slot rows
+    # first, the argument the benchmark's tracer reads a step's shape from
     model, vocab, docs = setup_model()
-    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)])
-    control = model.control_rows([None] * model.cfg.n_slots)
-    calls = []
+    enc = model.encode([vocab.encode(docs[0].segments[0].tokens)]).data
+    control = model.control_rows([None] * model.cfg.n_slots).data
+    calls, shapes = [], set()
     decode_probs = Model.decode_probs
 
     def counted(self, *args, **kwargs):
         calls.append(1)
+        shapes.add(args[0].shape)
         return decode_probs(self, *args, **kwargs)
 
     monkeypatch.setattr(Model, "decode_probs", counted)
@@ -198,6 +201,7 @@ def test_decode_stops_once_every_slot_emits_eos_and_assignment_never_stops(monke
     calls.clear()
     slots = generate_slots(model, vocab, enc, control)
     assert len(calls) == model.cfg.max_kp_len
+    assert shapes == {(model.cfg.n_slots, 1)}
     assert all(len(s.tokens) == model.cfg.max_kp_len for s in slots)
 
 
@@ -210,8 +214,8 @@ def test_generate_segments_decodes_on_the_tagged_spans():
     spans = extract_keywords(model, vocab, toks)
     assert spans
     with no_grad():
-        enc = model.encode([vocab.encode(toks)])
-        control = model.control_rows(control_ids_for(spans, model.cfg, vocab))
+        enc = model.encode([vocab.encode(toks)]).data
+        control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
     want = generate_slots(model, vocab, enc, control)
     assert len(slots) == model.cfg.n_slots
     assert [(s.tokens, s.is_null, s.confidence) for s in slots] == [
@@ -241,7 +245,7 @@ def _single(model, vocab, tokens):
 def _batched(model, vocab, segments):
     out = [None] * len(segments)
     for i, states, spans in encode_and_tag(model, vocab, segments):
-        out[i] = states.data, spans
+        out[i] = states, spans
     return out
 
 

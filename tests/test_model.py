@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from setkp import autograd as ag
-from setkp import model as model_module
-from setkp.autograd import Tape, Tensor
+from setkp.autograd import Tape
 from setkp.corpus import KeywordSpan
 from setkp.assignment import k_step_predict
 from setkp.model import (
-    DecodeCache,
     Model,
     ModelConfig,
     _BUCKET_TABLES,
@@ -329,10 +327,10 @@ def _decode_setup(cfg, seed=0):
     return model, prev, control, enc
 
 
-def test_decode_probs_shape_and_rows():
+def test_teacher_probs_shape_and_rows():
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    probs = model.decode_probs(prev, control, enc)
+    probs = model.teacher_probs(prev, control, enc)
     assert probs.data.shape == (cfg.n_slots * 3, cfg.vocab_size)
     assert np.allclose(probs.data.sum(axis=1), 1.0)
 
@@ -340,11 +338,11 @@ def test_decode_probs_shape_and_rows():
 def test_decode_slot_isolation_under_prev_change():
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    base = model.decode_probs(prev, control, enc).data
+    base = model.teacher_probs(prev, control, enc).data
     T = prev.shape[1]
     mutated = prev.copy()
     mutated[2, :] = (mutated[2, :] + 1) % cfg.vocab_size
-    out = model.decode_probs(mutated, control, enc).data
+    out = model.teacher_probs(mutated, control, enc).data
     for n in range(cfg.n_slots):
         rows = slice(n * T, (n + 1) * T)
         if n == 2:
@@ -356,9 +354,9 @@ def test_decode_slot_isolation_under_prev_change():
 def test_decode_slot_isolation_under_control_change():
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    base = model.decode_probs(prev, control, enc).data
+    base = model.teacher_probs(prev, control, enc).data
     other = model.control_rows([None, [7], None, None])
-    out = model.decode_probs(prev, other, enc).data
+    out = model.teacher_probs(prev, other, enc).data
     T = prev.shape[1]
     for n in range(cfg.n_slots):
         rows = slice(n * T, (n + 1) * T)
@@ -372,10 +370,10 @@ def test_decode_causal_within_slot():
     # changing a slot's last prev token must not touch its earlier rows
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    base = model.decode_probs(prev, control, enc).data
+    base = model.teacher_probs(prev, control, enc).data
     mutated = prev.copy()
     mutated[0, 2] = (mutated[0, 2] + 1) % cfg.vocab_size
-    out = model.decode_probs(mutated, control, enc).data
+    out = model.teacher_probs(mutated, control, enc).data
     assert np.array_equal(base[0:2], out[0:2])
     assert not np.allclose(base[2], out[2])
 
@@ -394,18 +392,16 @@ def test_cached_decode_matches_full_recompute(lengths):
     mask = padding_mask(lengths)
     assert (mask is None) == (len(lengths) == 1)
     prev = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(R, 5))
-    full = model.decode_probs(prev, control, enc, enc_mask=mask).data.reshape(R, 5, -1)
-    cache = DecodeCache(5)
+    full = model.teacher_probs(prev, control, enc, enc_mask=mask).data.reshape(R, 5, -1)
+    cache = model.decode_cache(control.data, enc.data, 5, mask)
     for t in range(5):
-        rows = model.decode_probs(prev[:, t:t + 1], control, enc, cache=cache, enc_mask=mask).data
+        rows = model.decode_probs(prev[:, t:t + 1], cache)
         assert rows.shape == (R, cfg.vocab_size)
         np.testing.assert_allclose(rows, full[:, t], rtol=0, atol=1e-12)
     assert cache.steps == 5
     head_layout = (R, cfg.n_heads, 5, cfg.d // cfg.n_heads)
     assert len(cache.self_kv) == cfg.n_dec_layers
     assert all(buf.shape == head_layout for kv in cache.self_kv for buf in kv)
-    with pytest.raises(ValueError, match="one position per slot row, not 2"):
-        model.decode_probs(prev[:, :2], control, enc, cache=DecodeCache(5), enc_mask=mask)
 
 
 def test_cached_decode_keeps_slots_isolated():
@@ -416,74 +412,54 @@ def test_cached_decode_keeps_slots_isolated():
     prev = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(cfg.n_slots, 6))
     other = prev.copy()
     other[1] = (other[1] + 7) % cfg.vocab_size
-    a, b = DecodeCache(prev.shape[1]), DecodeCache(prev.shape[1])
+    a, b = (model.decode_cache(control.data, enc.data, prev.shape[1]) for _ in range(2))
     keep = [n for n in range(cfg.n_slots) if n != 1]
     for t in range(prev.shape[1]):
-        ra = model.decode_probs(prev[:, t:t + 1], control, enc, cache=a).data
-        rb = model.decode_probs(other[:, t:t + 1], control, enc, cache=b).data
+        ra = model.decode_probs(prev[:, t:t + 1], a)
+        rb = model.decode_probs(other[:, t:t + 1], b)
         assert np.array_equal(ra[keep], rb[keep])
         assert not np.array_equal(ra[1], rb[1])
 
 
 def test_greedy_decode_runs_tape_free_under_a_recording_tape():
-    # greedy_decode suspends recording itself: under a tape it records
-    # nothing, gives the bits it gives outside any tape, and leaves the tape
-    # recording for its caller; each step's argmax is the next step's input
+    # greedy_decode runs on arrays: under a tape it records nothing, gives
+    # the bits it gives outside any tape, and leaves the tape recording for
+    # its caller; each step's argmax is the next step's input
     cfg = tiny_cfg()
     model, _, control, enc = _decode_setup(cfg)
-    probs, tokens = model.greedy_decode(control, enc, 1, 4)
+    probs, tokens = model.greedy_decode(control.data, enc.data, 1, 4)
     with Tape() as tape:
-        p, t = model.greedy_decode(control, enc, 1, 4)
-        assert ag.recording()
+        p, t = model.greedy_decode(control.data, enc.data, 1, 4)
+        assert ag._active_tape() is tape
     assert tape.nodes == []
     assert np.array_equal(p, probs) and np.array_equal(t, tokens)
     assert probs.shape == (4, cfg.n_slots, cfg.vocab_size)
     assert np.array_equal(tokens, probs.argmax(axis=2))
     prev = np.concatenate([np.ones((cfg.n_slots, 1), dtype=np.intp), tokens[:-1].T], axis=1)
-    forced = model.decode_probs(prev, control, enc).data.reshape(cfg.n_slots, 4, -1)
+    forced = model.teacher_probs(prev, control, enc).data.reshape(cfg.n_slots, 4, -1)
     np.testing.assert_allclose(probs, forced.transpose(1, 0, 2), rtol=0, atol=1e-12)
 
 
-def test_decode_cache_rejected_while_recording():
-    cfg = tiny_cfg()
-    model, prev, control, enc = _decode_setup(cfg)
-    with Tape():
-        with pytest.raises(RuntimeError):
-            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache(1))
-        with ag.no_grad():
-            model.decode_probs(prev[:, :1], control, enc, cache=DecodeCache(1))
-
-
-def test_decode_cache_bound_to_its_encoder_states():
-    cfg = tiny_cfg()
-    model, prev, control, enc = _decode_setup(cfg)
-    cache = DecodeCache(2)
-    model.decode_probs(prev[:, :1], control, enc, cache=cache)
-    with pytest.raises(ValueError):
-        model.decode_probs(prev[:, 1:2], control, model.encode([[1, 2, 3]]), cache=cache)
-
-
 def test_decode_cache_holds_its_capacity(monkeypatch):
-    # a cache decodes the positions it was made for and refuses one more;
-    # k_step_predict's loop makes one cache of exactly k positions
+    # a cache counts the positions it decodes; k_step_predict's loop makes
+    # one cache of exactly k positions and decodes all of them
     cfg = tiny_cfg()
     model, prev, control, enc = _decode_setup(cfg)
-    cache = DecodeCache(2)
+    cache = model.decode_cache(control.data, enc.data, 2)
     for t in range(2):
-        model.decode_probs(prev[:, t:t + 1], control, enc, cache=cache)
-    with pytest.raises(ValueError, match="all 2 positions of the DecodeCache are decoded"):
-        model.decode_probs(prev[:, 2:3], control, enc, cache=cache)
+        model.decode_probs(prev[:, t:t + 1], cache)
     assert cache.steps == 2
 
     made = []
+    build = Model.decode_cache
 
-    def recorded(capacity):
-        made.append(DecodeCache(capacity))
+    def recorded(self, *args, **kwargs):
+        made.append(build(self, *args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(model_module, "DecodeCache", recorded)
+    monkeypatch.setattr(Model, "decode_cache", recorded)
     k = 3
-    k_step_predict(model, enc, control, k, 1)
+    k_step_predict(model, enc.data, control.data, k, 1)
     assert len(made) == 1
     assert made[0].capacity == made[0].steps == k
     head_layout = (cfg.n_slots, cfg.n_heads, k, cfg.d // cfg.n_heads)
@@ -507,7 +483,7 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, sto
     R = control.shape[0]
     B = R // cfg.n_slots
     rpe = np.stack([p[f"dec.rpe.h{h}"] for h in range(H)])
-    cross_kv = [(ag.gemm(enc.data, p[f"dec.L{i}.ck"]), ag.gemm(enc.data, p[f"dec.L{i}.cv"]))
+    cross_kv = [(ag.gemm(enc, p[f"dec.L{i}.ck"]), ag.gemm(enc, p[f"dec.L{i}.cv"]))
                 for i in range(cfg.n_dec_layers)]
     self_kv = [None] * cfg.n_dec_layers
 
@@ -519,7 +495,7 @@ def _greedy_decode_oracle(model, control, enc, bos_id, steps, enc_mask=None, sto
     probs, tokens = [], []
     for t0 in range(steps):
         L = t0 + 1
-        x = p["dec.emb"][prev] + _ape_rows(L, d)[t0:] + control.data.reshape(R, 1, d)
+        x = p["dec.emb"][prev] + _ape_rows(L, d)[t0:] + control.reshape(R, 1, d)
         bias = rpe[:, _buckets(L, cfg.rpe_buckets, cfg.rpe_max_distance, bidirectional=False)[t0:]]
         for i in range(cfg.n_dec_layers):
             pre = f"dec.L{i}."
@@ -569,10 +545,10 @@ def test_greedy_decode_has_the_bits_of_the_concatenating_step(d, lengths, seed, 
             t.data = t.data + rng.normal(0.0, 0.1, t.data.shape)
     rng = np.random.default_rng(d)
     segs = [rng.integers(3, cfg.vocab_size, size=n).tolist() for n in lengths]
-    enc = model.encode(segs)
+    enc = model.encode(segs).data
     mask = padding_mask(lengths)
     keywords = [seg[:2] if n % 3 == 0 else None for seg in segs for n in range(cfg.n_slots)]
-    control = model.control_rows(keywords)
+    control = model.control_rows(keywords).data
     stop_id = None if stop_ids is None else stop_ids[d]
     probs, tokens = model.greedy_decode(control, enc, 1, cfg.max_kp_len, enc_mask=mask,
                                         stop_id=stop_id)
@@ -591,7 +567,7 @@ def test_decode_grads_flow_to_decoder_params():
     with Tape() as tape:
         enc_t = model.encode([[1, 2, 3]])
         ctrl = model.control_rows([[3], None, None, None])
-        probs = model.decode_probs(prev, ctrl, enc_t)
+        probs = model.teacher_probs(prev, ctrl, enc_t)
         loss = loss_kg(probs, prev, np.ones(prev.shape))
         tape.backward(loss)
     for name in ("dec.ctrl", "dec.emb", "kg.w", "enc.emb"):
@@ -653,7 +629,7 @@ def test_pruned_backward_matches_full_on_requested_leaves(group):
     with Tape() as tape:
         enc_t = model.encode([[1, 2, 3, 4]])
         ctrl = model.control_rows([[3, 5], None, [7], None])
-        probs = model.decode_probs(prev, ctrl, enc_t)
+        probs = model.teacher_probs(prev, ctrl, enc_t)
         loss = ag.add(loss_kg(probs, prev, np.ones(prev.shape)),
                       ag.weighted_nll(ag.reshape(model.kwe_probs(enc_t), (4, 3)), [0, 1, 2, 0],
                                       np.ones(4)))
@@ -685,19 +661,19 @@ def test_padded_batch_matches_single_segment_calls(perm):
     with ag.no_grad():
         states = model.encode(segs)
         control = model.control_rows([ids for i in perm for ids in _KEYWORDS[i]])
-        probs = model.decode_probs(np.concatenate([prev[i] for i in perm]), control, states,
-                                   enc_mask=mask).data.reshape(len(segs), N * T, -1)
-        dists = k_step_predict(model, states, control, 3, 1, mask)
+        probs = model.teacher_probs(np.concatenate([prev[i] for i in perm]), control, states,
+                                    enc_mask=mask).data.reshape(len(segs), N * T, -1)
+        dists = k_step_predict(model, states.data, control.data, 3, 1, mask)
         assert states.data.shape == (len(segs), max(map(len, segs)), cfg.d)
         for b, i in enumerate(perm):
             one = model.encode([_SEGMENTS[i]])
             ctrl = model.control_rows(_KEYWORDS[i])
             S = len(_SEGMENTS[i])
             np.testing.assert_allclose(states.data[b, :S], one.data[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(probs[b], model.decode_probs(prev[i], ctrl, one).data,
+            np.testing.assert_allclose(probs[b], model.teacher_probs(prev[i], ctrl, one).data,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
-                                       k_step_predict(model, one, ctrl, 3, 1),
+                                       k_step_predict(model, one.data, ctrl.data, 3, 1),
                                        rtol=0, atol=1e-12)
 
 
@@ -714,13 +690,12 @@ def test_batched_greedy_decode_gives_each_segment_its_own_bits(S, order):
     segs = [rng.integers(1, cfg.vocab_size, size=S).tolist() for _ in range(3)]
     keywords = [[seg[:2], None, seg[3:4], None] for seg in segs]
     with ag.no_grad():
-        states = model.encode([segs[i] for i in order])
-        control = model.control_rows([ids for i in order for ids in keywords[i]])
+        states = model.encode([segs[i] for i in order]).data
+        control = model.control_rows([ids for i in order for ids in keywords[i]]).data
     probs, tokens = model.greedy_decode(control, states, 1, cfg.max_kp_len)
     for b in range(len(order)):
         rows = slice(b * N, (b + 1) * N)
-        p1, t1 = model.greedy_decode(Tensor(control.data[rows]), Tensor(states.data[b : b + 1]),
-                                     1, cfg.max_kp_len)
+        p1, t1 = model.greedy_decode(control[rows], states[b : b + 1], 1, cfg.max_kp_len)
         assert np.array_equal(probs[:, rows], p1)
         assert np.array_equal(tokens[:, rows], t1)
 
@@ -744,11 +719,16 @@ def test_padded_fills_each_row_past_its_length():
     np.testing.assert_array_equal(padded([[1], [2, 3]])[0], [[1, 0], [2, 3]])  # fill defaults to 0
 
 
-def test_decode_probs_rejects_rows_not_matching_segments():
+def test_decoding_rejects_rows_not_matching_segments():
+    # N slot rows for two segments: the taped pass and the cache builder
+    # both refuse them
     cfg = tiny_cfg()
     model = Model.fresh(cfg, seed=0)
     states = model.encode([[1, 2], [3]])
     control = model.control_rows([None] * cfg.n_slots)
-    with pytest.raises(ValueError):
-        model.decode_probs(np.ones((cfg.n_slots, 2), dtype=np.intp), control, states,
-                           enc_mask=padding_mask([2, 1]))
+    mask = padding_mask([2, 1])
+    with pytest.raises(ValueError, match="4 slot rows for 2 segment"):
+        model.teacher_probs(np.ones((cfg.n_slots, 2), dtype=np.intp), control, states,
+                            enc_mask=mask)
+    with pytest.raises(ValueError, match="4 slot rows for 2 segment"):
+        model.decode_cache(control.data, states.data, 2, mask)

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from setkp.params import (ADAM_EPS, BETA1, BETA2, AdamW, Initializer, ParamStore,
-                          load_checkpoint, save_checkpoint)
+from setkp.params import (_MAGIC, _VERSION, ADAM_EPS, BETA1, BETA2, AdamW, Initializer,
+                          ParamStore, load_checkpoint, save_checkpoint)
 
 
 def _store_with(seed=0):
@@ -182,6 +184,33 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     with pytest.raises(ValueError, match="trailing bytes after the last parameter record") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(str(path))
+
+
+def _container(blob: bytes, names: list[bytes]) -> bytes:
+    """A checkpoint of metadata ``blob`` and one scalar record per name."""
+    out = [_MAGIC, struct.pack("<II", _VERSION, len(names)), struct.pack("<I", len(blob)), blob]
+    for nb in names:
+        out += [struct.pack("<H", len(nb)), nb, struct.pack("<B", 0), struct.pack("<d", 0.5)]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("blob, names, message", [
+    (b'{"epoch": 1,}', [b"a"], "checkpoint metadata is not UTF-8 JSON: Expecting property name"),
+    (b'{"epoch": "\xff"}', [b"a"],
+     "checkpoint metadata is not UTF-8 JSON: 'utf-8' codec can't decode"),
+    (b"[1, 2]", [b"a"], "checkpoint metadata is a list, not a JSON object"),
+    (b"{}", [b"a", b"a"], "duplicate parameter 'a'"),
+    (b"{}", [b"\xff"], "parameter record 1 of 1 has a name that is not UTF-8"),
+], ids=["bad_json", "not_utf8", "list_metadata", "repeated_record", "bad_name"])
+def test_malformed_checkpoint_names_path(tmp_path, blob, names, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_container(b'{"epoch": 1}', [b"a", b"b"]))
+    store, meta = load_checkpoint(path)  # the well-formed container loads
+    assert store.names() == ["a", "b"] and meta == {"epoch": 1}
+    path.write_bytes(_container(blob, names))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path):

@@ -427,14 +427,14 @@ def test_small_overfit_reduces_losses():
 
 
 def test_encoder_step_replays_no_decoder_node(monkeypatch):
-    # every node decode_probs records counts its backward calls by the kind
+    # every node teacher_probs records counts its backward calls by the kind
     # of pass replaying it; the encoder step must neither replay nor hold one
     model, vocab, docs, _ = small_setup()
     enc_ids = {id(p) for p in model.encoder_params().values()}
     phase = [None]
     replays = Counter()
     held = []
-    decode, backward = Model.decode_probs, Tape.backward
+    decode, backward = Model.teacher_probs, Tape.backward
 
     def counted(back):
         def run(g):
@@ -444,13 +444,12 @@ def test_encoder_step_replays_no_decoder_node(monkeypatch):
         return run
 
     def recording_decode(self, *args, **kwargs):
-        tape = ag._active_tape()  # None for the tape-free assignment decode
-        start = len(tape.nodes) if tape else 0
+        tape = ag._active_tape()
+        start = len(tape.nodes)
         out = decode(self, *args, **kwargs)
-        if tape:
-            for i in range(start, len(tape.nodes)):
-                o, parents, back = tape.nodes[i]
-                tape.nodes[i] = (o, parents, counted(back))
+        for i in range(start, len(tape.nodes)):
+            o, parents, back = tape.nodes[i]
+            tape.nodes[i] = (o, parents, counted(back))
         return out
 
     def recording_backward(self, loss, wrt=None, **kwargs):
@@ -460,7 +459,7 @@ def test_encoder_step_replays_no_decoder_node(monkeypatch):
             held.append(sum(hasattr(back, "from_decoder") for _, _, back in self.nodes))
         return backward(self, loss, wrt, **kwargs)
 
-    monkeypatch.setattr(Model, "decode_probs", recording_decode)
+    monkeypatch.setattr(Model, "teacher_probs", recording_decode)
     monkeypatch.setattr(Tape, "backward", recording_backward)
     tsmt_train(model, docs, TsmtConfig(epochs=2, e1=1, e2=2, batch_size=4, probe_docs=0), vocab)
     assert replays["decoder"] > 0
@@ -513,14 +512,15 @@ def test_batch_gradients_match_the_full_tape_formulation(monkeypatch):
         entries = [e for tl in targets for e in tl.all()]
         ref_inner = []
         for _ in range(tcfg.e2):
-            dists = k_step_predict(model, states, control, cfg.assign_steps, vocab.bos_id, enc_mask)
+            dists = k_step_predict(model, states.data, control.data, cfg.assign_steps, vocab.bos_id,
+                                   enc_mask)
             order = []
             for b, tl in enumerate(targets):
                 order += [b * N + j for j in assign_groups(
                     dists[:, b * N : (b + 1) * N], [e.ids for e in tl.present],
                     [e.ids for e in tl.absent], vocab.null_id)]
             prev, tgt, w = teacher_arrays(entries, order, vocab, tcfg)
-            probs = model.decode_probs(prev, control, states, enc_mask=enc_mask)
+            probs = model.teacher_probs(prev, control, states, enc_mask=enc_mask)
             lg = loss_kg(probs, tgt, w / len(batch))
             tape.backward(lg)
             dec_opt.step()
