@@ -16,8 +16,11 @@ than one per tensor.
 
 The hot path is Python overhead per node, so the primitives are coarse:
 every (..., k) @ (k, m) product runs as one 2-D GEMM over the flattened
-leading axes, and ``gather_heads`` looks up every head's relative-position
-bias in one node. Each pre-LN transformer sublayer is one node:
+leading axes. The one exception is an output head's forward
+(``softmax_head``): it runs one product per (S, k) slice, so that a
+segment's head rows do not depend on the batch the segment is in.
+``gather_heads`` looks up every head's relative-position bias in one node.
+Each pre-LN transformer sublayer is one node:
 ``self_attention``, ``cross_attention`` and ``ffn`` each run the sublayer's
 layer norm, its projections and attention or feed-forward block, and its
 residual sum; ``softmax_head`` is an output head. Each runs exactly the
@@ -384,10 +387,18 @@ def softmax_array(a: np.ndarray) -> np.ndarray:
 
 def softmax_head(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """An output head softmax(x (..., k) @ w (k, m) + b (m,)) over its last
-    axis as one node. Backward keeps x, w and the output, not the logits."""
+    axis as one node. Backward keeps x, w and the output, not the logits.
+
+    The logits are numpy's ``x @ w``, not ``gemm``: a 2-D x is one product,
+    and an x with batch axes is one 2-D product per (S, k) slice, so each
+    slice's rows have the bits of that slice's own head product whatever
+    the batch holds. In one flattened product a row's bits may depend on its
+    offset when m mod 8 is 1 to 4, as for the (d, 3) tagger.
+    ``tests/test_autograd.py::test_softmax_head_slices_have_the_bits_of_their_own_product``
+    pins the rule. The backward's products stay flattened."""
     xd, wd = x.data, w.data
     k, m = wd.shape
-    z = gemm(xd, wd)
+    z = xd @ wd
     z += b.data
     y = softmax_array(z)
 

@@ -231,17 +231,25 @@ def spans_from_bio(segment: list[str], labels: list[int]) -> list[tuple[int, int
 _FIELDS = ("id", "title", "abstract", "claims", "present_keyphrases", "absent_keyphrases")
 
 
+def _not_json(name: str):
+    """``json.loads``'s hook for NaN, Infinity and -Infinity, which JSON does
+    not have and ``write_jsonl`` never writes."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, record) for every non-blank line of a JSONL file."""
+    """(line number, record) for every non-blank line of a JSONL file. A
+    line that is not JSON, such as one holding NaN, fails naming the file
+    and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+                rec = json.loads(line, parse_constant=_not_json)
+            except ValueError as e:  # a JSONDecodeError, or a non-finite number
+                raise ValueError(f"{path}:{lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
             yield lineno, rec
 
 
@@ -401,21 +409,23 @@ def load_jsonl(path: str | Path,
     return parse_jsonl(path, lambda rec: _document(rec, max_segment_tokens))
 
 
+def _corpus_record(d: MultiLevelDocument) -> dict:
+    """One document as a corpus record."""
+    rec = {
+        "id": d.doc_id,
+        "title": d.title,
+        "abstract": d.abstract,
+        "claims": d.claims,
+        "present_keyphrases": d.present_keyphrases,
+        "absent_keyphrases": d.absent_keyphrases,
+    }
+    if d.label is not None:
+        rec["label"] = d.label
+    return rec
+
+
 def save_jsonl(path: str | Path, docs: list[MultiLevelDocument]) -> None:
-    records = []
-    for d in docs:
-        rec = {
-            "id": d.doc_id,
-            "title": d.title,
-            "abstract": d.abstract,
-            "claims": d.claims,
-            "present_keyphrases": d.present_keyphrases,
-            "absent_keyphrases": d.absent_keyphrases,
-        }
-        if d.label is not None:
-            rec["label"] = d.label
-        records.append(rec)
-    write_jsonl(path, records)
+    write_jsonl(path, map(_corpus_record, docs))
 
 
 # ---------------------------------------------------------------- vocabulary

@@ -2,10 +2,12 @@
 multi-level portraits.
 
 Every inference command encodes through ``encode_and_tag``: segments of
-equal length share one encoder call, and each segment is then decoded on
-its own states by one ``generate_slots`` call. ``portraits`` runs every
-document's level i before any document's level i+1, since a level's prompt
-needs the phrases kept at the level above.
+equal length share one encoder call, the keyword tagger runs once on that
+call's states, and each segment is then decoded on its own states by one
+``generate_slots`` call. ``portraits`` tags every level's body of every
+document in one ``encode_and_tag`` pass, then runs every document's level i
+before any document's level i+1, since a level's prompt needs the phrases
+kept at the level above.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import no_grad
 from .corpus import (
     DocumentSegment,
     KeywordSpan,
@@ -135,7 +137,10 @@ def encode_and_tag(
     Segments of equal length share ``Model.encode`` calls of at most
     ``ENCODE_ROWS`` token rows (one segment at least). An equal-length batch
     needs no padding mask, so every segment gets the bits of its own
-    single encode.
+    single encode. Each call's (B, S, d) states are tagged by one
+    ``Model.kwe_probs`` call, whose head runs one product per segment
+    (``ag.softmax_head``), so every segment's spans are those of its own
+    tagging too.
 
     Yields (index into ``segments``, (1, S, d) states array, spans) one
     encode call at a time, so that a caller that decodes as it goes holds
@@ -152,16 +157,11 @@ def encode_and_tag(
         for k in range(0, len(members), per_call):
             chunk = members[k:k + per_call]
             with no_grad():
-                states = model.encode([vocab.encode(segments[i])[:n] for i in chunk]).data
+                states = model.encode([vocab.encode(segments[i])[:n] for i in chunk])
+                tags = model.kwe_probs(states).data if tag else None
             for b, i in enumerate(chunk):
-                seg_states, spans = states[b : b + 1], None
-                if tag:
-                    # one segment per call: in a (B*S, d) @ (d, 3) product a
-                    # row's bits depend on its offset, so on the other segments
-                    with no_grad():
-                        tag_probs = model.kwe_probs(Tensor(seg_states)).data[0]
-                    spans = model.predict_keywords(tag_probs, segments[i][:n])
-                yield i, seg_states, spans
+                spans = None if tags is None else model.predict_keywords(tags[b], segments[i][:n])
+                yield i, states.data[b : b + 1], spans
 
 
 def _decode(model: Model, vocab: Vocabulary, states: np.ndarray,
@@ -283,6 +283,8 @@ def portraits(
 ) -> list[Portrait]:
     """Portraits of every document, built level-synchronously: every
     document's level i is encoded as one batch before any level i+1.
+    Every level's body of every document is tagged first, in one
+    ``encode_and_tag`` pass, so the level loop encodes only prompts.
 
     Each document's levels run top-down, each prompted with the phrases
     kept at the one above and deduplicated against earlier levels by stem
@@ -304,26 +306,28 @@ def portraits(
     records: list[list[LevelRecord]] = [[] for _ in docs]
     prev_phrases: list[list[str]] = [[] for _ in docs]
 
+    spans: list[list] = [[None] * len(segs) for segs in levels]  # spans[k][li]
+    where = [(k, li) for k, segs in enumerate(levels) for li in range(len(segs))]
+    for j, _, sp in encode_and_tag(model, vocab, [levels[k][li].tokens for k, li in where]):
+        k, li = where[j]
+        spans[k][li] = sp
+
     for li in range(max(map(len, levels), default=0)):
         active = [k for k, segs in enumerate(levels) if li < len(segs)]
-        bodies = [levels[k][li].tokens for k in active]
-        spans: list = [None] * len(active)
-        for j, _, sp in encode_and_tag(model, vocab, bodies):
-            spans[j] = sp
-
         prompts = []
-        for j, k in enumerate(active):
+        for k in active:
             if li == 0:
-                in_order = sorted(spans[j], key=lambda s: s.start)
+                in_order = sorted(spans[k][0], key=lambda s: s.start)
                 phrases = list(dict.fromkeys(" ".join(sp.tokens) for sp in in_order))
             else:
                 phrases = prev_phrases[k]
-            prompts.append((phrases, *prompt_tokens(phrases, bodies[j], cfg.max_encode_len)))
+            prompts.append((phrases, *prompt_tokens(phrases, levels[k][li].tokens,
+                                                    cfg.max_encode_len)))
 
         for j, states, _ in encode_and_tag(model, vocab, [p[1] for p in prompts], tag=False):
             k, (phrases, _, text) = active[j], prompts[j]
-            level = levels[k][li].level
-            slots = _decode(model, vocab, states, spans[j])
+            level, level_spans = levels[k][li].level, spans[k][li]
+            slots = _decode(model, vocab, states, level_spans)
             kept = [PortraitEntry(tokens=p.tokens, level=level, group=p.group,
                                   confidence=p.confidence)
                     for p in filter_predictions(slots, pads[k], seen[k])]
@@ -332,7 +336,7 @@ def portraits(
                 level=level,
                 prompt_text=text,
                 prompt_phrases=list(phrases),
-                keyword_spans=[sp.tokens for sp in spans[j]],
+                keyword_spans=[sp.tokens for sp in level_spans],
                 kept=kept,
             ))
             prev_phrases[k] = [e.text for e in kept]
@@ -410,7 +414,7 @@ def portrait_from_dict(d: dict) -> Portrait:
 
 
 def save_portraits(path, portraits: list[Portrait]) -> None:
-    write_jsonl(path, [portrait_to_dict(p) for p in portraits])
+    write_jsonl(path, map(portrait_to_dict, portraits))
 
 
 def load_portraits(path) -> list[Portrait]:

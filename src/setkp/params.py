@@ -9,6 +9,9 @@ little-endian float64 payload. Loading restores bit-identical arrays.
 from __future__ import annotations
 
 import json
+import math
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -149,15 +152,20 @@ def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     """Read a container; a malformed one raises ValueError naming the path:
-    a short read (and, inside a record, the parameter), metadata that is
-    not a UTF-8 JSON object, a parameter name that is not UTF-8 or comes
-    twice, and bytes past the last record."""
+    a short read or a record longer than the bytes left (and, inside a
+    record, the parameter), metadata that is not a UTF-8 JSON object, a
+    parameter name that is not UTF-8 or comes twice, and bytes past the
+    last record."""
     path = Path(path)
     store = ParamStore()
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        # a record's shape may claim any size, so a regular file is never
+        # asked for more bytes than it has left; a pipe's size is unknown
+        regular = stat.S_ISREG(st.st_mode)
 
         def read(n: int, what: str) -> bytes:
-            b = fh.read(n)
+            b = fh.read(min(n, st.st_size - fh.tell()) if regular else n)
             if len(b) != n:
                 raise ValueError(f"{path}: checkpoint truncated in {what} ({len(b)} of {n} bytes)")
             return b
@@ -186,8 +194,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
             what = f"parameter {name!r}"
             (ndim,) = struct.unpack("<B", read(1, what))
             shape = tuple(struct.unpack("<I", read(4, what))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(read(8 * n, what), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(read(8 * math.prod(shape), what), dtype="<f8").reshape(shape)
             try:
                 store.create(name, arr.astype(np.float64))
             except ValueError as e:  # a name that came before

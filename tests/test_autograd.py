@@ -100,7 +100,9 @@ def _relu(a: Tensor) -> Tensor:
     return ag._record(Tensor(np.maximum(ad, 0.0)), (a,), lambda g: (g * (ad > 0.0),))
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _linear(x: Tensor, w: Tensor, b: Tensor, product=ag.gemm) -> Tensor:
+    """x @ w + b, its forward's product one flattened ``ag.gemm`` or, with
+    ``np.matmul``, one product per leading slice, as in ``ag.softmax_head``."""
     xd, wd = x.data, w.data
     k, m = wd.shape
 
@@ -108,7 +110,7 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, m)
         return (ag.gemm(g, wd.T), xd.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0))
 
-    return ag._record(Tensor(_linear_array(xd, wd, b.data)), (x, w, b), back)
+    return ag._record(Tensor(product(xd, wd) + b.data), (x, w, b), back)
 
 
 def _attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, n_heads: int,
@@ -307,7 +309,8 @@ def _fused_and_unfused(node: str, d: int, rng):
     functions of them: the fused node and the unfused composition, in which
     a residual projection is ``add`` over ``matmul``. ``cross_attention``
     attends with one (8, d) slot row per segment; ``cross_attention_slots``
-    has the decoder's layout, a (6, 4) lead of two slot rows per segment."""
+    has the decoder's layout, a (6, 4) lead of two slot rows per segment;
+    ``softmax_head`` has a (3, 5) lead."""
     lead, H = ((6, 4) if node == "cross_attention_slots" else (3, 8)), 4
     if node == "ffn":
         f = 4 * d
@@ -337,8 +340,11 @@ def _fused_and_unfused(node: str, d: int, rng):
 
         return (_cross_attention_parents(rng, lead, d, 3, 5),
                 lambda *p: ag.cross_attention(*p, H, 0.125, mask=mask), unfused)
-    parents = [_param(rng, (*lead, d)), _param(rng, (d, 37)), _param(rng, (37,))]
-    return parents, lambda *p: ag.softmax_head(*p), lambda x, w, b: _softmax(_linear(x, w, b))
+    # slices of 5 rows at width 147, where one flattened product gives some
+    # rows other bits than their slice's own product: only the head's rule matches
+    parents = [_param(rng, (3, 5, d)), _param(rng, (d, 147)), _param(rng, (147,))]
+    return parents, lambda *p: ag.softmax_head(*p), lambda x, w, b: _softmax(
+        _linear(x, w, b, np.matmul))
 
 
 @pytest.mark.parametrize("d", [64, 20])
@@ -357,6 +363,26 @@ def test_fused_node_has_the_bits_of_its_composition(node, d):
     assert np.array_equal(y, y_ref)
     for g, g_ref in zip(grads, grads_ref):
         assert g is not None and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_softmax_head_slices_have_the_bits_of_their_own_product(order):
+    # in one flattened (B*S, d) @ (d, m) product a row's bits may depend on
+    # its offset when m mod 8 is 1 to 4, as for the (d, 3) tagger; the head
+    # runs one product per slice, so each of B segments gets the bits of
+    # its own batch of one, wherever it sits in the batch
+    rng = np.random.default_rng(34)
+    d, B = 64, 6
+    for m in (3, *range(140, 165)):
+        w, b = Tensor(rng.standard_normal((d, m))), Tensor(rng.standard_normal(m))
+        for S in (1, 2, 5, 8, 13, 32, 40):
+            x = rng.standard_normal((B, S, d))
+            if order == "reversed":
+                x = x[::-1].copy()
+            y = ag.softmax_head(Tensor(x), w, b).data
+            for i in range(B):
+                own = ag.softmax_head(Tensor(x[i : i + 1]), w, b).data[0]
+                assert np.array_equal(y[i], own), (m, S, i)
 
 
 # The shared array formulas as they were written before they computed in
@@ -444,11 +470,11 @@ def test_in_place_formulas_have_the_bits_of_the_allocating_ones(d):
     _assert_all_equal(ag.attention_backward(g, qh, kh, vh, A, H, scale),
                       _attention_backward_reference(g, qh, kh, vh, A, H, scale))
 
-    w, b = Tensor(rng.standard_normal((d, 37))), Tensor(rng.standard_normal(37))
+    w, b = Tensor(rng.standard_normal((d, 147))), Tensor(rng.standard_normal(147))
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         y = ag.softmax_head(xt, w, b)
-    assert np.array_equal(y.data, _softmax_reference(ag.gemm(x, w.data) + b.data))
+    assert np.array_equal(y.data, _softmax_reference(x @ w.data + b.data))
     gy = rng.standard_normal(y.shape)
     kept += [gy.copy(), y.data.copy()]
     _assert_all_equal(tape.nodes[-1][2](gy), _softmax_head_backward_reference(gy, y.data, x, w.data))

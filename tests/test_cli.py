@@ -361,6 +361,11 @@ def _add_entry_with_a_text_level(row):
     row["keyphrases"].append({"text": "epoxy resin", "level": "1", "group": "present"})
 
 
+def _keep_a_nan_confidence_first(row):
+    row["segments"][0]["kept"].insert(
+        0, {"text": "epoxy resin", "group": "present", "confidence": float("nan")})
+
+
 @pytest.mark.parametrize("cmd,source,spoil,message", [
     ("eval", "preds", _drop_slot_null, "missing field 'null'"),
     ("analyze", "portraits", _drop_keyphrases, "missing field 'keyphrases'"),
@@ -371,6 +376,7 @@ def _add_entry_with_a_text_level(row):
     ("eval", "preds", _id_a_list, "id must be a string"),
     ("analyze", "portraits", _id_a_list, "id must be a string"),
     ("analyze", "portraits", _add_entry_with_a_text_level, "level must be an integer"),
+    ("eval", "preds", _keep_a_nan_confidence_first, "malformed JSON (NaN is not a JSON number)"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, pipeline, capsys, cmd, source, spoil,
                                              message):

@@ -302,6 +302,20 @@ def test_jsonl_error_carries_line_number(tmp_path):
         load_jsonl(path, 32)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_jsonl_non_finite_number_names_file_and_line(tmp_path, constant):
+    # JSON has no such number and write_jsonl never writes one
+    rec = {"id": "a", "title": "t", "abstract": "an abstract.", "claims": "a claim.",
+           "present_keyphrases": ["claim"], "absent_keyphrases": []}
+    path = tmp_path / "bad.jsonl"
+    line = json.dumps({**rec, "id": "b", "score": float(constant)})
+    assert constant in line
+    path.write_text(json.dumps(rec) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_jsonl(path, 32)
+    assert str(err.value) == f"{path}:2: malformed JSON ({constant} is not a JSON number)"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("present_keyphrases", "lithium battery", "present_keyphrases must be a list of strings"),
     ("absent_keyphrases", ["ok", 3], "absent_keyphrases must be a list of strings"),

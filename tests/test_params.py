@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +213,37 @@ def test_malformed_checkpoint_names_path(tmp_path, blob, names, message):
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_checkpoint_record_whose_element_count_wraps_is_truncated(tmp_path):
+    # 2**31 * 2**31 * 4 elements: an int64 product wraps to 0, and the
+    # record then failed to reshape with no file or parameter named
+    shape = (2**31, 2**31, 4)
+    record = [struct.pack("<H", 1), b"w", struct.pack("<B", len(shape)),
+              *(struct.pack("<I", n) for n in shape), struct.pack("<d", 0.5)]
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"".join([_MAGIC, struct.pack("<II", _VERSION, 1), struct.pack("<I", 2), b"{}",
+                               *record]))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"{path}: checkpoint truncated in parameter 'w' "
+                              f"(8 of {8 * 2**64} bytes)")
+
+
+def test_checkpoint_loads_from_a_pipe(tmp_path):
+    # a pipe has no size to bound the reads by, and loads as the file does
+    path = _saved_checkpoint(tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    store, meta = load_checkpoint(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want, want_meta = load_checkpoint(path)
+    assert meta == want_meta and store.names() == want.names()
+    for name in want.names():
+        assert np.array_equal(store[name].data, want[name].data)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path):
