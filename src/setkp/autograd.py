@@ -8,11 +8,14 @@ differences. Gradients are summed out of place, so a gradient array may be
 shared by several tensors, or be a view of another one, and nothing ever
 writes into it.
 
-``Tape.backward(loss, wrt=...)`` leaves a gradient only on the named
-tensors (every tensor on the tape when ``wrt`` is None): it replays just
-the paths from them to the loss and drops each other gradient as soon as
-its node has passed it on, so a pass holds the gradients in flight rather
-than one per tensor.
+One rule decides what the tape holds and what gets a gradient: a primitive
+records its node exactly when a tape is active on the current thread,
+whatever its parents are, and ``Tape.backward(loss, wrt=...)`` alone picks
+the tensors that keep a gradient (every tensor on the tape when ``wrt`` is
+None). A pass replays just the paths from the named tensors to the loss and
+drops each other gradient as soon as its node has passed it on, so it holds
+the gradients in flight rather than one per tensor. Code that only reads
+values, such as inference, runs with no tape active and records nothing.
 
 The hot path is Python overhead per node, so the primitives are coarse:
 every (..., k) @ (k, m) product runs as one 2-D GEMM over the flattened
@@ -65,7 +68,6 @@ pins each formula to its allocating form.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -90,13 +92,16 @@ class Tensor:
     written after creation, and optimizers rebind a parameter's data rather
     than write into it. Code that writes a parameter in place, such as a
     finite-difference probe, builds its graph again after the write.
+
+    A tensor carries no recording flag: every op on it records while a tape
+    is active, and a backward pass's ``wrt`` decides whether it keeps a
+    gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
     @property
@@ -107,7 +112,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
@@ -116,7 +121,9 @@ class Tape:
     Each node is (output, parents, backward_fn). Backward replays the list
     in reverse in one pass, summing parent gradients out of place, so
     fan-out in the DAG sums naturally. Entering a tape makes it the active
-    recorder for the current thread; tapes must not be nested.
+    recorder for the current thread, and every primitive run until it exits
+    appends its node; tapes must not be nested. Outside a tape nothing is
+    recorded.
     """
 
     def __init__(self):
@@ -187,7 +194,7 @@ class Tape:
                 continue
             if id(out) in replay:
                 for p, g in zip(parents, back(out.grad)):
-                    if g is not None and p.requires_grad and id(p) in live:
+                    if g is not None and id(p) in live:
                         p.grad = g if p.grad is None else p.grad + g
             if id(out) not in named:
                 out.grad = None  # no earlier node reads it
@@ -207,21 +214,9 @@ class Tape:
         return live, replay
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Suspend recording on the current thread's active tape, if any."""
-    prev = _active_tape()
-    _tls.tape = None
-    try:
-        yield
-    finally:
-        _tls.tape = prev
-
-
 def _record(out: Tensor, parents: tuple[Tensor, ...], back: Callable) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
+    if tape is not None:
         tape.nodes.append((out, parents, back))
     return out
 
@@ -259,22 +254,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forward formula of ``matmul`` on plain arrays: a (..., k) @ b
-    (k, m) as one 2-D product over the flattened leading axes; numpy would
-    otherwise loop over them, one small product each."""
+    """a (..., k) @ b (k, m) on plain arrays as one 2-D product over the
+    flattened leading axes; numpy would otherwise loop over them, one small
+    product each."""
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (..., k) @ b (k, m) -> (..., m): leading axes of a are batch axes."""
-    if a.data.ndim < 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects a (..., k) @ (k, m) pair")
-    ad, bd = a.data, b.data
-    out = Tensor(gemm(ad, bd))
-    k, m = bd.shape
-    return _record(
-        out, (a, b), lambda g: (gemm(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, m))
-    )
 
 
 def ffn(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
@@ -590,33 +573,39 @@ def cross_attention(
     gain: Tensor,
     bias: Tensor,
     wq: Tensor,
-    k: Tensor,
-    v: Tensor,
+    states: Tensor,
+    wk: Tensor,
+    wv: Tensor,
     wo: Tensor,
     n_heads: int,
     inv_scale: float,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """A pre-LN cross-attention sublayer as one node: x (..., T, d) plus
-    the attention of the normed rows' wq projections over the keys and
-    values k, v (B, S, d), projected by wo. x's rows regroup into B equal
-    blocks in order, one per segment, and block b attends over k[b] and
-    v[b] only; `mask` is a (B, 1, 1, S) key-padding mask or None.
+    the attention of the normed rows' wq projections over the keys
+    states @ wk and values states @ wv, states (B, S, d), projected by wo.
+    x's rows regroup into B equal blocks in order, one per segment, and
+    block b attends over segment b's keys and values only; `mask` is a
+    (B, 1, 1, S) key-padding mask or None.
 
-    Backward keeps the norm's xhat and inv, the query heads, the attention
-    weights and the attention output (the key and value heads are views of
-    k and v); it rebuilds the normed rows as xhat * gain + bias. x's
-    gradient is the residual's plus the norm's, the sum a tape of the
-    unfused nodes makes.
+    Backward keeps the norm's xhat and inv, the per-head q, k and v, the
+    attention weights and the attention output; it rebuilds the normed rows
+    as xhat * gain + bias. x's gradient is the residual's plus the norm's,
+    the sum a tape of the unfused nodes makes. The node lists `states` once
+    per product, the value product's first, so across products and layers
+    the tape sums the states' gradient as it sums that of an unfused
+    decoder tape whose key and value products are recorded before its
+    first layer.
     """
-    xd, gd, bd, wqd, wod = x.data, gain.data, bias.data, wq.data, wo.data
+    xd, gd, bd, sd = x.data, gain.data, bias.data, states.data
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
     d = xd.shape[-1]
     n, xhat, inv = layer_norm_array(xd, gd, bd)
     q = gemm(n, wqd)
     del n  # backward rebuilds the normed rows
     # (..., T, d) rows -> (B, rows per segment, d) per-segment queries and back
-    att, qh, kh, vh, A = attention_array(q.reshape(*k.data.shape[:-2], -1, d), k.data, v.data,
-                                         None, n_heads, inv_scale, mask)
+    att, qh, kh, vh, A = attention_array(q.reshape(*sd.shape[:-2], -1, d), gemm(sd, wkd),
+                                         gemm(sd, wvd), None, n_heads, inv_scale, mask)
     att = att.reshape(xd.shape)
 
     def back(g):
@@ -627,11 +616,13 @@ def cross_attention(
         del gq
         gx, ggain, gbias = layer_norm_backward(gn, xhat, inv, gd)
         gx += g  # the residual's gradient plus the norm's
-        return (gx, ggain, gbias, gwq, gk, gv, att.reshape(-1, d).T @ g.reshape(-1, d))
+        s2 = sd.reshape(-1, d)
+        return (gx, ggain, gbias, gwq, s2.T @ gk.reshape(-1, d), s2.T @ gv.reshape(-1, d),
+                att.reshape(-1, d).T @ g.reshape(-1, d), gemm(gv, wvd.T), gemm(gk, wkd.T))
 
     y = gemm(att, wod)
     y += xd  # the residual sum x + y, its two operands swapped
-    return _record(Tensor(y), (x, gain, bias, wq, k, v, wo), back)
+    return _record(Tensor(y), (x, gain, bias, wq, wk, wv, wo, states, states), back)
 
 
 def weighted_nll(probs: Tensor, targets, weights) -> Tensor:

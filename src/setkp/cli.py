@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -149,14 +150,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def prediction_rows(model, vocab, docs) -> list[dict]:
-    """One predictions.jsonl row per document: every segment's raw slots and
-    filtered keyphrases, all segments of the corpus generated in one pass."""
+def prediction_rows(model, vocab, docs) -> Iterator[dict]:
+    """One predictions.jsonl row per document, yielded in corpus order:
+    every segment's raw slots and filtered keyphrases, all segments of the
+    corpus generated in one pass before the first row."""
     for doc in docs:
         inference.check_encodable(doc, doc.segments, model.cfg.max_encode_len)
     generated = iter(inference.generate_segments(
         model, vocab, [seg.tokens for doc in docs for seg in doc.segments]))
-    rows = []
     for doc in docs:
         segs = []
         for seg in doc.segments:
@@ -174,16 +175,14 @@ def prediction_rows(model, vocab, docs) -> list[dict]:
                     for s in kept
                 ],
             })
-        rows.append({"id": doc.doc_id, "segments": segs})
-    return rows
+        yield {"id": doc.doc_id, "segments": segs}
 
 
 def cmd_generate(args) -> int:
     model, vocab, _ = _load_model(args.ckpt)
     docs = load_jsonl(args.corpus)
-    rows = prediction_rows(model, vocab, docs)
-    write_jsonl(args.out, rows)
-    print(f"generated for {len(rows)} documents -> {args.out}", file=sys.stderr)
+    write_jsonl(args.out, prediction_rows(model, vocab, docs))
+    print(f"generated for {len(docs)} documents -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autograd import no_grad
 from .corpus import (
     DocumentSegment,
     KeywordSpan,
@@ -156,9 +155,8 @@ def encode_and_tag(
         per_call = max(ENCODE_ROWS // S, 1) if S > 1 else 1
         for k in range(0, len(members), per_call):
             chunk = members[k:k + per_call]
-            with no_grad():
-                states = model.encode([vocab.encode(segments[i])[:n] for i in chunk])
-                tags = model.kwe_probs(states).data if tag else None
+            states = model.encode([vocab.encode(segments[i])[:n] for i in chunk])
+            tags = model.kwe_probs(states).data if tag else None
             for b, i in enumerate(chunk):
                 spans = None if tags is None else model.predict_keywords(tags[b], segments[i][:n])
                 yield i, states.data[b : b + 1], spans
@@ -167,8 +165,7 @@ def encode_and_tag(
 def _decode(model: Model, vocab: Vocabulary, states: np.ndarray,
             spans: list[KeywordSpan]) -> list[SlotPrediction]:
     """Slots conditioned on ``spans``, decoded on one segment's states."""
-    with no_grad():
-        control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
+    control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
     return generate_slots(model, vocab, states, control)
 
 

@@ -393,9 +393,6 @@ class Model:
         cfg = self.cfg
         R, T = prev_ids.shape
         self._check_rows(R, enc_states.shape[0])
-        cross_kv = [(ag.matmul(enc_states, self.store[f"dec.L{i}.ck"]),
-                     ag.matmul(enc_states, self.store[f"dec.L{i}.cv"]))
-                    for i in range(cfg.n_dec_layers)]
         x = ag.add(
             ag.add(ag.gather(self.store["dec.emb"], prev_ids), Tensor(_ape_rows(T, cfg.d))),
             ag.reshape(control, (R, 1, cfg.d)),
@@ -409,8 +406,9 @@ class Model:
             x = self._self_attention(x, p, bias, mask)
             # each segment's N slot rows attend over its own states
             x = ag.cross_attention(
-                x, *(self.store[p + n] for n in ("ln2.g", "ln2.b", "cq")), *cross_kv[i],
-                self.store[p + "co"], cfg.n_heads, self._inv_scale, mask=enc_mask)
+                x, *(self.store[p + n] for n in ("ln2.g", "ln2.b", "cq")), enc_states,
+                *(self.store[p + n] for n in ("ck", "cv", "co")), cfg.n_heads, self._inv_scale,
+                mask=enc_mask)
             x = self._ffn(x, p, "ln3")
         x = ag.reshape(self._ln(x, "dec.final"), (R * T, cfg.d))
         return ag.softmax_head(x, self.store["kg.w"], self.store["kg.b"])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .corpus import output_file
+from .corpus import _not_json, output_file
 
 _MAGIC = b"SKPT"
 _VERSION = 1
@@ -27,7 +27,9 @@ ADAM_EPS = 1e-8  # AdamW's denominator floor
 
 
 class ParamStore:
-    """Ordered name -> Tensor(requires_grad=True) mapping."""
+    """Ordered name -> Tensor mapping. A parameter is a plain Tensor: a
+    backward pass leaves it a gradient when its ``wrt`` names it, as the
+    training passes name the parameters their optimizer steps."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -35,7 +37,7 @@ class ParamStore:
     def create(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        t = Tensor(data)
         self._params[name] = t
         return t
 
@@ -132,9 +134,13 @@ class AdamW:
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
     """Write the container through ``corpus.output_file``; float payloads
-    are forced little-endian. A failed or interrupted write leaves a
-    previous checkpoint file as it was."""
-    blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    are forced little-endian. Metadata JSON cannot hold, such as a NaN or
+    infinite number, raises ValueError before the file is opened. A failed
+    or interrupted write leaves a previous checkpoint file as it was."""
+    try:
+        blob = json.dumps(meta, sort_keys=True, ensure_ascii=False, allow_nan=False).encode("utf-8")
+    except ValueError as e:
+        raise ValueError(f"{path}: checkpoint metadata: {e}") from e
     with output_file(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(store.names())))
@@ -153,9 +159,9 @@ def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     """Read a container; a malformed one raises ValueError naming the path:
     a short read or a record longer than the bytes left (and, inside a
-    record, the parameter), metadata that is not a UTF-8 JSON object, a
-    parameter name that is not UTF-8 or comes twice, and bytes past the
-    last record."""
+    record, the parameter), metadata that is not a UTF-8 JSON object (NaN
+    and infinite numbers are not JSON), a parameter name that is not UTF-8
+    or comes twice, and bytes past the last record."""
     path = Path(path)
     store = ParamStore()
     with open(path, "rb") as fh:
@@ -178,8 +184,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         (blen,) = struct.unpack("<I", read(4, "header"))
         blob = read(blen, "metadata")
         try:
-            meta = json.loads(blob.decode("utf-8"))
-        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+            meta = json.loads(blob.decode("utf-8"), parse_constant=_not_json)
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError and _not_json alike
             raise ValueError(f"{path}: checkpoint metadata is not UTF-8 JSON: {e}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: checkpoint metadata is a {type(meta).__name__}, "

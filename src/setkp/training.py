@@ -25,6 +25,7 @@ segment, on slices of the batch.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tape, Tensor, no_grad
+from .autograd import Tape, Tensor
 from .assignment import assign_groups, k_step_predict
 from .corpus import (
     NULL,
@@ -80,11 +81,11 @@ class TsmtConfig:
             raise ValueError("e2 must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be > 0 and finite")
         for name in ("weight_decay", "lambda_null", "lambda_kw", "lambda_g"):
-            if not getattr(self, name) >= 0:  # rejects NaN too
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # rejects NaN too
+                raise ValueError(f"{name} must be >= 0 and finite")
 
 
 @dataclass(slots=True)
@@ -310,9 +311,8 @@ def _batches(items: list, size: int) -> list[list]:
 
 
 def predicted_keywords(model: Model, ex: SegmentExample) -> list[KeywordSpan]:
-    """Tape-free tagger keywords for one segment; criterion 07 replays an epoch with it."""
-    with no_grad():
-        tag_probs = model.kwe_probs(model.encode([ex.ids])).data[0]
+    """Tagger keywords for one segment; criterion 07 replays an epoch with it."""
+    tag_probs = model.kwe_probs(model.encode([ex.ids])).data[0]
     return model.predict_keywords(tag_probs, ex.tokens)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from setkp import analysis, inference, metrics
 from setkp.assignment import assign_groups, brute_force, hungarian, k_step_predict
-from setkp.autograd import Tape, no_grad
+from setkp.autograd import Tape
 from setkp.cli import _eval_record, prediction_rows
 from setkp.corpus import SPECIALS, KeyphraseSet, Vocabulary, derive_keywords, bio_labels
 from setkp.model import Model, ModelConfig
@@ -118,11 +118,9 @@ def _fd_relative_errors(model, loss_fn, names, seed, want=60, h=1e-5):
         p = store[name].data
         old = p.flat[idx]
         p.flat[idx] = old + h
-        with no_grad():
-            hi = loss_fn().item()
+        hi = loss_fn().item()
         p.flat[idx] = old - h
-        with no_grad():
-            lo = loss_fn().item()
+        lo = loss_fn().item()
         p.flat[idx] = old
         fd = (hi - lo) / (2.0 * h)
         rels.append(abs(g - fd) / max(abs(g), abs(fd)))
@@ -367,10 +365,9 @@ def test_08_slot_control_isolation():
     prev[:, 0] = vocab.bos_id
     prev[:, 1] = ids[0]
     prev[:, 2] = ids[1]
-    with no_grad():
-        states = model.encode([ids])
-        pa = model.teacher_probs(prev, model.control_rows(base), states).data
-        pb = model.teacher_probs(prev, model.control_rows(pert), states).data
+    states = model.encode([ids])
+    pa = model.teacher_probs(prev, model.control_rows(base), states).data
+    pb = model.teacher_probs(prev, model.control_rows(pert), states).data
     pa = pa.reshape(cfg.n_slots, T, -1)
     pb = pb.reshape(cfg.n_slots, T, -1)
 

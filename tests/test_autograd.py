@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkp import autograd as ag
-from setkp.autograd import Tape, Tensor, no_grad
+from setkp.autograd import Tape, Tensor
 from setkp.inference import ENCODE_ROWS
 from setkp.model import padding_mask
 
@@ -59,7 +59,7 @@ def grad_check(
 
 
 def _param(rng, shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
+    return Tensor(rng.standard_normal(shape))
 
 
 def _readout(n: int) -> np.ndarray:
@@ -67,23 +67,31 @@ def _readout(n: int) -> np.ndarray:
 
 
 def _dot(t: Tensor) -> Tensor:
-    """Scalar <t, r> for a fixed random r, from reshape and matmul alone."""
+    """Scalar <t, r> for a fixed random r, from reshape and _matmul alone."""
     n = t.data.size
     r = Tensor(_readout(n).reshape(n, 1))
-    return ag.reshape(ag.matmul(ag.reshape(t, (1, n)), r), ())
+    return ag.reshape(_matmul(ag.reshape(t, (1, n)), r), ())
 
 
 def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ag.gemm(x, w) + b
 
 
-# Test-local nodes: a softmax, a ReLU, an affine map and multi-head
-# attention, each recorded with ``ag._record``. The tape-mechanics tests use
-# the softmax as a generic nonlinearity; the attention node runs the shared
-# ``attention_array`` and ``attention_backward`` formulas, which the
-# attention tests check; and with ``layer_norm`` and ``matmul`` they are the
+# Test-local nodes: a product, a softmax, a ReLU, an affine map and
+# multi-head attention, each recorded with ``ag._record``. The tape-mechanics
+# tests use the product and the softmax as generic nodes; the attention node
+# runs the shared ``attention_array`` and ``attention_backward`` formulas,
+# which the attention tests check; and with ``layer_norm`` they are the
 # unfused reference that the fused sublayer and head nodes must match bit
 # for bit.
+
+
+def _matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a (..., k) @ b (k, m) -> (..., m), one ``ag.gemm`` over the leading axes."""
+    ad, bd = a.data, b.data
+    k, m = bd.shape
+    return ag._record(Tensor(ag.gemm(ad, bd)), (a, b),
+                      lambda g: (ag.gemm(g, bd.T), ad.reshape(-1, k).T @ g.reshape(-1, m)))
 
 
 def _softmax(a: Tensor) -> Tensor:
@@ -142,13 +150,8 @@ def test_matmul_grad():
     rng = np.random.default_rng(2)
     a = _param(rng, (3, 4))
     b = _param(rng, (4, 2))
-    err = grad_check(lambda: _dot(ag.matmul(a, b)), {"a": a, "b": b}, n_coords=20)
+    err = grad_check(lambda: _dot(_matmul(a, b)), {"a": a, "b": b}, n_coords=20)
     assert err < 1e-6
-
-
-def test_matmul_rejects_vectors():
-    with pytest.raises(ValueError):
-        ag.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
 def test_matmul_flat_matches_per_entry_products():
@@ -158,7 +161,7 @@ def test_matmul_flat_matches_per_entry_products():
     a = _param(rng, (5, 3, 8))
     b = _param(rng, (8, 6))
     with Tape() as tape:
-        out = ag.matmul(a, b)
+        out = _matmul(a, b)
         loss = _dot(out)
     tape.backward(loss)
     g = _readout(out.data.size).reshape(out.shape)
@@ -195,7 +198,7 @@ def _away_from_kink(rng, shape, gain, bias, w1, b1, margin=0.05):
     while True:
         x = rng.standard_normal(shape)
         if np.abs(_pre_activations(x, gain, bias, w1, b1)).min() >= margin:
-            return Tensor(x, requires_grad=True)
+            return Tensor(x)
 
 
 def _pre_activations(x, gain, bias, w1, b1):
@@ -205,7 +208,7 @@ def _pre_activations(x, gain, bias, w1, b1):
 
 def test_ffn_grad():
     rng = np.random.default_rng(17)
-    gain, bias = Tensor(rng.standard_normal(3) + 2.0, requires_grad=True), _param(rng, (3,))
+    gain, bias = Tensor(rng.standard_normal(3) + 2.0), _param(rng, (3,))
     w1, b1, w2, b2 = _param(rng, (3, 5)), _param(rng, (5,)), _param(rng, (5, 3)), _param(rng, (3,))
     x = _away_from_kink(rng, (2, 2, 3), gain, bias, w1, b1)
     h = _pre_activations(x.data, gain, bias, w1, b1)
@@ -218,19 +221,19 @@ def test_ffn_grad():
 def _projection(rng, d):
     """A (d, d) weight that keeps attention logits O(1), so no softmax
     saturates and central differences resolve every gradient."""
-    return Tensor(rng.standard_normal((d, d)) / np.sqrt(d), requires_grad=True)
+    return Tensor(rng.standard_normal((d, d)) / np.sqrt(d))
 
 
 def _self_attention_parents(rng, lead, d, H):
     T = lead[-1]
-    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0, requires_grad=True),
+    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0),
             _param(rng, (d,)), *(_projection(rng, d) for _ in range(4)), _param(rng, (H, T, T))]
 
 
 def _cross_attention_parents(rng, lead, d, B, S):
-    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0, requires_grad=True),
-            _param(rng, (d,)), _projection(rng, d), _param(rng, (B, S, d)), _param(rng, (B, S, d)),
-            _projection(rng, d)]
+    return [_param(rng, (*lead, d)), Tensor(rng.standard_normal(d) + 1.0),
+            _param(rng, (d,)), _projection(rng, d), _param(rng, (B, S, d)),
+            *(_projection(rng, d) for _ in range(3))]
 
 
 def test_self_attention_grad():
@@ -250,16 +253,16 @@ def test_cross_attention_grad():
     rng = np.random.default_rng(27)
     parents = _cross_attention_parents(rng, (6, 2), 6, 3, 3)
     mask = padding_mask([3, 2, 3])
-    names = ("x", "gain", "bias", "wq", "k", "v", "wo")
+    names = ("x", "gain", "bias", "wq", "states", "wk", "wv", "wo")
     err = grad_check(lambda: _dot(ag.cross_attention(*parents, 2, 0.5, mask=mask)),
                      dict(zip(names, parents)), n_coords=120)
     assert err < 1e-5
     with Tape() as tape:
         loss = _dot(ag.cross_attention(*parents, 2, 0.5, mask=mask))
     tape.backward(loss)
-    k, v = parents[4], parents[5]
-    assert not k.grad[1, 2:].any() and not v.grad[1, 2:].any()  # padding gets no gradient
-    assert k.grad[1, :2].any() and v.grad[1, :2].any()
+    states = parents[4]
+    assert not states.grad[1, 2:].any()  # padding gets no gradient
+    assert states.grad[1, :2].all()
 
 
 def test_softmax_head_grad():
@@ -286,16 +289,16 @@ def test_residual_input_that_feeds_other_nodes(node):
     elif node == "self_attention":
         params.update(wq=wq, wk=wk, wv=wv, wo=wo, pos=pos)
     else:
-        params.update(wq=wq, kv=kv, wo=wo)
+        params.update(wq=wq, kv=kv, wk=wk, wv=wv, wo=wo)
 
     def f():
-        r = ag.matmul(x0, w0)
+        r = _matmul(x0, w0)
         if node == "ffn":
             out = ag.ffn(r, gain, bias, w1, b1, w2, b2)
         elif node == "self_attention":
             out = ag.self_attention(r, gain, bias, wq, wk, wv, wo, pos, 2, 0.5)
         else:  # both batch entries attend over one segment's states
-            out = ag.cross_attention(r, gain, bias, wq, kv, kv, wo, 2, 0.5)
+            out = ag.cross_attention(r, gain, bias, wq, kv, wk, wv, wo, 2, 0.5)
         return _dot(ag.add(out, ag.scale(r, 0.5)))
 
     if node == "ffn":
@@ -307,7 +310,7 @@ def test_residual_input_that_feeds_other_nodes(node):
 def _fused_and_unfused(node: str, d: int, rng):
     """Parent tensors of one fused node with a (3, 8) batch lead, and two
     functions of them: the fused node and the unfused composition, in which
-    a residual projection is ``add`` over ``matmul``. ``cross_attention``
+    a residual projection is ``add`` over ``_matmul``. ``cross_attention``
     attends with one (8, d) slot row per segment; ``cross_attention_slots``
     has the decoder's layout, a (6, 4) lead of two slot rows per segment;
     ``softmax_head`` has a (3, 5) lead."""
@@ -323,9 +326,9 @@ def _fused_and_unfused(node: str, d: int, rng):
 
         def unfused(x, gain, bias, wq, wk, wv, wo, pos):
             h = ag.layer_norm(x, gain, bias)
-            att = _attention(ag.matmul(h, wq), ag.matmul(h, wk), ag.matmul(h, wv), pos, H, 0.125,
+            att = _attention(_matmul(h, wq), _matmul(h, wk), _matmul(h, wv), pos, H, 0.125,
                              mask=mask)
-            return ag.add(x, ag.matmul(att, wo))
+            return ag.add(x, _matmul(att, wo))
 
         return (_self_attention_parents(rng, lead, d, H),
                 lambda *p: ag.self_attention(*p, H, 0.125, mask=mask), unfused)
@@ -333,10 +336,12 @@ def _fused_and_unfused(node: str, d: int, rng):
         # 3 segments over states of 5, 3 and 4 of 5 positions
         mask = padding_mask([5, 3, 4])
 
-        def unfused(x, gain, bias, wq, k, v, wo):
-            q = ag.reshape(ag.matmul(ag.layer_norm(x, gain, bias), wq), (3, -1, d))
+        def unfused(x, gain, bias, wq, states, wk, wv, wo):
+            # the products of the states first: the fused node sums their gradient in this order
+            k, v = _matmul(states, wk), _matmul(states, wv)
+            q = ag.reshape(_matmul(ag.layer_norm(x, gain, bias), wq), (3, -1, d))
             att = ag.reshape(_attention(q, k, v, None, H, 0.125, mask=mask), x.shape)
-            return ag.add(x, ag.matmul(att, wo))
+            return ag.add(x, _matmul(att, wo))
 
         return (_cross_attention_parents(rng, lead, d, 3, 5),
                 lambda *p: ag.cross_attention(*p, H, 0.125, mask=mask), unfused)
@@ -471,7 +476,7 @@ def test_in_place_formulas_have_the_bits_of_the_allocating_ones(d):
                       _attention_backward_reference(g, qh, kh, vh, A, H, scale))
 
     w, b = Tensor(rng.standard_normal((d, 147))), Tensor(rng.standard_normal(147))
-    xt = Tensor(x, requires_grad=True)
+    xt = Tensor(x)
     with Tape() as tape:
         y = ag.softmax_head(xt, w, b)
     assert np.array_equal(y.data, _softmax_reference(x @ w.data + b.data))
@@ -516,7 +521,7 @@ def test_reshape_grad():
 
 
 def test_gather_grad_accumulates_repeats():
-    a = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+    a = Tensor(np.arange(12, dtype=float).reshape(4, 3))
     idx = np.array([1, 1, 3])
     with Tape() as tape:
         out = _dot(ag.gather(a, idx))
@@ -587,7 +592,7 @@ def test_attention_grad_with_key_padding_mask():
 def test_layer_norm_grad():
     rng = np.random.default_rng(7)
     x = _param(rng, (4, 6))
-    g = Tensor(rng.standard_normal(6) + 2.0, requires_grad=True)
+    g = Tensor(rng.standard_normal(6) + 2.0)
     b = _param(rng, (6,))
     err = grad_check(lambda: _dot(ag.layer_norm(x, g, b)), {"x": x, "g": g, "b": b},
                      n_coords=40)
@@ -691,7 +696,7 @@ def test_matmul_batched_grad():
     rng = np.random.default_rng(14)
     a = _param(rng, (2, 3, 4))
     b = _param(rng, (4, 5))
-    err = grad_check(lambda: _dot(ag.matmul(a, b)), {"a": a, "b": b}, n_coords=30)
+    err = grad_check(lambda: _dot(_matmul(a, b)), {"a": a, "b": b}, n_coords=30)
     assert err < 1e-5
 
 
@@ -729,14 +734,14 @@ def test_attention_matches_manual_single_head():
 
 
 def test_weighted_nll_hand_value():
-    probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]), requires_grad=True)
+    probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]))
     loss = ag.weighted_nll(probs, [0, 1, 0], [1.0, 0.5, 0.0])
     expect = -np.log(0.5) - 0.5 * np.log(0.75)
     assert loss.item() == pytest.approx(expect)
 
 
 def test_weighted_nll_zero_weight_rows_get_no_grad():
-    probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]), requires_grad=True)
+    probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
     with Tape() as tape:
         loss = ag.weighted_nll(probs, [0, 1], [1.0, 0.0])
     tape.backward(loss)
@@ -747,7 +752,7 @@ def test_weighted_nll_zero_weight_rows_get_no_grad():
 def test_weighted_nll_floor_adds_constant_and_no_grad():
     # row 0's picked probability sits below the floor: it adds
     # -w * log(LOG_FLOOR) and gets no gradient; row 1 is ordinary
-    probs = Tensor(np.array([[1e-15, 1.0], [0.25, 0.75]]), requires_grad=True)
+    probs = Tensor(np.array([[1e-15, 1.0], [0.25, 0.75]]))
     with Tape() as tape:
         loss = ag.weighted_nll(probs, [0, 1], [2.0, 1.0])
     tape.backward(loss)
@@ -771,7 +776,7 @@ def test_weighted_nll_all_ones_equals_ce_sum():
 
 
 def test_fanout_accumulates():
-    x = Tensor(np.array(3.0), requires_grad=True)
+    x = Tensor(np.array(3.0))
     with Tape() as tape:
         y = ag.add(x, x)  # dy/dx = 2
     tape.backward(y)
@@ -779,7 +784,7 @@ def test_fanout_accumulates():
 
 
 def test_backward_twice_resets_grads():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    x = Tensor(np.array([1.0, 2.0]))
     with Tape() as tape:
         loss = _dot(_softmax(ag.add(x, x)))
     tape.backward(loss)
@@ -789,7 +794,7 @@ def test_backward_twice_resets_grads():
 
 
 def test_backward_rejects_non_scalar():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     with Tape() as tape:
         y = ag.add(x, x)
     with pytest.raises(ValueError):
@@ -803,31 +808,35 @@ def test_tapes_do_not_nest():
                 pass
 
 
-def test_no_grad_suspends_recording():
-    x = Tensor(np.array(2.0), requires_grad=True)
+def test_a_node_is_recorded_exactly_while_a_tape_is_active():
+    # the one recording rule: every op run inside a tape records its node,
+    # plain parents or not; an op outside any tape is recorded nowhere; and
+    # a pass's wrt alone decides which tensors keep a gradient
+    x, w = Tensor(np.array([[2.0]])), Tensor(np.array([[5.0]]))
+    before = ag.scale(x, 3.0)
     with Tape() as tape:
-        with no_grad():
-            y = ag.scale(x, 3.0)
-        z = ag.scale(x, 3.0)
-    assert not y.requires_grad
-    assert len(tape.nodes) == 1
-    tape.backward(z)
-    assert x.grad == pytest.approx(3.0)
-
-
-def test_recording_off_without_tape():
-    x = Tensor(np.array(2.0), requires_grad=True)
-    y = ag.add(x, x)
-    assert not y.requires_grad
+        y = ag.scale(x, 3.0)  # every parent a plain Tensor
+        loss = ag.reshape(_matmul(y, w), ())
+    after = ag.scale(x, 3.0)
+    with Tape() as idle:
+        pass
+    outs = [out for out, _, _ in tape.nodes]
+    assert len(outs) == 3 and outs[0] is y and outs[2] is loss
+    assert not idle.nodes and all(t not in outs for t in (before, after))
+    tape.backward(loss, wrt=[w])
+    assert w.grad == pytest.approx(6.0)
+    assert x.grad is None and y.grad is None and loss.grad is None
+    tape.backward(loss, wrt=[x, y])
+    assert x.grad == pytest.approx(15.0) and y.grad == pytest.approx(5.0) and w.grad is None
 
 
 def test_backward_uses_values_from_op_time():
     # optimizers rebind .data between backward passes of one retained graph;
     # gradients must reflect the forward-time values
-    x = Tensor(np.array([[2.0]]), requires_grad=True)
-    w = Tensor(np.array([[5.0]]), requires_grad=True)
+    x = Tensor(np.array([[2.0]]))
+    w = Tensor(np.array([[5.0]]))
     with Tape() as tape:
-        loss = ag.reshape(ag.matmul(x, w), ())
+        loss = ag.reshape(_matmul(x, w), ())
         tape.backward(loss)
         assert x.grad[0, 0] == pytest.approx(5.0)
         w.data = np.array([[100.0]])  # rebinding, as AdamW does
@@ -845,8 +854,8 @@ def test_seeded_backward_matches_finite_differences():
     params = {"x": x, "w": w, "w2": w2, "gain": gain, "bias": bias}
 
     def forward():
-        h = ag.layer_norm(ag.matmul(x, w), gain, bias)
-        return _dot(_softmax(h)), h, ag.matmul(x, w2)
+        h = ag.layer_norm(_matmul(x, w), gain, bias)
+        return _dot(_softmax(h)), h, _matmul(x, w2)
 
     def value() -> float:
         loss, h, z = forward()
@@ -875,7 +884,7 @@ def test_seeded_backward_matches_finite_differences():
 
 
 def test_seed_shape_must_match_its_tensor():
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    x = Tensor(np.ones((2, 3)))
     with Tape() as tape:
         h = ag.scale(x, 2.0)
         loss = _dot(h)
@@ -887,7 +896,7 @@ def test_backward_wrt_intermediate_gives_its_exact_gradient():
     rng = np.random.default_rng(6)
     x, w = _param(rng, (3, 4)), _param(rng, (4, 4))
     with Tape() as tape:
-        h = ag.matmul(x, w)  # the intermediate; its node is tape.nodes[0]
+        h = _matmul(x, w)  # the intermediate; its node is tape.nodes[0]
         loss = ag.add(_dot(_softmax(h)), _dot(ag.scale(h, 0.5)))  # h fans out
     producer = [0]  # counts replays of h's node
     out, parents, back = tape.nodes[0]
@@ -916,7 +925,7 @@ def _reference_grads(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         if id(out) not in grads:
             continue
         for p, g in zip(parents, back(grads[id(out)])):
-            if g is None or not p.requires_grad:
+            if g is None:
                 continue
             grads[id(p)] = g.copy() if id(p) not in grads else grads[id(p)] + g
     return grads
@@ -948,7 +957,7 @@ def test_backward_keeps_first_gradients_apart_from_shared_arrays():
     # be written through by a later += : add's parents get two views of one
     # array, and the reshape view of r's gradient then accumulates into u;
     # _twin hands one array to both parents; _identity returns out.grad
-    x = Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3) - 2.5)
     with Tape() as tape:
         u, v = ag.scale(x, 2.0), ag.scale(x, 3.0)
         r = ag.reshape(u, (3, 2))  # replayed after add: accumulates into u
@@ -976,7 +985,7 @@ def _kept_slope(a: Tensor, rest: Tensor, kept: np.ndarray) -> Tensor:
 def test_backward_never_writes_into_an_array_a_rule_keeps():
     # the loss node is replayed first, so x's first gradient is `kept`
     # itself; the softmax path recorded before it then adds to x
-    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
     kept = np.full(3, 2.0)
     with Tape() as tape:
         loss = _kept_slope(x, _dot(_softmax(x)), kept)
@@ -992,7 +1001,7 @@ def _every_primitive(emb, w, b, gain, bias, tables) -> Tensor:
     h = ag.layer_norm(ag.ffn(x, gain, bias, w, b, w, b), gain, bias)  # w, b, gain and bias twice
     rel = ag.gather_heads(tables, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     a = ag.self_attention(h, gain, bias, w, w, w, w, rel, 2, 0.5)  # w four times in one node
-    c = ag.cross_attention(a, gain, bias, w, ag.matmul(h, w), x, w, 2, 0.5)  # h and x fan out
+    c = ag.cross_attention(a, gain, bias, w, x, w, w, w, 2, 0.5)  # x fans out, twice in one node
     y = ag.add(c, ag.scale(h, 0.5))
     s = ag.gather_sum(ag.reshape(y, (6, 4)), [[0, 5, 2], [2, 2, 1]], [[1, 1, 0], [1, 1, 1]])
     probs = ag.softmax_head(s, w, b)
@@ -1030,7 +1039,7 @@ def test_wrt_pass_keeps_gradients_only_on_named_tensors():
     tables = [_param(rng, (3,)) for _ in range(2)]
     with Tape() as tape:
         loss, h = _every_primitive(*params.values(), tables)
-        z = ag.matmul(h, params["w"])  # seeded, off the loss's path
+        z = _matmul(h, params["w"])  # seeded, off the loss's path
     seeds = [(z, rng.standard_normal(z.shape)), (params["gain"], rng.standard_normal(4))]
     tensors = _tape_tensors(tape)
 
@@ -1056,11 +1065,11 @@ def test_wrt_pass_frees_the_gradients_it_was_not_asked_for():
     L = 8
     rng = np.random.default_rng(23)
     x = _param(rng, (256, 64))
-    ws = [Tensor(rng.standard_normal((64, 64)) / 8.0, requires_grad=True) for _ in range(L)]
+    ws = [Tensor(rng.standard_normal((64, 64)) / 8.0) for _ in range(L)]
     with Tape() as tape:
         h = x
         for w in ws:
-            h = ag.matmul(h, w)
+            h = _matmul(h, w)
         loss = _dot(h)
 
     def traced_peak(wrt) -> int:
@@ -1105,8 +1114,8 @@ def test_softmax_shift_invariant(n, shift, seed):
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_add_grad_matches_fd_random_shapes(n, m, seed):
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.standard_normal((n, m)), requires_grad=True)
-    b = Tensor(rng.standard_normal((m,)), requires_grad=True)
+    a = Tensor(rng.standard_normal((n, m)))
+    b = Tensor(rng.standard_normal((m,)))
     err = grad_check(lambda: _dot(_softmax(ag.add(a, b))), {"a": a, "b": b},
                      n_coords=8, seed=seed)
     assert err < 1e-5

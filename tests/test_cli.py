@@ -684,6 +684,10 @@ CONFIG_COMMANDS = ["gen-corpus", "train", "analyze"]
     ("ffn_width = 0", "ffn_width must be >= 1"),
     ("max_encode_len = 0", "max_encode_len must be >= 1"),
     ("n_docs = 0", "n_docs must be >= 1"),
+    # a float key that reads as infinite fails on load, naming its key
+    ("lr = inf", "lr must be > 0 and finite"),
+    ("lambda_kw = infinity", "lambda_kw must be >= 0 and finite"),
+    ("weight_decay = 1e400", "weight_decay must be >= 0 and finite"),
     # one segment budget and one vocabulary rule for every command: not keys
     ("max_segment_tokens = 400", "unknown key 'max_segment_tokens'"),
     ("min_freq = 2", "unknown key 'min_freq'"),

@@ -5,7 +5,6 @@ import pytest
 
 from setkp import inference
 from setkp.assignment import k_step_predict
-from setkp.autograd import no_grad
 from setkp.corpus import (
     MultiLevelDocument,
     Vocabulary,
@@ -213,9 +212,8 @@ def test_generate_segments_decodes_on_the_tagged_spans():
     (slots,) = generate_segments(model, vocab, [toks])
     spans = extract_keywords(model, vocab, toks)
     assert spans
-    with no_grad():
-        enc = model.encode([vocab.encode(toks)]).data
-        control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
+    enc = model.encode([vocab.encode(toks)]).data
+    control = model.control_rows(control_ids_for(spans, model.cfg, vocab)).data
     want = generate_slots(model, vocab, enc, control)
     assert len(slots) == model.cfg.n_slots
     assert [(s.tokens, s.is_null, s.confidence) for s in slots] == [
@@ -236,9 +234,8 @@ def _mixed_segments(docs):
 def _single(model, vocab, tokens):
     """Reference: one segment's own batch-of-one encode and its tag decode."""
     toks = tokens[: model.cfg.max_encode_len]
-    with no_grad():
-        states = model.encode([vocab.encode(toks)])
-        tags = model.kwe_probs(states).data[0]
+    states = model.encode([vocab.encode(toks)])
+    tags = model.kwe_probs(states).data[0]
     return states.data, model.predict_keywords(tags, toks)
 
 

@@ -658,23 +658,22 @@ def test_padded_batch_matches_single_segment_calls(perm):
     prev = {i: rng.integers(0, cfg.vocab_size, size=(N, T)) for i in range(len(_SEGMENTS))}
     segs = [_SEGMENTS[i] for i in perm]
     mask = padding_mask([len(s) for s in segs])
-    with ag.no_grad():
-        states = model.encode(segs)
-        control = model.control_rows([ids for i in perm for ids in _KEYWORDS[i]])
-        probs = model.teacher_probs(np.concatenate([prev[i] for i in perm]), control, states,
-                                    enc_mask=mask).data.reshape(len(segs), N * T, -1)
-        dists = k_step_predict(model, states.data, control.data, 3, 1, mask)
-        assert states.data.shape == (len(segs), max(map(len, segs)), cfg.d)
-        for b, i in enumerate(perm):
-            one = model.encode([_SEGMENTS[i]])
-            ctrl = model.control_rows(_KEYWORDS[i])
-            S = len(_SEGMENTS[i])
-            np.testing.assert_allclose(states.data[b, :S], one.data[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(probs[b], model.teacher_probs(prev[i], ctrl, one).data,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
-                                       k_step_predict(model, one.data, ctrl.data, 3, 1),
-                                       rtol=0, atol=1e-12)
+    states = model.encode(segs)
+    control = model.control_rows([ids for i in perm for ids in _KEYWORDS[i]])
+    probs = model.teacher_probs(np.concatenate([prev[i] for i in perm]), control, states,
+                                enc_mask=mask).data.reshape(len(segs), N * T, -1)
+    dists = k_step_predict(model, states.data, control.data, 3, 1, mask)
+    assert states.data.shape == (len(segs), max(map(len, segs)), cfg.d)
+    for b, i in enumerate(perm):
+        one = model.encode([_SEGMENTS[i]])
+        ctrl = model.control_rows(_KEYWORDS[i])
+        S = len(_SEGMENTS[i])
+        np.testing.assert_allclose(states.data[b, :S], one.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs[b], model.teacher_probs(prev[i], ctrl, one).data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dists[:, b * N:(b + 1) * N],
+                                   k_step_predict(model, one.data, ctrl.data, 3, 1),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("S", [9, 23])  # under and over 16 tokens
@@ -689,9 +688,8 @@ def test_batched_greedy_decode_gives_each_segment_its_own_bits(S, order):
     N = cfg.n_slots
     segs = [rng.integers(1, cfg.vocab_size, size=S).tolist() for _ in range(3)]
     keywords = [[seg[:2], None, seg[3:4], None] for seg in segs]
-    with ag.no_grad():
-        states = model.encode([segs[i] for i in order]).data
-        control = model.control_rows([ids for i in order for ids in keywords[i]]).data
+    states = model.encode([segs[i] for i in order]).data
+    control = model.control_rows([ids for i in order for ids in keywords[i]]).data
     probs, tokens = model.greedy_decode(control, states, 1, cfg.max_kp_len)
     for b in range(len(order)):
         rows = slice(b * N, (b + 1) * N)

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import struct
 import threading
@@ -200,10 +202,14 @@ def _container(blob: bytes, names: list[bytes]) -> bytes:
     (b'{"epoch": 1,}', [b"a"], "checkpoint metadata is not UTF-8 JSON: Expecting property name"),
     (b'{"epoch": "\xff"}', [b"a"],
      "checkpoint metadata is not UTF-8 JSON: 'utf-8' codec can't decode"),
+    (b'{"epoch": NaN}', [b"a"], "checkpoint metadata is not UTF-8 JSON: NaN is not a JSON number"),
+    (b'{"lr": -Infinity}', [b"a"],
+     "checkpoint metadata is not UTF-8 JSON: -Infinity is not a JSON number"),
     (b"[1, 2]", [b"a"], "checkpoint metadata is a list, not a JSON object"),
     (b"{}", [b"a", b"a"], "duplicate parameter 'a'"),
     (b"{}", [b"\xff"], "parameter record 1 of 1 has a name that is not UTF-8"),
-], ids=["bad_json", "not_utf8", "list_metadata", "repeated_record", "bad_name"])
+], ids=["bad_json", "not_utf8", "nan_metadata", "infinite_metadata", "list_metadata",
+        "repeated_record", "bad_name"])
 def test_malformed_checkpoint_names_path(tmp_path, blob, names, message):
     path = tmp_path / "model.ckpt"
     path.write_bytes(_container(b'{"epoch": 1}', [b"a", b"b"]))
@@ -256,5 +262,23 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path):
     store["dec.b"].data = np.array(["not", "a", "float", "!"], dtype=object)
     with pytest.raises(ValueError):
         save_checkpoint(path, store, {"epoch": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_metadata_is_saved_only_as_json(tmp_path):
+    # finite metadata keeps the bytes of its plain sorted encoding; a NaN or
+    # infinite number fails before the file is opened, naming the path
+    store = _store_with(seed=1)
+    path = tmp_path / "model.ckpt"
+    meta = {"lr": 0.003, "epoch": 1, "name": "r\u00e9sum\u00e9"}
+    save_checkpoint(path, store, meta)
+    before = path.read_bytes()
+    blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    assert struct.unpack("<I", before[12:16]) == (len(blob),) and before[16:16 + len(blob)] == blob
+    for bad in ({"epoch": math.nan, "lr": math.inf}, {"lr": -math.inf}):
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, store, bad)
+        assert str(err.value).startswith(f"{path}: checkpoint metadata: Out of range float")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
