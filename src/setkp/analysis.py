@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiLevelDocument, write_csv
+from .corpus import MultiLevelDocument
 from .inference import Portrait
+from .io import write_csv
 
 MODES = ("original", "pure", "augmented")
 SEPARATOR = ";"

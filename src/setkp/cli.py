@@ -12,7 +12,8 @@ import numpy as np
 
 from . import analysis, inference, metrics
 from .config import KEY_TYPES, RunConfig, load_run_config
-from .corpus import Vocabulary, load_jsonl, parse_jsonl, save_jsonl, typed, write_jsonl
+from .corpus import Vocabulary, load_jsonl, save_jsonl
+from .io import parse_jsonl, typed, write_jsonl
 from .model import Model, ModelConfig, param_spec
 from .params import load_checkpoint
 from .synth import distinct_word_count, synth_corpus

@@ -23,11 +23,9 @@ from .corpus import (
     MultiLevelDocument,
     Vocabulary,
     derive_keywords,
-    parse_jsonl,
     tokenize,
-    typed,
-    write_jsonl,
 )
+from .io import parse_jsonl, typed, write_jsonl
 from .metrics import duplication_ratio, first_wins, null_ratio, stem_tokens
 from .model import Model
 from .training import check_segment, control_ids_for

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .corpus import _contains_run, write_csv
+from .corpus import contains_run
+from .io import write_csv
 
 T = TypeVar("T")
 
@@ -319,7 +320,7 @@ def score_record(rec: EvalRecord) -> dict[str, float]:
     source = stem_tokens(rec.source_tokens)
     keys: dict[str, list[tuple[str, ...]]] = {"present": [], "absent": []}
     for key in _distinct_stems(rec.predictions):
-        keys["present" if _contains_run(source, key) else "absent"].append(key)
+        keys["present" if contains_run(source, key) else "absent"].append(key)
     out = {}
     for bucket, targets in (("present", rec.present_targets), ("absent", rec.absent_targets)):
         hits, n_target = _hits(keys[bucket], targets)

@@ -1,14 +1,13 @@
 """Named parameter store, seeded init, AdamW, and checkpoint round-trip.
 
-Checkpoints are a small versioned binary container: magic, version, a JSON
-metadata blob (model config, vocabulary, anything the caller wants carried
-with the weights), then one record per parameter with its name, shape, and
-little-endian float64 payload. Loading restores bit-identical arrays.
+Checkpoints are a small versioned binary container: magic, version, a
+metadata blob in ``io``'s JSON rule (model config, vocabulary, anything the
+caller wants carried), then one record per parameter with its name, shape,
+and little-endian float64 payload. Loading restores bit-identical arrays.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import stat
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .corpus import _not_json, output_file
+from .io import decode_json, encode_json, output_file
 
 _MAGIC = b"SKPT"
 _VERSION = 1
@@ -133,12 +132,12 @@ class AdamW:
 
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict) -> None:
-    """Write the container through ``corpus.output_file``; float payloads
-    are forced little-endian. Metadata JSON cannot hold, such as a NaN or
+    """Write the container through ``io.output_file``, float payloads
+    little-endian. Metadata ``io.encode_json`` cannot hold, such as a NaN or
     infinite number, raises ValueError before the file is opened. A failed
     or interrupted write leaves a previous checkpoint file as it was."""
     try:
-        blob = json.dumps(meta, sort_keys=True, ensure_ascii=False, allow_nan=False).encode("utf-8")
+        blob = encode_json(meta).encode("utf-8")
     except ValueError as e:
         raise ValueError(f"{path}: checkpoint metadata: {e}") from e
     with output_file(path, binary=True) as fh:
@@ -184,8 +183,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         (blen,) = struct.unpack("<I", read(4, "header"))
         blob = read(blen, "metadata")
         try:
-            meta = json.loads(blob.decode("utf-8"), parse_constant=_not_json)
-        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError and _not_json alike
+            meta = decode_json(blob.decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and decode_json's errors alike
             raise ValueError(f"{path}: checkpoint metadata is not UTF-8 JSON: {e}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: checkpoint metadata is a {type(meta).__name__}, "

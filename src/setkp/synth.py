@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .corpus import MultiLevelDocument, _contains_run, build_segments, tokenize
+from .corpus import MultiLevelDocument, build_segments, contains_run, tokenize
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,11 @@ def _gen_doc(rng: random.Random, idx: int) -> MultiLevelDocument:
     for i, p in enumerate(phrases):
         for seg in doc.segments:
             at_home = seg.level == i + 1
-            assert _contains_run(seg.tokens, list(p)) == at_home, (
+            assert contains_run(seg.tokens, list(p)) == at_home, (
                 f"phrase {p} misplaced in {doc.doc_id} level {seg.level}"
             )
     for a in absents:
-        assert not _contains_run(all_toks, list(a)), f"absent {a} leaked into {doc.doc_id}"
+        assert not contains_run(all_toks, list(a)), f"absent {a} leaked into {doc.doc_id}"
     assert len(doc.segments) == n_claims + 1
     return doc
 

@@ -43,8 +43,8 @@ from .corpus import (
     Vocabulary,
     bio_labels,
     derive_keywords,
-    write_csv,
 )
+from .io import write_csv
 from .model import Model, ModelConfig, padded, padding_mask
 from .params import AdamW, save_checkpoint
 

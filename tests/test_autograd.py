@@ -1130,7 +1130,7 @@ CRITERION_HELPERS = {"setkp.assignment.brute_force", "setkp.metrics.f1_at_5",
                      "setkp.metrics.ndcg_at_k", "setkp.training.loss_encoder_stage3"}
 # public names that more than one setkp definition has, each checked to have a
 # reader of its own: Model.encode and Vocabulary.encode, the two .text
-# properties, and TrainReport.write_csv and corpus.write_csv
+# properties, and TrainReport.write_csv and io.write_csv
 SHARED_NAMES = {"encode", "text", "write_csv"}
 
 
@@ -1202,14 +1202,35 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 def test_every_file_is_written_by_the_one_writer():
     # checkpoints, JSONL and CSV outputs replace their target in one way:
-    # only corpus.output_file opens a file to write, renames or fsyncs
-    from setkp import corpus
-
-    src = Path(corpus.__file__).parent
+    # only io.output_file opens a file to write, renames or fsyncs
+    src = Path(ag.__file__).parent
     writers = []
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for n in ast.walk(top):
                 if isinstance(n, ast.Call) and _writes_a_file(n):
                     writers.append(f"{path.name}:{getattr(top, 'name', n.lineno)}")
-    assert set(writers) == {"corpus.py:output_file"}, writers
+    assert set(writers) == {"io.py:output_file"}, writers
+
+
+def test_no_private_name_crosses_a_module():
+    # a name with a leading underscore is read only in the module that
+    # defines it: no setkp module imports one from another (`from .m import
+    # _x`) or reads one off another module it imported (`m._x`)
+    src = Path(ag.__file__).parent
+    crossings = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names this file binds to setkp modules
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level > 0:
+                for a in n.names:
+                    if n.module is None:
+                        modules.add(a.asname or a.name)
+                    elif a.name.startswith("_"):
+                        crossings.append(f"{path.name}: from .{n.module} import {a.name}")
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                    and isinstance(n.value, ast.Name) and n.value.id in modules):
+                crossings.append(f"{path.name}:{n.lineno}: {n.value.id}.{n.attr}")
+    assert crossings == []

@@ -12,8 +12,9 @@ from setkp import inference
 from setkp.autograd import Tape
 from setkp.cli import _eval_record, main
 from setkp.config import RunConfig, load_run_config, parse_config_file
-from setkp.corpus import MultiLevelDocument, build_segments, load_jsonl, read_jsonl
+from setkp.corpus import MultiLevelDocument, build_segments, load_jsonl, save_jsonl
 from setkp.inference import load_portraits
+from setkp.io import read_jsonl
 from setkp.model import Model, ModelConfig
 from setkp.params import ParamStore, load_checkpoint, save_checkpoint
 from setkp.training import TsmtConfig
@@ -405,6 +406,26 @@ def outputs64(tmp_path_factory, pipeline):
         assert main([cmd, "--ckpt", ckpt, "--corpus", str(paths["corpus"]),
                      "--out", str(paths[out])]) == 0
     return paths
+
+
+def test_a_document_s_outputs_do_not_depend_on_the_rest_of_the_corpus(tmp_path, pipeline,
+                                                                       outputs64):
+    # metamorphic check (Chen, Cheung and Yiu, "Metamorphic testing", 1998):
+    # every third document, in reverse order, is batched with other
+    # documents than in the whole run and must still get the same
+    # predictions row and portrait record
+    docs = load_jsonl(outputs64["corpus"])[::-3]
+    subset = tmp_path / "corpus.jsonl"
+    save_jsonl(subset, docs)
+    for cmd, out in (("generate", "preds"), ("portrait", "portraits")):
+        path = tmp_path / f"{out}.jsonl"
+        assert main([cmd, "--ckpt", str(pipeline["ckpt"]), "--corpus", str(subset),
+                     "--out", str(path)]) == 0
+        whole = {json.loads(line)["id"]: line
+                 for line in outputs64[out].read_text(encoding="utf-8").splitlines()}
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in lines] == [d.doc_id for d in docs]
+        assert lines == [whole[d.doc_id] for d in docs]
 
 
 @pytest.mark.parametrize("cmd,source", [("eval", "preds"), ("analyze", "portraits")])

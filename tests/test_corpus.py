@@ -28,6 +28,7 @@ from setkp.corpus import (
 )
 from setkp.analysis import ModeResult, write_analysis_csv
 from setkp.inference import PROMPT_INFIX, PROMPT_PREFIX
+from setkp.io import write_csv, write_jsonl
 from setkp.metrics import write_eval_csv
 from setkp.params import ParamStore, save_checkpoint
 from setkp.synth import synth_corpus
@@ -370,11 +371,11 @@ def _tiny_checkpoint(path):
     save_checkpoint(path, store, {"epoch": 1})
 
 
-# every writer of the program, each through corpus.output_file
+# every writer of the program, each through io.output_file
 WRITERS = {
     "save_checkpoint": _tiny_checkpoint,
-    "write_jsonl": lambda path: corpus.write_jsonl(path, [{"id": "a"}, {"id": "ü"}]),
-    "write_csv": lambda path: corpus.write_csv(path, [["a", "b"], [1, "x,y"]]),
+    "write_jsonl": lambda path: write_jsonl(path, [{"id": "a"}, {"id": "ü"}]),
+    "write_csv": lambda path: write_csv(path, [["a", "b"], [1, "x,y"]]),
 }
 
 
@@ -448,8 +449,8 @@ def test_csv_row_that_fails_to_format_keeps_the_previous_bytes(tmp_path, write):
 
 
 def test_csv_lines_end_in_crlf_and_jsonl_lines_in_lf(tmp_path):
-    corpus.write_csv(tmp_path / "a.csv", [["a", "b"], [1, 2]])
-    corpus.write_jsonl(tmp_path / "a.jsonl", [{"a": 1}, {"b": 2}])
+    write_csv(tmp_path / "a.csv", [["a", "b"], [1, 2]])
+    write_jsonl(tmp_path / "a.jsonl", [{"a": 1}, {"b": 2}])
     assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n1,2\r\n"
     assert (tmp_path / "a.jsonl").read_bytes() == b'{"a": 1}\n{"b": 2}\n'
 
@@ -539,9 +540,9 @@ def test_synth_planting_contracts():
     for doc in synth_corpus(5, 16):
         toks = doc.all_tokens()
         for kp in doc.present_keyphrases:
-            assert corpus._contains_run(toks, tokenize(kp))
+            assert corpus.contains_run(toks, tokenize(kp))
         for kp in doc.absent_keyphrases:
-            assert not corpus._contains_run(toks, tokenize(kp))
+            assert not corpus.contains_run(toks, tokenize(kp))
         assert doc.label is not None
 
 

@@ -5,13 +5,7 @@ import pytest
 
 from setkp import inference
 from setkp.assignment import k_step_predict
-from setkp.corpus import (
-    MultiLevelDocument,
-    Vocabulary,
-    build_segments,
-    read_jsonl,
-    write_jsonl,
-)
+from setkp.corpus import MultiLevelDocument, Vocabulary, build_segments
 from setkp.inference import (
     PROMPT_INFIX,
     PROMPT_PREFIX,
@@ -33,6 +27,7 @@ from setkp.inference import (
     prompt_tokens,
     save_portraits,
 )
+from setkp.io import read_jsonl, write_jsonl
 from setkp.model import Model, ModelConfig
 from setkp.synth import synth_corpus
 from setkp.training import control_ids_for

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkp import metrics
-from setkp.corpus import _contains_run
+from setkp.corpus import contains_run
 from setkp.metrics import (
     EvalRecord,
     duplication_ratio,
@@ -249,7 +249,7 @@ def ref_split_by_source(preds, source):
     stems = stem_tokens(source)
     present, absent = [], []
     for p in preds:
-        (present if _contains_run(stems, stem_tokens(p)) else absent).append(p)
+        (present if contains_run(stems, stem_tokens(p)) else absent).append(p)
     return present, absent
 
 
